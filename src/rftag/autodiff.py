@@ -410,14 +410,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return record("sigmoid", out, [x], vjp)
 
 
-def elementwise(x: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown elementwise kind {kind!r}")
-
-
 def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
     """Window pooling: max / avg over (kh, kw) windows, or global average.
 

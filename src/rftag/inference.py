@@ -7,6 +7,8 @@ mean of its window scores.  Clips shorter than one window are repeat-tiled.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import autodiff as ad
@@ -21,6 +23,23 @@ def tile_to_length(values: np.ndarray, frames: int) -> np.ndarray:
         return values
     reps = -(-frames // have)
     return np.tile(values, (1, reps))[:, :frames]
+
+
+def crop_window(values: np.ndarray, frames: int, rng: Optional[np.random.Generator] = None,
+                mode: str = "center") -> np.ndarray:
+    """A [bins, frames] window of a repeat-tiled clip.
+
+    Mode "random" takes a uniform offset drawn from ``rng`` (training and the
+    BN refresh); mode "center" takes the central window (validation).
+    """
+    if mode not in ("random", "center"):
+        raise ValueError(f"unknown crop mode {mode!r}")
+    if mode == "random" and rng is None:
+        raise ValueError("random crop needs an rng")
+    v = tile_to_length(values, frames)
+    slack = v.shape[1] - frames
+    off = int(rng.integers(0, slack + 1)) if mode == "random" else slack // 2
+    return v[:, off:off + frames]
 
 
 def window_starts(frames: int, window: int, hop: int) -> list[int]:
@@ -46,15 +65,13 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
     crops = []
     owners = []
     for i, values in enumerate(values_list):
-        v = tile_to_length(values, crop_frames)
         if mode == "center":
-            off = (v.shape[1] - crop_frames) // 2
-            starts = [off]
+            windows = [crop_window(values, crop_frames)]
         else:
-            starts = window_starts(v.shape[1], crop_frames, hop)
-        for s in starts:
-            crops.append(v[:, s:s + crop_frames])
-            owners.append(i)
+            v = tile_to_length(values, crop_frames)
+            windows = [v[:, s:s + crop_frames] for s in window_starts(v.shape[1], crop_frames, hop)]
+        crops += windows
+        owners += [i] * len(windows)
 
     scores_sum = np.zeros((len(values_list), model.config.n_tags), dtype=np.float64)
     counts = np.zeros(len(values_list), dtype=np.int64)

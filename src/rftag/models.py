@@ -1,21 +1,33 @@
 """CP-ResNet variants: RF-regularized, frequency-aware, and shake-shake.
 
-``build_model`` realizes a rho-sized CP-ResNet template as named parameter
-tensors plus a forward recipe.  Variant flags thread through every residual
-block: ``frequency_aware`` appends a per-bin coordinate channel to every conv
-input, ``shake_shake`` doubles each block's transform branch and mixes the two
-with random convex weights (independent weights on the backward pass).
+``build_model`` realizes the ``ArchSpec`` of a config (``rf.cp_resnet_template``
+sized by rho) as named parameter tensors plus a forward recipe, walking the
+arch's layers and skips once:
 
-Residual blocks are conv-bn-relu-conv-bn branches added to an identity skip
-(1x1 conv + bn projection where the channel width changes); the classifier
-head is global average pooling into a linear layer producing one logit per
-tag.  Sigmoid lives downstream in the loss / evaluation layers.
+- a conv layer becomes conv + batchnorm with the layer's kernel, stride and
+  padding, followed by relu unless it ends a residual block;
+- a pool layer becomes a pool with the layer's window;
+- a skip ``(src, dst)`` becomes one residual block: its branch is the layers
+  after ``src`` up to and including ``dst``, its residual is the output of
+  ``src`` (through a 1x1 conv + bn projection where the width changes).
+
+Block widths split ``arch.channel_plan`` evenly over the blocks; a conv
+outside a block takes the width of the next block.  A block's layers are
+named ``<block>c<i>`` and its parameters ``<block>.br<k>.c<i>.*``.
+
+Variant flags thread through every block: ``frequency_aware`` appends a
+per-bin coordinate channel to every conv input, ``shake_shake`` doubles each
+block's branch and mixes the two with random convex weights (independent
+weights on the backward pass).  The classifier head is global average
+pooling into a linear layer producing one logit per tag.  Sigmoid lives
+downstream in the loss / evaluation layers.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -23,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .rf import ArchSpec, RhoTemplate, apply_rho, compute_rf, cp_resnet_template
+from .rf import ArchSpec, LayerSpec, RhoTemplate, apply_rho, connectivity_rf, cp_resnet_template
 
 CKPT_MAGIC = b"RFCKPT01"
 
@@ -133,79 +145,86 @@ def shake_block(x: Tensor, branch1: Callable, branch2: Callable, draw: ShakeDraw
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
+#
+# Every step is called as step(x, mode, pool_kind) and looks its ops up through
+# the module attributes at call time.
 
 
 class _Conv:
-    def __init__(self, model: "Model", name: str, c_in: int, c_out: int,
-                 kernel, stride=(1, 1), bias: bool = False):
-        self.name = name
-        self.stride = tuple(stride)
-        kf, kt = kernel
-        self.padding = ((kf - 1) // 2, (kt - 1) // 2)
-        c_eff = c_in + (1 if model.config.frequency_aware else 0)
+    """One conv layer of the arch with its batchnorm, optionally followed by relu."""
+
+    def __init__(self, model: "Model", name: str, layer: LayerSpec, c_in: int, c_out: int,
+                 relu: bool):
+        kf, kt = layer.kernel
+        self.stride, self.padding, self.relu = layer.stride, layer.padding, relu
+        self.fa = model.config.frequency_aware
+        c_eff = c_in + (1 if self.fa else 0)
         fan_in = c_eff * kf * kt
         w = model.rng_init.standard_normal((c_out, c_eff, kf, kt)) * np.sqrt(2.0 / fan_in)
         self.weight = model.add_param(f"{name}.weight", w)
-        self.bias = model.add_param(f"{name}.bias", np.zeros(c_out)) if bias else None
-        self.fa = model.config.frequency_aware
+        self.gamma = model.add_param(f"{name}.bn.gamma", np.ones(c_out))
+        self.beta = model.add_param(f"{name}.bn.beta", np.zeros(c_out))
+        self.state = model.add_bn_state(f"{name}.bn", c_out)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, mode: str, pool_kind: str) -> Tensor:
         if self.fa:
             x = fa_channel(x)
-        return ad.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        x = ad.conv2d(x, self.weight, None, stride=self.stride, padding=self.padding)
+        x = ad.batchnorm2d(x, self.gamma, self.beta, self.state, mode=mode)
+        return ad.relu(x) if self.relu else x
 
 
-class _BatchNorm:
-    def __init__(self, model: "Model", name: str, channels: int):
-        self.name = name
-        self.gamma = model.add_param(f"{name}.gamma", np.ones(channels))
-        self.beta = model.add_param(f"{name}.beta", np.zeros(channels))
-        self.state = model.add_bn_state(name, channels)
+class _Pool:
+    def __init__(self, layer: LayerSpec):
+        self.kernel, self.stride = layer.kernel, layer.stride
 
-    def __call__(self, x: Tensor, mode: str) -> Tensor:
-        return ad.batchnorm2d(x, self.gamma, self.beta, self.state, mode=mode)
+    def __call__(self, x: Tensor, mode: str, pool_kind: str) -> Tensor:
+        return ad.pool2d(x, pool_kind, kernel=self.kernel, stride=self.stride)
 
 
-class _ConvBN:
-    def __init__(self, model, name, c_in, c_out, kernel, stride=(1, 1)):
-        self.conv = _Conv(model, name, c_in, c_out, kernel, stride)
-        self.bn = _BatchNorm(model, f"{name}.bn", c_out)
+def _layer(model: "Model", name: str, layer: LayerSpec, c_in: int, c_out: int,
+           relu: bool) -> tuple:
+    """The step realizing one arch layer, and its output width."""
+    if layer.kind == "conv":
+        return _Conv(model, name, layer, c_in, c_out, relu), c_out
+    if layer.kind == "pool":
+        return _Pool(layer), c_in
+    raise ValueError(f"layer {layer.name}: the model realizes conv and pool layers, "
+                     f"not {layer.kind!r}")
 
-    def __call__(self, x, mode):
-        return self.bn(self.conv(x), mode)
 
-
-class _Branch:
-    """conv-bn-relu-conv-bn transform of a residual block."""
-
-    def __init__(self, model, name, c_in, c_out, kernels):
-        (k1, k2) = kernels
-        self.cb1 = _ConvBN(model, f"{name}.c1", c_in, c_out, k1)
-        self.cb2 = _ConvBN(model, f"{name}.c2", c_out, c_out, k2)
-
-    def __call__(self, x, mode):
-        return self.cb2(ad.relu(self.cb1(x, mode)), mode)
+def _run(steps: list, x: Tensor, mode: str, pool_kind: str) -> Tensor:
+    for step in steps:
+        x = step(x, mode, pool_kind)
+    return x
 
 
 class _Block:
-    def __init__(self, model, name, c_in, c_out, kernels, shake: bool):
-        self.name = name
-        self.shake = shake
-        self.branches = [_Branch(model, f"{name}.br1", c_in, c_out, kernels)]
-        if shake:
-            self.branches.append(_Branch(model, f"{name}.br2", c_in, c_out, kernels))
+    """The residual block of one skip: branch layers plus the residual."""
+
+    def __init__(self, model: "Model", name: str, layers: list, c_in: int, c_out: int):
+        self.rng = model.rng_shake
+        self.branches = []
+        for k in range(1, 3 if model.config.shake_shake else 2):
+            steps, c = [], c_in
+            for layer in layers:
+                step, c = _layer(model, f"{name}.br{k}.{layer.name[len(name):]}", layer,
+                                 c, c_out, relu=layer is not layers[-1])
+                steps.append(step)
+            self.branches.append(steps)
         self.proj = None
         if c_in != c_out:
-            self.proj = _ConvBN(model, f"{name}.proj", c_in, c_out, (1, 1))
+            self.proj = _Conv(model, f"{name}.proj", LayerSpec("proj", "conv"),
+                              c_in, c_out, relu=False)
 
-    def __call__(self, x, mode, rng: np.random.Generator):
-        skip = x if self.proj is None else self.proj(x, mode)
-        if self.shake:
-            draw = ShakeDraw.train_draw(rng) if mode == "train" else ShakeDraw(mode="eval")
-            mixed = shake_combine(self.branches[0](x, mode), self.branches[1](x, mode), draw)
-        else:
-            mixed = self.branches[0](x, mode)
-        return ad.add(skip, mixed)
+    def __call__(self, x: Tensor, mode: str, pool_kind: str) -> Tensor:
+        branches = [partial(_run, steps, mode=mode, pool_kind=pool_kind)
+                    for steps in self.branches]
+        skip = None if self.proj is None else partial(self.proj, mode=mode, pool_kind=pool_kind)
+        if len(branches) == 1:
+            return ad.add(x if skip is None else skip(x), branches[0](x))
+        draw = ShakeDraw.train_draw(self.rng) if mode == "train" else ShakeDraw(mode="eval")
+        return shake_block(x, branches[0], branches[1], draw, skip)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +243,6 @@ class Model:
         self.rng_shake = np.random.default_rng(config.seed + 1)
         self._arch = config.arch()
         self._build()
-        self._min_frames = self._compute_min_frames()
         del self.rng_init
 
     # -- construction ------------------------------------------------------
@@ -244,58 +262,45 @@ class Model:
         return state
 
     def _build(self):
-        cfg = self.config
-        tpl = cfg.template
-        plan = tuple(tpl.channel_plan)
-        kernels = {l.name: l.kernel for l in self._arch.layers}
-        c0 = plan[0]
-        self.in1 = _ConvBN(self, "in1", 1, c0, kernels["in1"], stride=(2, 2))
-        self.in2 = _ConvBN(self, "in2", c0, c0, kernels["in2"])
-        self.stages = []
-        c_prev = c0
-        for s in range(1, tpl.n_stages + 1):
-            c_out = plan[s - 1]
-            blocks = []
-            for b in range(1, tpl.blocks_per_stage + 1):
-                name = f"s{s}b{b}"
-                blocks.append(_Block(self, name, c_prev, c_out,
-                                     (kernels[f"{name}c1"], kernels[f"{name}c2"]),
-                                     shake=cfg.shake_shake))
-                c_prev = c_out
-            self.stages.append((s <= tpl.pool_stages, blocks))
-        fan_in = c_prev
-        w = self.rng_init.standard_normal((fan_in, cfg.n_tags)) * np.sqrt(2.0 / fan_in)
+        """One walk over the arch: plain layers and one block per skip."""
+        layers, plan = self._arch.layers, self._arch.channel_plan
+        n_blocks = len(self._arch.skips)
+        block_end = {self._arch.layer_index(src) + 1: self._arch.layer_index(dst)
+                     for src, dst in self._arch.skips}
+        self.trunk = []
+        c, i, done = 1, 0, 0
+        while i < len(layers):
+            width = plan[done * len(plan) // max(1, n_blocks)]
+            if i in block_end:
+                end = block_end[i]
+                name = layers[end].name.rpartition("c")[0]
+                self.trunk.append(_Block(self, name, layers[i:end + 1], c, width))
+                c, i, done = width, end + 1, done + 1
+            else:
+                step, c = _layer(self, layers[i].name, layers[i], c, width, relu=True)
+                self.trunk.append(step)
+                i += 1
+        w = self.rng_init.standard_normal((c, self.config.n_tags)) * np.sqrt(2.0 / c)
         self.head_w = self.add_param("head.weight", w)
-        self.head_b = self.add_param("head.bias", np.zeros(cfg.n_tags))
+        self.head_b = self.add_param("head.bias", np.zeros(self.config.n_tags))
 
     # -- geometry ----------------------------------------------------------
 
-    def arch_spec(self) -> ArchSpec:
-        return self._arch
-
     def min_frames(self) -> int:
-        """Smallest time extent the stride/pool plan can digest."""
-        return self._min_frames
+        """Smallest time extent the stride/pool plan can digest.
 
-    def _compute_min_frames(self) -> int:
-        for t in range(1, 4096):
-            if self._frames_survive(t):
-                return t
-        raise RuntimeError("no feasible input length below 4096 frames")
-
-    def _frames_survive(self, t: int) -> bool:
-        arch = self._arch
-        for layer in arch.layers:
+        A reverse pass over the arch from one output frame: each layer needs
+        (need - 1) * stride + kernel input frames, less its padding on both
+        sides for a conv, and at least one.
+        """
+        need = 1
+        for layer in reversed(self._arch.layers):
             k, s, p = layer.kernel[1], layer.stride[1], layer.padding[1]
             if layer.kind == "pool":
-                if k > t:
-                    return False
-                t = (t - k) // s + 1
+                need = (need - 1) * s + k
             elif layer.kind == "conv":
-                if k > t + 2 * p:
-                    return False
-                t = (t + 2 * p - k) // s + 1
-        return t >= 1
+                need = max(1, (need - 1) * s + k - 2 * p)
+        return need
 
     # -- forward -----------------------------------------------------------
 
@@ -312,15 +317,7 @@ class Model:
         if x.shape[3] < need:
             raise ValueError(f"input has {x.shape[3]} frames but the stride plan "
                              f"needs at least {need}")
-        pool_kind = pool_override or "max"
-        h = ad.relu(self.in1(x, mode))
-        h = ad.relu(self.in2(h, mode))
-        for has_pool, blocks in self.stages:
-            if has_pool:
-                h = ad.pool2d(h, pool_kind, kernel=(2, 2), stride=(2, 2))
-            for block in blocks:
-                h = block(h, mode, self.rng_shake)
-        return h
+        return _run(self.trunk, x, mode, pool_override or "max")
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
         """Logits [N, n_tags]."""
@@ -370,54 +367,26 @@ def parameter_count(model: Model, substring: str = "") -> int:
     return sum(p.size for name, p in model.params.items() if substring in name)
 
 
-# ---------------------------------------------------------------------------
-# connectivity measurement through the real model
-# ---------------------------------------------------------------------------
-
-
 def measure_model_rf(config: ModelConfig) -> tuple[int, int]:
-    """Empirical RF of the built model via gradient connectivity.
+    """Empirical (freq, time) RF of the built model, by ``rf.connectivity_rf``.
 
-    Rebuilds the model with all-positive weights, zero biases, identity BN
-    statistics and average pooling (a max window's influence set is its whole
-    window), then measures the nonzero-gradient extent of one central trunk
-    unit per axis.
+    The probe is the model rebuilt for the probe input's bins with
+    all-positive weights, zero biases, identity BN statistics and average
+    pooling (a max window's influence set is its whole window).
     """
-    report = compute_rf(config.arch())
-    jf = jt = 1
-    for layer in config.arch().layers:
-        jf *= layer.stride[0]
-        jt *= layer.stride[1]
-    fext = report.rf_freq + 2 * jf + 4
-    text = report.rf_time + 2 * jt + 4
 
-    probe_cfg = ModelConfig(template=config.template, rho=config.rho,
-                            rho_time=config.rho_time,
-                            frequency_aware=config.frequency_aware,
-                            shake_shake=config.shake_shake,
-                            n_tags=config.n_tags, input_bins=fext,
-                            seed=config.seed)
-    model = build_model(probe_cfg)
-    for name, p in model.params.items():
-        if name.endswith(".bias") or name.endswith(".beta"):
-            p.data = np.zeros_like(p.data)
-        elif name.endswith(".gamma"):
-            p.data = np.ones_like(p.data)
-        else:
-            p.data = np.full_like(p.data, 0.1)
+    def probe(x: Tensor) -> Tensor:
+        model = build_model(replace(config, input_bins=x.shape[2]))
+        for name, p in model.params.items():
+            if name.endswith(".bias") or name.endswith(".beta"):
+                p.data = np.zeros_like(p.data)
+            elif name.endswith(".gamma"):
+                p.data = np.ones_like(p.data)
+            else:
+                p.data = np.full_like(p.data, 0.1)
+        return model.forward_features(x, mode="eval", pool_override="avg")
 
-    x = Tensor(np.ones((1, 1, fext, text), dtype=ad.DEFAULT_DTYPE), requires_grad=True)
-    with ad.Tape():
-        feats = model.forward_features(x, mode="eval", pool_override="avg")
-        _, c, ho, wo = feats.shape
-        mask = np.zeros(feats.shape, dtype=feats.dtype)
-        mask[0, :, ho // 2, wo // 2] = 1.0
-        loss = ad.sum_all(ad.mul(feats, Tensor(mask)))
-    ad.backward(loss)
-    grad = np.abs(x.grad[0, 0])
-    f_hit = np.flatnonzero(grad.sum(axis=1) > 0)
-    t_hit = np.flatnonzero(grad.sum(axis=0) > 0)
-    return int(f_hit[-1] - f_hit[0] + 1), int(t_hit[-1] - t_hit[0] + 1)
+    return connectivity_rf(config.arch(), probe)
 
 
 # ---------------------------------------------------------------------------
@@ -438,65 +407,77 @@ def _pack_entries(arrays: dict) -> bytes:
     return b"".join(out)
 
 
-def _unpack_entries(raw: bytes, pos: int) -> tuple[dict, int]:
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+def _unpack_entries(raw: bytes, pos: int, section: str) -> tuple[dict, int]:
+    """Entries from ``pos``; a short or corrupt buffer names the entry."""
     arrays = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", raw, pos)
+    where = f"the {section} entry count"
+    try:
+        (count,) = struct.unpack_from("<I", raw, pos)
         pos += 4
-        name = raw[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
-        pos += 4 * rank
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=pos).reshape(shape)
-        pos += 4 * n
-        arrays[name] = arr.copy()
+        for i in range(count):
+            where = f"{section} entry {i}"
+            (nlen,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            name = raw[pos:pos + nlen].decode("utf-8")
+            pos += nlen
+            where = f"{section} entry {name!r}"
+            (rank,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            shape = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
+            pos += 4 * rank
+            n = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(raw, dtype="<f4", count=n, offset=pos).reshape(shape)
+            pos += 4 * n
+            arrays[name] = arr.copy()
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"truncated or corrupt at {where}: {exc}") from None
     return arrays, pos
 
 
+def _echo_text(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+# annotation of a config field -> parser of its echo text
+_ECHO_PARSERS = {
+    "int": int,
+    "Optional[int]": lambda text: None if text == "none" else int(text),
+    "bool": lambda text: text == "True",
+    "tuple": lambda text: tuple(int(v) for v in text.split(",")),
+}
+
+
+def _echo_fields():
+    """(echo key, config field) for every field; template fields as ``template.*``."""
+    for f in fields(ModelConfig):
+        if f.name == "template":
+            yield from ((f"template.{t.name}", t) for t in fields(TemplateConfig))
+        else:
+            yield f.name, f
+
+
 def config_echo(config: ModelConfig, extra: Optional[dict] = None) -> dict:
-    echo = {
-        "template.n_stages": str(config.template.n_stages),
-        "template.blocks_per_stage": str(config.template.blocks_per_stage),
-        "template.channel_plan": ",".join(str(c) for c in config.template.channel_plan),
-        "template.pool_stages": str(config.template.pool_stages),
-        "template.time_kernel": str(config.template.time_kernel),
-        "rho": str(config.rho),
-        "rho_time": "none" if config.rho_time is None else str(config.rho_time),
-        "frequency_aware": str(config.frequency_aware),
-        "shake_shake": str(config.shake_shake),
-        "n_tags": str(config.n_tags),
-        "input_bins": str(config.input_bins),
-        "seed": str(config.seed),
-    }
+    echo = {}
+    for key, f in _echo_fields():
+        owner = config.template if key.startswith("template.") else config
+        echo[key] = _echo_text(getattr(owner, f.name))
     if extra:
         echo.update({str(k): str(v) for k, v in extra.items()})
     return echo
 
 
 def config_from_echo(echo: dict) -> ModelConfig:
-    tpl = TemplateConfig(
-        n_stages=int(echo["template.n_stages"]),
-        blocks_per_stage=int(echo["template.blocks_per_stage"]),
-        channel_plan=tuple(int(c) for c in echo["template.channel_plan"].split(",")),
-        pool_stages=int(echo["template.pool_stages"]),
-        time_kernel=int(echo["template.time_kernel"]),
-    )
-    rho_time = echo["rho_time"]
-    return ModelConfig(
-        template=tpl,
-        rho=int(echo["rho"]),
-        rho_time=None if rho_time == "none" else int(rho_time),
-        frequency_aware=echo["frequency_aware"] == "True",
-        shake_shake=echo["shake_shake"] == "True",
-        n_tags=int(echo["n_tags"]),
-        input_bins=int(echo["input_bins"]),
-        seed=int(echo["seed"]),
-    )
+    template, top = {}, {}
+    for key, f in _echo_fields():
+        if key not in echo:
+            raise ValueError(f"config echo has no field {key!r}")
+        owner = template if key.startswith("template.") else top
+        owner[f.name] = _ECHO_PARSERS[f.type](echo[key])
+    return ModelConfig(template=TemplateConfig(**template), **top)
 
 
 def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
@@ -515,9 +496,14 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
     raw = Path(path).read_bytes()
     if raw[:8] != CKPT_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:8]!r}, expected {CKPT_MAGIC!r}")
-    params, pos = _unpack_entries(raw, 8)
-    bn, pos = _unpack_entries(raw, pos)
-    (elen,) = struct.unpack_from("<I", raw, pos)
+    try:
+        params, pos = _unpack_entries(raw, 8, "parameter")
+        bn, pos = _unpack_entries(raw, pos, "batchnorm")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    elen = struct.unpack_from("<I", raw, pos)[0] if len(raw) >= pos + 4 else -1
+    if not 0 <= elen <= len(raw) - pos - 4:
+        raise ValueError(f"{path}: truncated at the config echo")
     pos += 4
     echo = {}
     for line in raw[pos:pos + elen].decode("utf-8").splitlines():
@@ -530,7 +516,11 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
 def load_model(path) -> tuple[Model, dict]:
     """Rebuild the model a checkpoint describes; returns (model, echo)."""
     params, bn, echo = read_checkpoint(path)
-    model = build_model(config_from_echo(echo))
+    try:
+        config = config_from_echo(echo)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    model = build_model(config)
     model.load_state_arrays(params)
     model.load_bn_arrays(bn)
     return model, echo

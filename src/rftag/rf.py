@@ -4,8 +4,12 @@ Tracks, per axis (frequency f, time t), the receptive field r and the jump j
 (product of strides) through a chain of layers with optional residual skip
 edges: r_n = r_{n-1} + (k_n - 1) * j_{n-1}, j_n = j_{n-1} * s_n, seeded at
 r = j = 1.  Residual merges take the elementwise maximum over incoming
-paths.  ``empirical_rf`` validates the calculus by measuring gradient
-connectivity through an actual instantiation of the architecture.
+paths.
+
+``connectivity_rf`` is the one empirical check of the calculus: it measures
+gradient connectivity through any forward that realizes an architecture.
+``empirical_rf`` probes a single-channel instantiation of the arch with it,
+and ``models.measure_model_rf`` probes the built model.
 
 ``apply_rho`` realizes receptive-field regularization: of the ordered
 adjustable conv slots, the first rho keep frequency-kernel 3 and the rest
@@ -15,8 +19,9 @@ drop to 1, which caps how far the frequency RF can grow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -147,77 +152,78 @@ def compute_rf(arch: ArchSpec) -> RFReport:
 # ---------------------------------------------------------------------------
 
 
-def empirical_rf(arch: ArchSpec, axis: str, input_extents: Optional[tuple] = None) -> int:
-    """Receptive field measured as gradient connectivity through autodiff.
+def connectivity_rf(arch: ArchSpec, forward: Callable,
+                    input_extents: Optional[tuple] = None) -> tuple[int, int]:
+    """(freq, time) receptive field of ``forward``, measured as gradient connectivity.
 
-    Builds the architecture with single-channel convs, all-one weights and no
-    nonlinearity, takes one central unit of the sink output, and measures the
-    extent of input positions with nonzero gradient along ``axis``.  Pools are
-    instantiated as average pools: any element of a max window can influence
-    the output under perturbation, so the avg backward measures the true
-    influence set that a single max subgradient undercounts.  Pool padding is
-    ignored (padding shifts extents, never connectivity span).
+    ``forward`` realizes ``arch``: it maps an all-ones input [1, 1, F, T] to an
+    output [1, C, F', T'].  The input positions with nonzero gradient from
+    the central output position (all channels) give the extent per axis.
+    The default input is the analytic receptive field plus a margin of two
+    output strides and 4 per axis.  When the support touches the input
+    border the central unit was not interior, so the input grows by half and
+    the measurement repeats.
+    """
+    report = compute_rf(arch)
+    if input_extents is None:
+        last = report.rows[-1]
+        input_extents = (report.rf_freq + 2 * last.j_freq + 4,
+                         report.rf_time + 2 * last.j_time + 4)
+    fext, text = input_extents
+    if fext <= report.rf_freq or text <= report.rf_time:
+        raise ValueError(
+            f"input {input_extents} too small: must be strictly larger than the analytic "
+            f"receptive field ({report.rf_freq}, {report.rf_time})")
+    while True:
+        x = ad.Tensor(np.ones((1, 1, fext, text), dtype=np.float64), requires_grad=True)
+        with ad.Tape():
+            out = forward(x)
+            mask = np.zeros(out.shape, dtype=out.dtype)
+            mask[0, :, out.shape[2] // 2, out.shape[3] // 2] = 1.0
+            loss = ad.sum_all(ad.mul(out, ad.Tensor(mask)))
+        ad.backward(loss)
+        grad = np.abs(x.grad[0, 0])
+        f_hit = np.flatnonzero(grad.sum(axis=1) > 0)
+        t_hit = np.flatnonzero(grad.sum(axis=0) > 0)
+        if 0 < f_hit[0] and f_hit[-1] < fext - 1 and 0 < t_hit[0] and t_hit[-1] < text - 1:
+            return int(f_hit[-1] - f_hit[0] + 1), int(t_hit[-1] - t_hit[0] + 1)
+        fext, text = fext + fext // 2, text + text // 2
+
+
+def empirical_rf(arch: ArchSpec, axis: str, input_extents: Optional[tuple] = None) -> int:
+    """Receptive field along ``axis`` measured by ``connectivity_rf``.
+
+    The probe builds the architecture with single-channel convs, all-one
+    weights and no nonlinearity.  Pools are instantiated as average pools:
+    any element of a max window can influence the output under perturbation,
+    so the avg backward measures the true influence set that a single max
+    subgradient undercounts.  Pool padding is ignored (padding shifts
+    extents, never connectivity span).
     """
     if axis not in ("freq", "time"):
         raise ValueError(f"axis must be 'freq' or 'time', got {axis!r}")
-    report = compute_rf(arch)
-    extents = _pick_extents(arch, report, input_extents)
-    fext, text = extents
-    if fext <= report.rf_freq or text <= report.rf_time:
-        raise ValueError(
-            f"input {extents} too small: must be strictly larger than the analytic "
-            f"receptive field ({report.rf_freq}, {report.rf_time})")
-    grad = _connectivity_gradient(arch, fext, text)
-    if axis == "freq":
-        hit = np.flatnonzero(np.abs(grad).sum(axis=1) > 0)
-    else:
-        hit = np.flatnonzero(np.abs(grad).sum(axis=0) > 0)
-    return int(hit[-1] - hit[0] + 1)
+    rf_freq, rf_time = connectivity_rf(arch, partial(_unit_forward, arch), input_extents)
+    return rf_freq if axis == "freq" else rf_time
 
 
-def _pick_extents(arch, report, input_extents):
-    if input_extents is not None:
-        return input_extents
-    # jump product for margin so that the central unit's span stays interior
-    jf = jt = 1
-    for l in arch.layers:
-        jf *= l.stride[0]
-        jt *= l.stride[1]
-    return report.rf_freq + 2 * jf + 4, report.rf_time + 2 * jt + 4
-
-
-def _connectivity_gradient(arch: ArchSpec, fext: int, text: int) -> np.ndarray:
-    x = ad.Tensor(np.ones((1, 1, fext, text), dtype=np.float64), requires_grad=True)
+def _unit_forward(arch: ArchSpec, x: ad.Tensor) -> ad.Tensor:
     skips_into: dict[str, list[str]] = {}
     for src, dst in arch.skips:
         skips_into.setdefault(dst, []).append(src)
-    with ad.Tape():
-        outputs: dict[str, ad.Tensor] = {}
-        cur = x
-        for layer in arch.layers:
-            if layer.kind == "conv":
-                kf, kt = layer.kernel
-                w = ad.Tensor(np.ones((1, 1, kf, kt), dtype=np.float64))
-                cur = ad.conv2d(cur, w, stride=layer.stride, padding=layer.padding)
-            elif layer.kind == "pool":
-                cur = ad.pool2d(cur, "avg", kernel=layer.kernel, stride=layer.stride)
-            # elementwise / markers: identity
-            for src in skips_into.get(layer.name, ()):
-                cur = ad.add(cur, outputs[src])
-            outputs[layer.name] = cur
-        _, _, ho, wo = cur.shape
-        mask = np.zeros((1, 1, ho, wo), dtype=np.float64)
-        mask[0, 0, ho // 2, wo // 2] = 1.0
-        loss = ad.sum_all(ad.mul(cur, ad.Tensor(mask)))
-    ad.backward(loss)
-    grad = x.grad[0, 0]
-    support_f = np.flatnonzero(np.abs(grad).sum(axis=1) > 0)
-    support_t = np.flatnonzero(np.abs(grad).sum(axis=0) > 0)
-    if (support_f[0] == 0 or support_f[-1] == fext - 1
-            or support_t[0] == 0 or support_t[-1] == text - 1):
-        # support touched the border, central unit was not interior: grow
-        return _connectivity_gradient(arch, fext + fext // 2, text + text // 2)
-    return grad
+    outputs: dict[str, ad.Tensor] = {}
+    cur = x
+    for layer in arch.layers:
+        if layer.kind == "conv":
+            kf, kt = layer.kernel
+            w = ad.Tensor(np.ones((1, 1, kf, kt), dtype=np.float64))
+            cur = ad.conv2d(cur, w, stride=layer.stride, padding=layer.padding)
+        elif layer.kind == "pool":
+            cur = ad.pool2d(cur, "avg", kernel=layer.kernel, stride=layer.stride)
+        # elementwise / markers: identity
+        for src in skips_into.get(layer.name, ()):
+            cur = ad.add(cur, outputs[src])
+        outputs[layer.name] = cur
+    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward, bce_with_logits
 from .evaluation import LabelSet, PredictionSet, macro_pr_auc
-from .inference import predict_scores, tile_to_length
+from .inference import crop_window, predict_scores
 from .models import Model, ModelConfig, build_model, save_checkpoint
 
 METRICS_HEADER = "epoch,lr,train_loss,val_pr_auc,is_best,swa_saved"
@@ -81,7 +81,9 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     if epoch < c_end:
         return peak
     if epoch < d_end:
-        return peak + (epoch - c_end) / config.decay_epochs * (final - peak)
+        # exact-endpoint form: exactly peak at f = 0 and exactly final at f = 1
+        f = (epoch - c_end) / config.decay_epochs
+        return (1.0 - f) * peak + f * final
     return final
 
 
@@ -168,28 +170,8 @@ class TaggedClip:
 
 def crop_or_pad(values: np.ndarray, frames: int, rng: Optional[np.random.Generator] = None,
                 mode: str = "center") -> Tensor:
-    """A [1, 1, bins, frames] window: random offset in train, center in eval.
-
-    Inputs shorter than the target are repeat-tiled before cropping.
-    """
-    if mode not in ("random", "center"):
-        raise ValueError(f"unknown crop mode {mode!r}")
-    v = tile_to_length(values, frames)
-    slack = v.shape[1] - frames
-    if mode == "random":
-        if rng is None:
-            raise ValueError("random crop needs an rng")
-        off = int(rng.integers(0, slack + 1))
-    else:
-        off = slack // 2
-    return Tensor(v[None, None, :, off:off + frames].astype(ad.DEFAULT_DTYPE))
-
-
-def _crop_array(values: np.ndarray, frames: int, rng, mode: str) -> np.ndarray:
-    v = tile_to_length(values, frames)
-    slack = v.shape[1] - frames
-    off = int(rng.integers(0, slack + 1)) if mode == "random" else slack // 2
-    return v[:, off:off + frames]
+    """``crop_window`` as a [1, 1, bins, frames] Tensor."""
+    return Tensor(crop_window(values, frames, rng, mode)[None, None].astype(ad.DEFAULT_DTYPE))
 
 
 def normalization_stats(clips: list) -> tuple[float, float]:
@@ -233,7 +215,7 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
     order = np.arange(len(clips))
     for lo in range(0, len(order), batch_size):
         idx = order[lo:lo + batch_size]
-        x = np.stack([_crop_array(clips[i].values, crop_frames, rng, "random") for i in idx])
+        x = np.stack([crop_window(clips[i].values, crop_frames, rng, "random") for i in idx])
         x = ((x[:, None, :, :] - mean) / std).astype(ad.DEFAULT_DTYPE)
         model.forward(Tensor(x), mode="train")
     for st in model.bn_states.values():
@@ -287,7 +269,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
         losses = []
         for bstart in range(0, n, config.batch_size):
             idx = order[bstart:bstart + config.batch_size]
-            x = np.stack([_crop_array(train_clips[i].values, config.crop_frames,
+            x = np.stack([crop_window(train_clips[i].values, config.crop_frames,
                                       rng, "random") for i in idx])
             x = ((x[:, None, :, :] - norm[0]) / norm[1]).astype(ad.DEFAULT_DTYPE)
             y = np.stack([train_clips[i].labels for i in idx]).astype(ad.DEFAULT_DTYPE)

@@ -1,3 +1,7 @@
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from rftag.models import (
     ShakeDraw,
     TemplateConfig,
     build_model,
+    config_echo,
     config_from_echo,
     fa_channel,
     load_model,
@@ -222,6 +227,24 @@ class TestModelRf:
         rf_f, rf_t = measure_model_rf(cfg)
         assert (rf_f, rf_t) == (report.rf_freq, report.rf_time)
 
+    @pytest.mark.parametrize("pool_stages", [0, 1, 2])
+    @pytest.mark.parametrize("time_kernel", [1, 3, 5])
+    @pytest.mark.parametrize("rho_time", [None, 0])
+    def test_template_grid(self, pool_stages, time_kernel, rho_time):
+        # two blocks per stage and a width change, so stage 2 opens with a projection
+        template = TemplateConfig(n_stages=2, blocks_per_stage=2, channel_plan=(4, 6),
+                                  pool_stages=pool_stages, time_kernel=time_kernel)
+        cfg = tiny_config(template=template, rho_time=rho_time,
+                          frequency_aware=True, shake_shake=True)
+        m = build_model(cfg)
+        assert "s2b1.proj.weight" in m.params
+        need = m.min_frames()
+        assert m.forward(batch(frames=need), mode="eval").shape == (2, 3)
+        with pytest.raises(ValueError, match=f"at least {need}"):
+            m.forward(batch(frames=need - 1), mode="eval")
+        report = compute_rf(cfg.arch())
+        assert measure_model_rf(cfg) == (report.rf_freq, report.rf_time)
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_identical_eval(self, tmp_path):
@@ -256,3 +279,56 @@ class TestCheckpoint:
         p.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             read_checkpoint(p)
+
+    def test_truncated_names_path_and_entry(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, build_model(tiny_config()))
+        raw = p.read_bytes()
+        bn_at = raw.index(b"in1.bn.mean")
+        cases = [(4, "bad magic"), (10, "parameter entry count"), (14, "parameter entry 0"),
+                 (60, "parameter entry 'in1.weight'"),
+                 (bn_at + 20, "batchnorm entry 'in1.bn.mean'"),
+                 (len(raw) - 3, "config echo")]
+        for keep, where in cases:
+            p.write_bytes(raw[:keep])
+            with pytest.raises(ValueError) as err:
+                read_checkpoint(p)
+            assert str(p) in str(err.value) and where in str(err.value), (keep, str(err.value))
+
+    def test_missing_echo_field_names_path_and_field(self, tmp_path):
+        m = build_model(tiny_config())
+        p = tmp_path / "e.ckpt"
+        save_checkpoint(p, m)
+        echo = config_echo(m.config)
+        text = "\n".join(f"{k}={v}" for k, v in sorted(echo.items())).encode()
+        raw = p.read_bytes()
+        assert raw.endswith(text)
+        del echo["rho"]
+        cut = "\n".join(f"{k}={v}" for k, v in sorted(echo.items())).encode()
+        p.write_bytes(raw[:-len(text) - 4] + struct.pack("<I", len(cut)) + cut)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: config echo has no field 'rho'")):
+            load_model(p)
+
+
+# A checkpoint of a fixed config and seed, pinned across versions: parameter
+# names, insertion order, initialization draws and the echo format.
+GOLDEN_CONFIG = dict(rho_time=1, frequency_aware=True, shake_shake=True, seed=11)
+GOLDEN_SHA256 = "4f716d27a95e6a0128b1a390d4732a20122b3eb20e53acd4b53d24038b478d55"
+GOLDEN_ECHO = {
+    "template.n_stages": "2", "template.blocks_per_stage": "1",
+    "template.channel_plan": "4,6", "template.pool_stages": "1", "template.time_kernel": "3",
+    "rho": "2", "rho_time": "1", "frequency_aware": "True", "shake_shake": "True",
+    "n_tags": "3", "input_bins": "32", "seed": "11",
+}
+
+
+class TestGoldenCheckpoint:
+    def test_checkpoint_sha256(self, tmp_path):
+        p = tmp_path / "golden.ckpt"
+        save_checkpoint(p, build_model(tiny_config(**GOLDEN_CONFIG)))
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_SHA256
+
+    def test_config_echo(self):
+        echo = config_echo(tiny_config(**GOLDEN_CONFIG))
+        assert echo == GOLDEN_ECHO
+        assert config_from_echo(echo) == tiny_config(**GOLDEN_CONFIG)

@@ -48,7 +48,8 @@ class TestSchedule:
         start = cfg.lr_peak * cfg.warmup_start_factor
         assert start + (cfg.lr_peak - start) * (w / w) == lr_at(w, cfg)
         assert lr_at(c_end - 1, cfg) == cfg.lr_peak
-        assert cfg.lr_peak + (d_end - c_end) / 50 * (cfg.lr_final - cfg.lr_peak) == lr_at(d_end, cfg)
+        f = (d_end - c_end) / 50
+        assert (1 - f) * cfg.lr_peak + f * cfg.lr_final == lr_at(d_end, cfg)
 
     def test_out_of_range_rejected(self):
         cfg = TrainConfig()
