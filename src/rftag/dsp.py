@@ -100,6 +100,8 @@ def load_wav(path) -> AudioClip:
     if fmt is None or data is None:
         raise ValueError(f"{path}: missing fmt or data chunk")
 
+    if len(fmt) < 16:
+        raise ValueError(f"{path}: fmt chunk holds {len(fmt)} bytes, expected at least 16")
     audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if audio_format == 0xFFFE and len(fmt) >= 26:
         # WAVE_FORMAT_EXTENSIBLE: actual format is the first two GUID bytes
@@ -107,14 +109,18 @@ def load_wav(path) -> AudioClip:
     if channels not in (1, 2):
         raise ValueError(f"{path}: unsupported channel count {channels} (expected 1 or 2)")
 
-    if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         kind = {1: "PCM", 3: "IEEE float"}.get(audio_format, f"format code {audio_format}")
         raise ValueError(f"{path}: unsupported encoding {kind} at {bits}-bit "
                          "(expected 16-bit PCM or 32-bit float)")
+    frame_bytes = channels * bits // 8
+    if len(data) % frame_bytes:
+        raise ValueError(f"{path}: data chunk holds {len(data)} bytes, not a whole number "
+                         f"of {frame_bytes}-byte frames ({channels} x {bits}-bit)")
+    if audio_format == 1:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
 
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
@@ -291,6 +297,8 @@ def load_spectrogram(path) -> Spectrogram:
     raw = Path(path).read_bytes()
     if raw[:8] != SPEC_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:8]!r}, expected {SPEC_MAGIC!r}")
+    if len(raw) < 24:
+        raise ValueError(f"{path}: header holds {len(raw)} bytes, expected 24")
     bins, frames, hop, window = struct.unpack_from("<IIII", raw, 8)
     values = np.frombuffer(raw, dtype="<f4", count=bins * frames, offset=24)
     if values.size != bins * frames:

@@ -1,14 +1,29 @@
 """Macro PR-AUC scoring, threshold tuning, and prediction ensembling.
 
-PR-AUC here is macro-averaged average precision: per tag, sort tracks by
-descending score (ties broken by ascending track id), take the mean of the
-precision at each positive, then average over tags that have at least one
+Ranking rule: per tag, tracks are ranked by descending score, ties broken by
+ascending track id.  ``_ranking`` is the only place a tag's tracks are
+ranked, and non-finite scores are rejected there.
+
+PR-AUC here is macro-averaged average precision: per tag, the precision at
+each positive of the ranking, summed in rank order and divided by the
+number of positives, then averaged over tags that have at least one
 positive.  Tags without positives are excluded and reported, never scored
 as zero.
+
+Threshold rule: per tag, the candidates are the midpoints between
+consecutive distinct scores plus the 0.5 fallback, a track is positive when
+score >= threshold, and the candidate with the highest F1 wins, ties going
+to the higher threshold.  ``score >= t`` holds for exactly the first k
+ranks, so each candidate's F1 is 2 tp / (k + positives), where tp is the
+number of positives among those k.
+
+Track ids are matched across sets by ``_rows``, which raises unless both
+sets list the same ids and the same tags.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -19,6 +34,16 @@ from .inference import predict_scores
 from .models import load_model
 
 
+def _check_table(ids: list, tags: list, matrix: np.ndarray, what: str) -> None:
+    """Unique track ids and a ``len(ids) x len(tags)`` matrix."""
+    if len(set(ids)) != len(ids):
+        dup = next(tid for tid, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"track ids must be unique; {dup!r} repeats")
+    if np.shape(matrix) != (len(ids), len(tags)):
+        raise ValueError(f"{what} shape {np.shape(matrix)} does not match "
+                         f"{len(ids)} ids x {len(tags)} tags")
+
+
 @dataclass
 class LabelSet:
     """Binary reference labels: tracks x tags."""
@@ -27,8 +52,10 @@ class LabelSet:
     tags: list
     labels: np.ndarray
 
-    def row_of(self, track_id: str) -> np.ndarray:
-        return self.labels[self.ids.index(track_id)]
+    def __post_init__(self):
+        _check_table(self.ids, self.tags, self.labels, "labels")
+        if not np.isin(self.labels, (0, 1)).all():
+            raise ValueError("labels must be 0 or 1")
 
 
 @dataclass
@@ -39,8 +66,6 @@ class ThresholdSet:
     thresholds: np.ndarray
     f1: np.ndarray
     flagged: dict = field(default_factory=dict)
-    metric: str = "F1"
-    source_split: str = "val"
 
 
 @dataclass
@@ -55,11 +80,12 @@ class PredictionSet:
     provenance: list = field(default_factory=list)
 
     def __post_init__(self):
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("track ids must be unique")
-        if self.scores.shape != (len(self.ids), len(self.tags)):
-            raise ValueError(f"scores shape {self.scores.shape} does not match "
-                             f"{len(self.ids)} ids x {len(self.tags)} tags")
+        _check_table(self.ids, self.tags, self.scores, "scores")
+        bad = ~np.isfinite(self.scores)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"non-finite score {self.scores[i, j]} for track "
+                             f"{self.ids[i]!r}, tag {self.tags[j]!r}")
         if np.any(self.scores < 0) or np.any(self.scores > 1):
             raise ValueError("scores must lie in [0, 1]")
         if self.decisions is not None and self.thresholds is None:
@@ -82,35 +108,50 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _ranking(scores, labels, ids) -> tuple:
+    """One tag's tracks by descending score, ties by ascending id.
+
+    Returns the ranked scores and ``positives``, where ``positives[k]`` is
+    the number of positive labels among the first k ranks.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    order = np.lexsort((ids, -scores))
+    positives = np.concatenate(([0], np.cumsum(np.asarray(labels, dtype=bool)[order])))
+    return scores[order], positives
+
+
+def _rows(source, target) -> np.ndarray:
+    """Row of ``source`` holding each of ``target``'s tracks, in ``target``'s order.
+
+    Both must list the same tags and the same set of track ids.
+    """
+    if list(source.tags) != list(target.tags):
+        raise ValueError(f"tag mismatch: {list(source.tags)} vs {list(target.tags)}")
+    row = {tid: i for i, tid in enumerate(source.ids)}
+    if row.keys() != set(target.ids):
+        odd = sorted(row.keys() ^ set(target.ids))
+        raise ValueError(f"track id mismatch: {len(odd)} ids in only one set, first {odd[:5]}")
+    return np.array([row[tid] for tid in target.ids], dtype=np.intp)
+
+
 def average_precision(scores, labels, ids=None) -> float:
     """Mean of precision at each positive, over the score-sorted list."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(bool)
     if ids is None:
-        ids = [str(i) for i in range(len(scores))]
-    n_pos = int(labels.sum())
-    if n_pos < 1:
+        ids = [str(i) for i in range(len(labels))]
+    _, positives = _ranking(scores, labels, np.asarray(ids))
+    if positives[-1] < 1:
         raise ValueError("average precision needs at least one positive label")
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], ids[i]))
-    hits = 0
-    total = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx]:
-            hits += 1
-            total += hits / rank
-    return total / n_pos
+    hit_ranks = np.flatnonzero(np.diff(positives)) + 1
+    # np.cumsum adds in rank order; np.sum's pairwise order would move the last bits
+    return float(np.cumsum(positives[hit_ranks] / hit_ranks)[-1] / positives[-1])
 
 
 def macro_pr_auc(preds: PredictionSet, labels: LabelSet) -> EvalReport:
     """Mean AP over scoreable tags; per-tag detail in the report."""
-    if set(preds.ids) != set(labels.ids):
-        extra = sorted(set(preds.ids) - set(labels.ids))
-        missing = sorted(set(labels.ids) - set(preds.ids))
-        raise ValueError(f"track id mismatch: predictions-only {extra}, labels-only {missing}")
-    if list(preds.tags) != list(labels.tags):
-        raise ValueError(f"tag mismatch: {preds.tags} vs {labels.tags}")
-    row = {tid: i for i, tid in enumerate(labels.ids)}
-    aligned = labels.labels[[row[tid] for tid in preds.ids]]
+    aligned = labels.labels[_rows(labels, preds)]
+    ids = np.asarray(preds.ids)
     aps = []
     supports = []
     skipped = []
@@ -121,7 +162,7 @@ def macro_pr_auc(preds: PredictionSet, labels: LabelSet) -> EvalReport:
             aps.append(None)
             skipped.append(tag)
         else:
-            aps.append(average_precision(preds.scores[:, j], aligned[:, j], preds.ids))
+            aps.append(average_precision(preds.scores[:, j], aligned[:, j], ids))
     scored = [a for a in aps if a is not None]
     if not scored:
         raise ValueError("no tag has a positive label; macro PR-AUC undefined")
@@ -141,12 +182,7 @@ def ensemble_average(members: list) -> PredictionSet:
     first = members[0]
     acc = np.array(first.scores, dtype=np.float64)
     for m in members[1:]:
-        if set(m.ids) != set(first.ids):
-            raise ValueError("ensemble members carry different track ids")
-        if list(m.tags) != list(first.tags):
-            raise ValueError(f"ensemble members carry different tags: {m.tags} vs {first.tags}")
-        row = {tid: i for i, tid in enumerate(m.ids)}
-        acc += m.scores[[row[tid] for tid in first.ids]]
+        acc += m.scores[_rows(m, first)]
     provenance = [p for m in members for p in (m.provenance or [])]
     return PredictionSet(ids=list(first.ids), tags=list(first.tags),
                          scores=acc / len(members), provenance=provenance)
@@ -182,46 +218,33 @@ def snapshot_ensemble(artifacts, clips, batch_size: int = 8) -> PredictionSet:
 # ---------------------------------------------------------------------------
 
 
-def _f1(decisions: np.ndarray, labels: np.ndarray) -> float:
-    tp = int(np.sum(decisions & labels))
-    fp = int(np.sum(decisions & ~labels))
-    fn = int(np.sum(~decisions & labels))
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
-
-
 def tune_thresholds(preds: PredictionSet, labels: LabelSet) -> ThresholdSet:
     """Per tag, the threshold maximizing F1 over midpoint candidates.
 
-    Candidates are midpoints between consecutive distinct sorted scores plus
-    the 0.5 fallback; ties break toward the higher threshold.  A decision is
-    positive when score >= threshold.
+    See the module docstring for the candidates and the tie rule; tags with
+    no positive label keep 0.5 and are flagged.
     """
-    if set(preds.ids) != set(labels.ids):
-        raise ValueError("threshold tuning requires matching track ids")
-    row = {tid: i for i, tid in enumerate(labels.ids)}
-    aligned = labels.labels[[row[tid] for tid in preds.ids]].astype(bool)
+    aligned = labels.labels[_rows(labels, preds)]
+    ids = np.asarray(preds.ids)
     n_tags = len(preds.tags)
     thresholds = np.full(n_tags, 0.5)
     f1s = np.zeros(n_tags)
     flagged = {}
     for j, tag in enumerate(preds.tags):
-        y = aligned[:, j]
-        s = preds.scores[:, j]
-        if not y.any():
+        ranked, positives = _ranking(preds.scores[:, j], aligned[:, j], ids)
+        if positives[-1] == 0:
             flagged[tag] = "no positive labels"
             continue
-        distinct = np.unique(s)
-        candidates = list((distinct[:-1] + distinct[1:]) / 2.0) + [0.5]
+        ascending = ranked[::-1]
+        distinct = ascending[np.append(True, ascending[1:] != ascending[:-1])]
         if len(distinct) == 1:
             flagged[tag] = "all scores equal"
-        best_t, best_f1 = 0.5, -1.0
-        for t in sorted(candidates):
-            f1 = _f1(s >= t, y)
-            if f1 >= best_f1:  # >= so ties move toward the higher threshold
-                best_t, best_f1 = t, f1
-        thresholds[j] = best_t
-        f1s[j] = best_f1
+        candidates = np.sort(np.append((distinct[:-1] + distinct[1:]) / 2.0, 0.5))
+        k = len(ranked) - np.searchsorted(ascending, candidates)   # tracks with score >= t
+        f1 = 2 * positives[k] / (k + positives[-1])
+        best = len(f1) - 1 - np.argmax(f1[::-1])   # the last maximum: the higher threshold
+        thresholds[j] = candidates[best]
+        f1s[j] = f1[best]
     return ThresholdSet(tags=list(preds.tags), thresholds=thresholds, f1=f1s,
                         flagged=flagged)
 
@@ -270,8 +293,23 @@ def load_predictions(path) -> PredictionSet:
         if len(parts) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(parts)}")
         ids.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
-    return PredictionSet(ids=ids, tags=tags, scores=np.array(rows, dtype=np.float64))
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError:
+            tag, cell = next((t, v) for t, v in zip(tags, parts[1:]) if not _is_number(v))
+            raise ValueError(f"{path}:{lineno}: column {tag!r}: not a number: {cell!r}") from None
+    try:
+        return PredictionSet(ids=ids, tags=tags, scores=np.array(rows, dtype=np.float64))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def save_eval_report(path, report: EvalReport) -> None:

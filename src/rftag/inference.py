@@ -21,6 +21,8 @@ def tile_to_length(values: np.ndarray, frames: int) -> np.ndarray:
     have = values.shape[1]
     if have >= frames:
         return values
+    if have == 0:
+        raise ValueError(f"cannot tile a clip of 0 frames to {frames} frames")
     reps = -(-frames // have)
     return np.tile(values, (1, reps))[:, :frames]
 

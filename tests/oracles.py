@@ -77,25 +77,69 @@ def max_relative_error(analytic, numeric, floor=1e-6):
 
 
 def brute_force_average_precision(scores, labels, ids=None):
-    """AP by enumerating every prefix of the score-sorted list.
+    """AP from its definition, one positive at a time, without sorting.
 
-    Ties broken by ascending id to match the documented ranking rule.
+    A track's rank is one plus the number of tracks ranked above it: a
+    higher score, or an equal score and a smaller id.  Both counts are taken
+    by direct comparison with every track.  The precisions at the positives
+    are summed in rank order and divided by the number of positives.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).astype(bool)
     if ids is None:
         ids = [str(i) for i in range(len(scores))]
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], ids[i]))
-    n_pos = int(labels.sum())
-    assert n_pos >= 1
-    hits = 0
+    assert len(set(ids)) == len(ids)
+    ids = np.asarray(ids)
+    precision_at_rank = {}
+    for i in np.flatnonzero(labels):
+        higher = scores > scores[i]
+        tied = np.flatnonzero(scores == scores[i])
+        tied_above = tied[ids[tied] < ids[i]]
+        rank = int(higher.sum()) + len(tied_above) + 1
+        hits = int((higher & labels).sum()) + int(labels[tied_above].sum()) + 1
+        precision_at_rank[rank] = hits / rank
+    assert precision_at_rank
     total = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx]:
-            hits += 1
-            precision_at_rank = hits / rank
-            total += precision_at_rank
-    return total / n_pos
+    for rank in sorted(precision_at_rank):
+        total += precision_at_rank[rank]
+    return total / len(precision_at_rank)
+
+
+def brute_force_thresholds(scores, labels):
+    """Per-tag F1 threshold by trying every candidate on every track.
+
+    Candidates are the midpoints between consecutive distinct scores plus
+    0.5, tried in ascending order; a track is positive when its score is
+    >= the candidate, and a later candidate with an equal F1 wins.  Returns
+    (thresholds, f1) arrays; a tag without positives keeps 0.5 and F1 0.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    n, n_tags = scores.shape
+    thresholds = np.full(n_tags, 0.5)
+    f1s = np.zeros(n_tags)
+    for j in range(n_tags):
+        column = [float(v) for v in scores[:, j]]
+        if not labels[:, j].any():
+            continue
+        distinct = sorted(set(column))
+        candidates = sorted([(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])] + [0.5])
+        best_t, best_f1 = 0.5, -1.0
+        for t in candidates:
+            tp = fp = fn = 0
+            for v, positive in zip(column, labels[:, j]):
+                if v >= t and positive:
+                    tp += 1
+                elif v >= t:
+                    fp += 1
+                elif positive:
+                    fn += 1
+            f1 = 2 * tp / (2 * tp + fp + fn)
+            if f1 >= best_f1:
+                best_t, best_f1 = t, f1
+        thresholds[j] = best_t
+        f1s[j] = best_f1
+    return thresholds, f1s
 
 
 def chain_receptive_field(layers):

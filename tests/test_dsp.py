@@ -88,6 +88,32 @@ class TestLoadWav:
         # half-step quantization plus the 32767-write/32768-read scale skew
         np.testing.assert_allclose(clip.samples, x, atol=2.0 / 32768)
 
+    @staticmethod
+    def write_raw(path, data, channels, bits, code=1, fmt_size=16):
+        block = channels * bits // 8
+        fmt = struct.pack("<HHIIHH", code, channels, 44100, 44100 * block, block, bits)[:fmt_size]
+        body = b"fmt " + struct.pack("<I", fmt_size) + fmt + b"\x00" * (fmt_size & 1)
+        body += b"data" + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+
+    def test_odd_byte_count_names_path_and_chunk(self, tmp_path):
+        p = tmp_path / "odd.wav"
+        self.write_raw(p, b"\x01\x02\x03", channels=1, bits=16)
+        with pytest.raises(ValueError, match=r"odd\.wav: data chunk holds 3 bytes"):
+            load_wav(p)
+
+    def test_stereo_odd_sample_count_names_path_and_chunk(self, tmp_path):
+        p = tmp_path / "st.wav"
+        self.write_raw(p, np.zeros(3, dtype="<i2").tobytes(), channels=2, bits=16)
+        with pytest.raises(ValueError, match=r"st\.wav: data chunk holds 6 bytes.*4-byte frames"):
+            load_wav(p)
+
+    def test_short_fmt_chunk_names_path_and_chunk(self, tmp_path):
+        p = tmp_path / "fmt.wav"
+        self.write_raw(p, b"\x00\x00", channels=1, bits=16, fmt_size=10)
+        with pytest.raises(ValueError, match=r"fmt\.wav: fmt chunk holds 10 bytes"):
+            load_wav(p)
+
 
 class TestStft:
     def test_sine_argmax_bin(self):
@@ -266,6 +292,12 @@ class TestSpectrogramContainer:
         p = tmp_path / "bad.spec"
         p.write_bytes(b"NOTSPEC0" + b"\x00" * 24)
         with pytest.raises(ValueError, match="magic"):
+            load_spectrogram(p)
+
+    def test_short_header_names_path(self, tmp_path):
+        p = tmp_path / "short.spec"
+        p.write_bytes(dsp.SPEC_MAGIC + struct.pack("<II", 4, 3))
+        with pytest.raises(ValueError, match=r"short\.spec: header holds 16 bytes, expected 24"):
             load_spectrogram(p)
 
 

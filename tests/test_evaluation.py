@@ -1,0 +1,253 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from oracles import brute_force_average_precision, brute_force_thresholds
+from rftag.evaluation import (
+    LabelSet,
+    PredictionSet,
+    ThresholdSet,
+    apply_thresholds,
+    average_precision,
+    ensemble_average,
+    load_predictions,
+    macro_pr_auc,
+    save_predictions,
+    tune_thresholds,
+)
+
+# deterministic examples and no example database on disk, so the suite is reproducible
+CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# few score levels, so most examples carry ties
+LEVELS = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+
+
+@st.composite
+def tables(draw, max_tracks=20, max_tags=3):
+    """(ids, scores, labels): tie-heavy scores in [0, 1] and 0/1 labels."""
+    n = draw(st.integers(1, max_tracks))
+    n_tags = draw(st.integers(1, max_tags))
+    levels = draw(st.sampled_from([LEVELS[:1], LEVELS[:2], LEVELS[:4], LEVELS]))
+    cell = st.one_of(st.sampled_from(levels), st.floats(0.0, 1.0))
+    scores = draw(arrays(np.float64, (n, n_tags), elements=cell))
+    labels = draw(arrays(np.int8, (n, n_tags), elements=st.integers(0, 1)))
+    order = draw(st.permutations(range(n)))
+    ids = [f"t{i:02d}" for i in order]
+    return ids, scores, labels
+
+
+def sets(ids, scores, labels, tags=None):
+    tags = tags or [f"g{j}" for j in range(scores.shape[1])]
+    return (PredictionSet(ids=list(ids), tags=list(tags), scores=scores),
+            LabelSet(ids=list(ids), tags=list(tags), labels=labels))
+
+
+class TestAveragePrecision:
+    @CHECKS
+    @given(tables(max_tags=1), st.randoms(use_true_random=False))
+    def test_matches_oracle_under_permuted_ids(self, table, rnd):
+        ids, scores, labels = table
+        if not labels[:, 0].any():
+            labels[rnd.randrange(len(ids)), 0] = 1
+        want = brute_force_average_precision(scores[:, 0], labels[:, 0], ids)
+        assert average_precision(scores[:, 0], labels[:, 0], ids) == want
+        perm = list(range(len(ids)))
+        rnd.shuffle(perm)
+        assert average_precision(scores[perm, 0], labels[perm, 0], [ids[i] for i in perm]) == want
+
+    def test_default_ids_break_ties_as_strings(self):
+        # with all scores tied, "10" ranks before "2"
+        scores = np.full(11, 0.5)
+        labels = np.zeros(11, dtype=int)
+        labels[10] = 1
+        assert average_precision(scores, labels) == brute_force_average_precision(scores, labels)
+        assert average_precision(scores, labels) == 1 / 3
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            average_precision([np.nan, 0.2, 0.9], [1, 0, 1])
+
+    def test_no_positive_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            average_precision([0.1, 0.2], [0, 0])
+
+
+class TestMacroPrAuc:
+    @CHECKS
+    @given(tables(), st.randoms(use_true_random=False))
+    def test_label_row_order_does_not_matter(self, table, rnd):
+        ids, scores, labels = table
+        labels[rnd.randrange(len(ids)), 0] = 1
+        preds, lab = sets(ids, scores, labels)
+        perm = list(range(len(ids)))
+        rnd.shuffle(perm)
+        shuffled = LabelSet(ids=[ids[i] for i in perm], tags=lab.tags, labels=labels[perm])
+        a, b = macro_pr_auc(preds, lab), macro_pr_auc(preds, shuffled)
+        assert a.ap == b.ap and a.macro_pr_auc == b.macro_pr_auc
+        for j, ap in enumerate(a.ap):
+            if labels[:, j].any():
+                assert ap == brute_force_average_precision(scores[:, j], labels[:, j], ids)
+
+    def test_reports_skipped_tags(self):
+        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+        labels = np.array([[1, 0], [0, 0]])
+        report = macro_pr_auc(*sets(["a", "b"], scores, labels, ["x", "y"]))
+        assert report.skipped == ["y"]
+        assert report.ap == [1.0, None] and report.support == [1, 0]
+        assert report.macro_pr_auc == 1.0
+
+    def test_rejects_id_mismatch(self):
+        preds, _ = sets(["a", "b"], np.array([[0.1], [0.2]]), np.array([[1], [0]]))
+        other = LabelSet(ids=["a", "c"], tags=preds.tags, labels=np.array([[1], [0]]))
+        with pytest.raises(ValueError, match="track id mismatch.*'b'.*'c'"):
+            macro_pr_auc(preds, other)
+
+    def test_rejects_tag_mismatch(self):
+        preds, _ = sets(["a", "b"], np.array([[0.1], [0.2]]), np.array([[1], [0]]))
+        other = LabelSet(ids=["a", "b"], tags=["other"], labels=np.array([[1], [0]]))
+        with pytest.raises(ValueError, match="tag mismatch"):
+            macro_pr_auc(preds, other)
+
+
+class TestLabelSet:
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(ValueError, match="'a' repeats"):
+            LabelSet(ids=["a", "b", "a"], tags=["x"], labels=np.array([[1], [0], [0]]))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            LabelSet(ids=["a", "b"], tags=["x", "y"], labels=np.array([[1], [0]]))
+
+    def test_values_must_be_binary(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            LabelSet(ids=["a", "b"], tags=["x"], labels=np.array([[1], [2]]))
+
+
+class TestPredictionSet:
+    def test_nan_names_track_and_tag(self):
+        scores = np.array([[0.1, 0.2], [0.3, np.nan]])
+        with pytest.raises(ValueError, match="track 'b', tag 'y'"):
+            PredictionSet(ids=["a", "b"], tags=["x", "y"], scores=scores)
+
+    def test_infinity_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            PredictionSet(ids=["a"], tags=["x"], scores=np.array([[np.inf]]))
+
+
+class TestTuneThresholds:
+    @CHECKS
+    @given(tables())
+    def test_matches_quadratic_sweep(self, table):
+        ids, scores, labels = table
+        got = tune_thresholds(*sets(ids, scores, labels))
+        want_t, want_f1 = brute_force_thresholds(scores, labels)
+        assert np.array_equal(got.thresholds, want_t)
+        assert np.array_equal(got.f1, want_f1)
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.3, 0.3, 0.3], [0, 1, 0]),                  # all scores equal
+        ([0.1, 0.7, 0.4, 0.9], [0, 0, 1, 0]),          # a single positive
+        ([0.9, 0.7, 0.5, 0.3, 0.1], [1, 0, 0, 1, 0]),  # F1 2/3 at both 0.2 and 0.8
+        ([0.5, 0.5, 0.6, 0.4], [1, 1, 0, 0]),          # a candidate equal to the 0.5 fallback
+    ])
+    def test_edge_cases_match_quadratic_sweep(self, scores, labels):
+        scores = np.array(scores)[:, None]
+        labels = np.array(labels)[:, None]
+        got = tune_thresholds(*sets([f"t{i}" for i in range(len(scores))], scores, labels))
+        want_t, want_f1 = brute_force_thresholds(scores, labels)
+        assert np.array_equal(got.thresholds, want_t)
+        assert np.array_equal(got.f1, want_f1)
+
+    def test_f1_tie_goes_to_higher_threshold(self):
+        scores = np.array([[0.9], [0.7], [0.5], [0.3], [0.1]])
+        labels = np.array([[1], [0], [0], [1], [0]])
+        got = tune_thresholds(*sets(list("abcde"), scores, labels))
+        assert got.thresholds[0] == 0.8
+        assert got.f1[0] == 2 / 3
+
+    def test_flags(self):
+        scores = np.array([[0.4, 0.1], [0.4, 0.9]])
+        labels = np.array([[1, 0], [0, 0]])
+        got = tune_thresholds(*sets(["a", "b"], scores, labels, ["same", "none"]))
+        assert got.flagged == {"same": "all scores equal", "none": "no positive labels"}
+        assert list(got.thresholds) == [0.5, 0.5]
+
+    def test_label_row_order_does_not_matter(self):
+        scores = np.array([[0.2], [0.9], [0.6]])
+        labels = np.array([[0], [1], [1]])
+        preds, lab = sets(["a", "b", "c"], scores, labels)
+        flipped = LabelSet(ids=["c", "b", "a"], tags=lab.tags, labels=labels[::-1])
+        assert tune_thresholds(preds, flipped).thresholds[0] == tune_thresholds(preds, lab).thresholds[0]
+
+    def test_rejects_tag_mismatch(self):
+        preds, _ = sets(["a"], np.array([[0.1]]), np.array([[1]]))
+        other = LabelSet(ids=["a"], tags=["other"], labels=np.array([[1]]))
+        with pytest.raises(ValueError, match="tag mismatch"):
+            tune_thresholds(preds, other)
+
+
+class TestEnsemble:
+    @CHECKS
+    @given(tables(), st.randoms(use_true_random=False))
+    def test_member_row_order_does_not_matter(self, table, rnd):
+        ids, scores, _ = table
+        tags = [f"g{j}" for j in range(scores.shape[1])]
+        other = scores[::-1].copy()
+        perm = list(range(len(ids)))
+        rnd.shuffle(perm)
+        a = ensemble_average([PredictionSet(ids=ids, tags=tags, scores=scores),
+                              PredictionSet(ids=ids, tags=tags, scores=other)])
+        b = ensemble_average([PredictionSet(ids=ids, tags=tags, scores=scores),
+                              PredictionSet(ids=[ids[i] for i in perm], tags=tags, scores=other[perm])])
+        assert a.ids == ids and b.ids == ids
+        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a.scores, (scores + other) / 2)
+
+    def test_rejects_id_mismatch(self):
+        a = PredictionSet(ids=["a", "b"], tags=["x"], scores=np.array([[0.1], [0.2]]))
+        b = PredictionSet(ids=["a", "c"], tags=["x"], scores=np.array([[0.1], [0.2]]))
+        with pytest.raises(ValueError, match="track id mismatch"):
+            ensemble_average([a, b])
+
+
+class TestFiles:
+    @CHECKS
+    @given(tables())
+    def test_tsv_round_trip(self, tmp_path_factory, table):
+        ids, scores, _ = table
+        tags = [f"g{j}" for j in range(scores.shape[1])]
+        path = tmp_path_factory.mktemp("tsv") / "p.tsv"
+        save_predictions(path, PredictionSet(ids=ids, tags=tags, scores=scores))
+        back = load_predictions(path)
+        assert back.ids == ids and back.tags == tags
+        assert np.max(np.abs(back.scores - scores)) <= 5e-7
+
+    @CHECKS
+    @given(tables())
+    def test_decisions_are_score_at_least_threshold(self, table):
+        ids, scores, labels = table
+        preds, lab = sets(ids, scores, labels)
+        thresholds = tune_thresholds(preds, lab)
+        decided = apply_thresholds(preds, thresholds)
+        assert np.array_equal(decided.decisions == 1, scores >= thresholds.thresholds[None, :])
+
+    def test_apply_rejects_tag_mismatch(self):
+        preds = PredictionSet(ids=["a"], tags=["x"], scores=np.array([[0.1]]))
+        with pytest.raises(ValueError, match="tags"):
+            apply_thresholds(preds, ThresholdSet(tags=["y"], thresholds=np.array([0.5]),
+                                                 f1=np.array([0.0])))
+
+    def test_unparsable_cell_names_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("track_id\tx\ty\na\t0.1\t0.2\nb\t0.3\toops\n")
+        with pytest.raises(ValueError, match=r"bad\.tsv:3: column 'y'"):
+            load_predictions(path)
+
+    def test_nan_cell_names_file_track_and_tag(self, tmp_path):
+        path = tmp_path / "nan.tsv"
+        path.write_text("track_id\tx\ty\na\t0.1\tnan\n")
+        with pytest.raises(ValueError, match=r"nan\.tsv: non-finite score nan for track 'a', tag 'y'"):
+            load_predictions(path)

@@ -1,0 +1,87 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rftag.inference import crop_window, predict_scores, tile_to_length, window_starts
+from rftag.models import ModelConfig, TemplateConfig, build_model
+
+# deterministic examples and no example database on disk, so the suite is reproducible
+CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+CROP = 16
+BINS = 32
+
+
+@pytest.fixture(scope="module")
+def model():
+    return build_model(ModelConfig(template=TemplateConfig(n_stages=2, blocks_per_stage=1,
+                                                           channel_plan=(4, 6), pool_stages=1),
+                                   rho=2, n_tags=3, input_bins=BINS, seed=5))
+
+
+def clip(frames, seed=0):
+    return np.random.default_rng(seed).standard_normal((BINS, frames)).astype(np.float32) - 40.0
+
+
+def predict(model, clips, mode):
+    return predict_scores(model, clips, CROP, norm_mean=-40.0, norm_std=1.0, mode=mode)
+
+
+class TestWindows:
+    @CHECKS
+    @given(st.integers(1, 300), st.integers(1, 64), st.data())
+    def test_starts_cover_every_frame(self, frames, window, data):
+        hop = data.draw(st.integers(1, window))
+        starts = window_starts(frames, window, hop)
+        if frames <= window:
+            assert starts == [0]
+            return
+        assert starts[0] == 0 and starts[-1] + window == frames
+        assert all(0 < b - a <= hop for a, b in zip(starts, starts[1:]))
+        covered = np.zeros(frames, dtype=bool)
+        for s in starts:
+            covered[s:s + window] = True
+        assert covered.all()
+
+    @CHECKS
+    @given(st.integers(1, 40), st.integers(1, 100))
+    def test_tile_repeats_the_clip(self, have, frames):
+        values = np.arange(2 * have).reshape(2, have)
+        tiled = tile_to_length(values, frames)
+        assert tiled.shape == (2, max(have, frames))
+        for t in range(tiled.shape[1]):
+            assert np.array_equal(tiled[:, t], values[:, t % have])
+
+    def test_center_crop_takes_the_middle(self):
+        values = np.arange(20).reshape(1, 20)
+        assert np.array_equal(crop_window(values, 6), values[:, 7:13])
+
+    def test_short_clip_gives_one_tiled_window(self, model):
+        short = clip(CROP // 2 + 3)
+        tiled = tile_to_length(short, CROP)
+        assert window_starts(tiled.shape[1], CROP, CROP // 2) == [0]
+        got = predict(model, [short], "windows")
+        assert np.array_equal(got, predict(model, [tiled], "windows"))
+        assert np.array_equal(got, predict(model, [short], "center"))
+
+    def test_long_clip_averages_its_windows(self, model):
+        long = clip(3 * CROP + 5, seed=1)
+        starts = window_starts(long.shape[1], CROP, CROP // 2)
+        per_window = [predict(model, [long[:, s:s + CROP]], "center")[0] for s in starts]
+        np.testing.assert_allclose(predict(model, [long], "windows")[0],
+                                   np.mean(per_window, axis=0), rtol=1e-5)
+
+
+class TestZeroFrames:
+    def test_tile_and_crop_name_the_frame_count(self):
+        empty = np.zeros((BINS, 0), dtype=np.float32)
+        with pytest.raises(ValueError, match="0 frames"):
+            tile_to_length(empty, CROP)
+        with pytest.raises(ValueError, match="0 frames"):
+            crop_window(empty, CROP)
+
+    @pytest.mark.parametrize("mode", ["windows", "center"])
+    def test_predict_scores_rejects_empty_clip(self, model, mode):
+        with pytest.raises(ValueError, match="0 frames"):
+            predict(model, [clip(CROP), np.zeros((BINS, 0), dtype=np.float32)], mode)
