@@ -5,8 +5,17 @@ batchnorm2d, relu/sigmoid, pooling, linear, and a numerically stable
 binary-cross-entropy-with-logits loss.  Ops execute eagerly on numpy arrays;
 when a ``Tape`` is active on the current thread, each op appends a record
 (inputs, output, backward rule) in execution order, which is a topological
-order by construction.  ``backward`` replays the tape in reverse and
-accumulates gradients into leaf tensors.
+order by construction.  ``backward`` replays the tape in reverse,
+accumulates gradients into leaf tensors and consumes the tape: each record
+is dropped once its backward rule has run, so a training step's
+activations are freed by reference counting before the step ends.
+
+The convolution keeps NCHW throughout.  It multiplies the weight with a
+tap-major column matrix built one sample at a time from strided views of
+the padded input (a memory-efficient im2col, after Cho & Brand,
+arXiv:1706.06873); no column matrix outlives the call, and backward
+rebuilds the columns from the saved padded input.  Batchnorm in eval mode
+is one per-channel scale and shift.
 
 Precision is parametric: arrays keep whatever float dtype they were created
 with.  Training uses float32 by default; gradient-check tests run the same
@@ -175,6 +184,9 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be scalar (size 1).  Repeated calls accumulate into leaf
     gradients; callers zero them explicitly.  Each tape record is visited at
     most once per call.
+
+    The loss's tape is consumed: it is cleared first, and each record is
+    dropped once its vjp has run, which frees what the vjp saved.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -184,21 +196,21 @@ def backward(loss: Tensor) -> None:
             return
         raise ValueError("loss is not connected to a tape (no recorded operations)")
     tape = loss._record.tape
+    records = tape.records[: loss._record.index + 1]
+    produced = {id(rec.output) for rec in records}
+    tape.clear()
     flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for rec in reversed(tape.records[: loss._record.index + 1]):
+    while records:
+        rec = records.pop()
         gout = flows.pop(id(rec.output), None)
         if gout is None:
             continue
-        grads = rec.vjp(gout)
-        for tin, g in zip(rec.inputs, grads):
+        for tin, g in zip(rec.inputs, rec.vjp(gout)):
             if g is None:
                 continue
-            if tin._record is not None and tin._record.tape is tape:
-                key = id(tin)
-                if key in flows:
-                    flows[key] = flows[key] + g
-                else:
-                    flows[key] = g
+            key = id(tin)
+            if key in produced:
+                flows[key] = flows[key] + g if key in flows else g
             elif tin.requires_grad:
                 _accumulate(tin, g)
 
@@ -221,11 +233,30 @@ def _as_pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
+def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """a[N,C,H,W] with ph zero rows and pw zero columns on each side."""
+    if not (ph or pw):
+        return a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=a.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = a
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """2-D cross-correlation of x[N,C,H,W] with weight[O,C,kh,kw].
 
     Output extents follow floor((H + 2p - k)/s) + 1.  No kernel flip.
+
+    One sample at a time, the padded input is copied tap by tap into a
+    column matrix of shape (kh*kw*C, Ho*Wo): row ``t*C + c`` holds channel c
+    as seen by kernel tap t = i*kw + j, read from a strided view of the
+    padded plane.  One GEMM with the tap-major weight matrix (O, kh*kw*C)
+    gives that sample's NCHW output.  The column buffer lives for one call
+    only: backward keeps the padded input and rebuilds the columns, gets the
+    weight gradient by one GEMM per sample and scatters the column gradient
+    back into the input tap by tap.
     """
     sh, sw = _as_pair(stride)
     ph, pw = _as_pair(padding)
@@ -245,33 +276,50 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.shape != (co,):
         raise ValueError(f"bias shape {bias.shape} does not match {co} output channels")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    ho, wo = win.shape[2], win.shape[3]
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, c * kh * kw)
-    wmat = weight.data.reshape(co, c * kh * kw)
-    out = col @ wmat.T
+    dtype = np.result_type(x.data, weight.data)
+    xp = _pad(x.data, ph, pw)
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    taps = [(slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
+            for i in range(kh) for j in range(kw)]
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * c)
+
+    def columns(s: int, cols: np.ndarray) -> np.ndarray:
+        planes = cols.reshape(kh * kw, c, ho, wo)
+        for t, (rows, cs) in enumerate(taps):
+            planes[t] = xp[s, :, rows, cs]
+        return cols
+
+    cols = np.empty((kh * kw * c, ho * wo), dtype=dtype)
+    out = np.empty((n, co, ho * wo), dtype=dtype)
+    for s in range(n):
+        np.matmul(wmat, columns(s, cols), out=out[s])
     if bias is not None:
-        out += bias.data
-    out = out.reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
+        out += bias.data[:, None]
+    out = out.reshape(n, co, ho, wo)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
     def vjp(gout: np.ndarray):
-        gflat = np.ascontiguousarray(gout.transpose(0, 2, 3, 1)).reshape(n * ho * wo, co)
+        g = gout.reshape(n, co, ho * wo)
         gx = gw = gb = None
-        if weight.requires_grad:
-            gw = (gflat.T @ col).reshape(co, c, kh, kw)
-        if x.requires_grad:
-            gcol = gflat @ wmat
-            gcol = gcol.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += gcol[:, :, i, j]
+        cols = np.empty((kh * kw * c, ho * wo), dtype=dtype)
+        planes = cols.reshape(kh * kw, c, ho, wo)
+        gwmat = np.zeros(wmat.shape, dtype=dtype) if weight.requires_grad else None
+        gxp = np.zeros(xp.shape, dtype=dtype) if x.requires_grad else None
+        for s in range(n):
+            if gwmat is not None:
+                gwmat += g[s] @ columns(s, cols).T
+            if gxp is not None:
+                np.matmul(wmat.T, g[s], out=cols)
+                for t, (rows, cs) in enumerate(taps):
+                    gxp[s, :, rows, cs] += planes[t]
+        if gwmat is not None:
+            gw = np.ascontiguousarray(gwmat.reshape(co, kh, kw, c).transpose(0, 3, 1, 2))
+        if gxp is not None:
             gx = gxp[:, :, ph:ph + h, pw:pw + w]
         if bias is not None and bias.requires_grad:
-            gb = gflat.sum(axis=0)
+            gb = g.sum(axis=(0, 2))
         if bias is None:
             return gx, gw
         return gx, gw, gb
@@ -333,8 +381,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     """Per-channel batch normalization over (N, H, W).
 
     Train mode normalizes by biased batch statistics and updates the running
-    moments by exponential moving average; eval mode uses running statistics
-    and fails loudly when they were never populated.
+    moments by exponential moving average: one centred copy of x gives the
+    variance and, scaled in place, ``xhat``, which backward keeps.  Eval mode
+    uses running statistics, folded into one per-channel scale
+    ``gamma / sqrt(var + eps)`` and shift ``beta - mean * scale``, and fails
+    loudly when they were never populated.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -346,37 +397,43 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
 
+    m = x.size // c  # values per channel
     if mode == "eval":
         if not state.initialized:
             raise ValueError("batchnorm eval requested but running statistics were never populated")
-        mean = state.mean
-        var = state.var
+        mean, xhat = state.mean, None  # backward rebuilds xhat if it needs it
+        inv_std = 1.0 / np.sqrt(state.var + eps)
     else:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = np.einsum("nchw->c", x.data) / m
+        xhat = x.data - mean[:, None, None]
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
         if update_running:
             state.update(mean, var)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= inv_std[:, None, None]
+    scale = gamma.data * inv_std
+    if xhat is None:
+        out = x.data * scale[:, None, None]
+        out += (beta.data - mean * scale)[:, None, None]
+    else:
+        out = xhat * gamma.data[:, None, None]
+        out += beta.data[:, None, None]
 
     def vjp(gout: np.ndarray):
-        gg = gb = gx = None
-        if gamma.requires_grad:
-            gg = (gout * xhat).sum(axis=(0, 2, 3))
-        if beta.requires_grad:
-            gb = gout.sum(axis=(0, 2, 3))
-        if x.requires_grad:
-            gscaled = gout * gamma.data[None, :, None, None]
-            if mode == "eval":
-                gx = gscaled * inv_std[None, :, None, None]
-            else:
-                gmean = gscaled.mean(axis=(0, 2, 3))
-                gdot = (gscaled * xhat).mean(axis=(0, 2, 3))
-                gx = (gscaled - gmean[None, :, None, None]
-                      - xhat * gdot[None, :, None, None]) * inv_std[None, :, None, None]
-        return gx, gg, gb
+        xh = xhat if xhat is not None else (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        gg = np.einsum("nchw,nchw->c", gout, xh)
+        gb = np.einsum("nchw->c", gout)
+        gx = None
+        if x.requires_grad and mode == "eval":
+            gx = gout * scale[:, None, None]
+        elif x.requires_grad:
+            # gamma * inv_std * (gout - mean(gout) - xhat * mean(gout * xhat))
+            gx = xh * (-gg / m)[:, None, None]
+            gx += gout
+            gx -= (gb / m)[:, None, None]
+            gx *= scale[:, None, None]
+        return (gx, gg if gamma.requires_grad else None,
+                gb if beta.requires_grad else None)
 
     return record("batchnorm2d", out, [x, gamma, beta], vjp)
 

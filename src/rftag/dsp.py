@@ -80,7 +80,8 @@ def load_wav(path) -> AudioClip:
 
     Supports PCM 16-bit and IEEE float 32-bit, 1 or 2 channels.  Stereo is
     averaged to mono; 16-bit samples are scaled by 1/32768; other rates are
-    resampled to 44.1 kHz by linear interpolation.
+    resampled to 44.1 kHz by linear interpolation.  A chunk that declares
+    more bytes than the file holds is an error, not a truncated read.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -91,6 +92,9 @@ def load_wav(path) -> AudioClip:
     while pos + 8 <= len(raw):
         cid = raw[pos:pos + 4]
         (csize,) = struct.unpack_from("<I", raw, pos + 4)
+        if csize > len(raw) - pos - 8:
+            raise ValueError(f"{path}: {cid.decode('latin-1')!r} chunk declares {csize} bytes "
+                             f"but {len(raw) - pos - 8} are present")
         body = raw[pos + 8:pos + 8 + csize]
         if cid == b"fmt ":
             fmt = body

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .inference import predict_scores
+from .inference import ClipError, predict_scores
 from .models import load_model
 
 
@@ -202,11 +202,14 @@ def snapshot_ensemble(artifacts, clips, batch_size: int = 8) -> PredictionSet:
     members = []
     for path in paths:
         model, echo = load_model(path)
-        scores = predict_scores(model, [c.values for c in clips],
-                                crop_frames=int(echo["crop_frames"]),
-                                norm_mean=float(echo["norm_mean"]),
-                                norm_std=float(echo["norm_std"]),
-                                mode="windows", batch_size=batch_size)
+        try:
+            scores = predict_scores(model, [c.values for c in clips],
+                                    crop_frames=int(echo["crop_frames"]),
+                                    norm_mean=float(echo["norm_mean"]),
+                                    norm_std=float(echo["norm_std"]),
+                                    mode="windows", batch_size=batch_size)
+        except ClipError as exc:
+            raise ValueError(f"track {clips[exc.index].track_id!r}: {exc}") from None
         tags = echo["tags"].split(",")
         members.append(PredictionSet(ids=[c.track_id for c in clips], tags=tags,
                                      scores=scores, provenance=[str(path)]))

@@ -53,13 +53,23 @@ def window_starts(frames: int, window: int, hop: int) -> list[int]:
     return starts
 
 
+class ClipError(ValueError):
+    """A clip ``predict_scores`` refuses; ``index`` is its position in the list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 def predict_scores(model: Model, values_list: list, crop_frames: int,
                    norm_mean: float, norm_std: float,
                    mode: str = "windows", batch_size: int = 8) -> np.ndarray:
     """Per-clip, per-tag sigmoid scores in [0, 1].
 
     mode "windows": mean of sliding-window scores; mode "center": one central
-    crop per clip (the fast path used for per-epoch validation).
+    crop per clip (the fast path used for per-epoch validation).  A clip
+    holding NaN or inf raises ``ClipError`` naming its index before any
+    forward runs.
     """
     if mode not in ("windows", "center"):
         raise ValueError(f"unknown inference mode {mode!r}")
@@ -67,6 +77,11 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
     crops = []
     owners = []
     for i, values in enumerate(values_list):
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            cell = tuple(int(k) for k in bad[0])
+            raise ClipError(i, f"clip {i} holds a non-finite value {values[cell]} "
+                               f"at (bin, frame) {cell}")
         if mode == "center":
             windows = [crop_window(values, crop_frames)]
         else:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,15 @@ def t64(data, requires_grad=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+# the conv geometries of the CP-ResNet: (x shape, weight shape, stride, padding)
+MODEL_GEOMETRIES = {
+    "in1_3x3_stride2_fa": ((2, 2, 7, 6), (3, 2, 3, 3), (2, 2), (1, 1)),
+    "3x3_stride1": ((2, 3, 5, 4), (2, 3, 3, 3), (1, 1), (1, 1)),
+    "1x3_pad01": ((2, 3, 4, 5), (2, 3, 1, 3), (1, 1), (0, 1)),
+    "1x1_projection": ((2, 3, 4, 4), (4, 3, 1, 1), (1, 1), (0, 0)),
+}
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -63,6 +75,17 @@ class TestConv2d:
         got = conv2d(t64(x), t64(w), t64(b), stride=(2, 1), padding=(1, 1))
         want = naive_conv2d(x, w, b, stride=(2, 1), padding=(1, 1))
         np.testing.assert_allclose(got.data, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("geometry", MODEL_GEOMETRIES)
+    def test_matches_naive_oracle_model_geometries(self, geometry):
+        xs, ws, stride, padding = MODEL_GEOMETRIES[geometry]
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(xs)
+        w = rng.standard_normal(ws)
+        b = rng.standard_normal(ws[0])
+        got = conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
+        want = naive_conv2d(x, w, b, stride=stride, padding=padding)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
@@ -121,6 +144,20 @@ class TestBatchNorm:
         x = Tensor(np.ones((1, 2, 2, 2)))
         out = batchnorm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, eps=1e-5, mode="eval")
         np.testing.assert_allclose(out.data, 1.0 / np.sqrt(1 + 1e-5), rtol=1e-6)
+
+
+    def test_eval_scale_shift_float32(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 4, 5, 6)).astype(np.float32) * 2 + 0.5
+        gamma = rng.uniform(0.5, 1.5, 4).astype(np.float32)
+        beta = rng.standard_normal(4).astype(np.float32)
+        state = BatchNormState(mean=rng.standard_normal(4).astype(np.float32),
+                               var=rng.uniform(0.2, 3.0, 4).astype(np.float32), initialized=True)
+        out = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), state, eps=1e-5, mode="eval")
+        assert out.dtype == np.float32
+        c = (slice(None), None, None)
+        want = gamma[c] * (x - state.mean[c]) / np.sqrt(state.var[c] + 1e-5) + beta[c]
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
 
 
 class TestElementwise:
@@ -275,6 +312,31 @@ class TestBackward:
         backward(loss)
         np.testing.assert_allclose(x.grad, [8.0])  # d(2*x^2)/dx = 4x = 8
 
+    def test_backward_frees_tape_without_gc(self):
+        # with the cyclic collector off, only reference counting can free the
+        # tape and the activations it recorded
+        rng = np.random.default_rng(8)
+        x = t64(rng.standard_normal((2, 2, 6, 6)))
+        w = t64(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        gamma = t64(np.ones(3), requires_grad=True)
+        beta = t64(np.zeros(3), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                h = conv2d(x, w, padding=(1, 1))
+                h = relu(batchnorm2d(h, gamma, beta, BatchNormState()))
+                loss = sum_all(mul(h, h))
+            tape_ref = weakref.ref(tape)
+            activations = [weakref.ref(r.output.data) for r in tape.records[:-1]]
+            del tape, h
+            backward(loss)
+            assert tape_ref() is None
+            assert len(activations) == 4 and all(ref() is None for ref in activations)
+        finally:
+            gc.enable()
+        assert loss._record is None
+        assert w.grad is not None and gamma.grad is not None
+
     def test_eval_mode_records_nothing(self):
         x = t64([1.0], requires_grad=True)
         y = mul(x, x)  # no active tape
@@ -305,6 +367,21 @@ class TestGradcheck:
         def loss():
             out = conv2d(x, w, b, stride=(2, 2), padding=(1, 1))
             return bce_with_logits(out, tgt)
+
+        self.check(loss, [x, w, b])
+
+    @pytest.mark.parametrize("geometry", MODEL_GEOMETRIES)
+    def test_conv2d_grads_model_geometries(self, geometry):
+        xs, ws, stride, padding = MODEL_GEOMETRIES[geometry]
+        rng = np.random.default_rng(15)
+        x = t64(rng.standard_normal(xs), requires_grad=True)
+        w = t64(rng.standard_normal(ws) * 0.5, requires_grad=True)
+        b = t64(rng.standard_normal(ws[0]), requires_grad=True)
+        shape = conv2d(x, w, b, stride=stride, padding=padding).shape
+        tgt = t64(rng.uniform(size=shape))
+
+        def loss():
+            return bce_with_logits(conv2d(x, w, b, stride=stride, padding=padding), tgt)
 
         self.check(loss, [x, w, b])
 

@@ -96,6 +96,17 @@ class TestLoadWav:
         body += b"data" + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
         path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
 
+    def test_chunk_overrun_names_path_chunk_and_counts(self, tmp_path):
+        p = tmp_path / "short.wav"
+        self.write_raw(p, b"\x00" * 200, channels=1, bits=16)
+        raw = bytearray(p.read_bytes())
+        at = raw.index(b"data") + 4
+        raw[at:at + 4] = struct.pack("<I", 4000)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"short\.wav: 'data' chunk declares 4000 bytes "
+                                             r"but 200 are present"):
+            load_wav(p)
+
     def test_odd_byte_count_names_path_and_chunk(self, tmp_path):
         p = tmp_path / "odd.wav"
         self.write_raw(p, b"\x01\x02\x03", channels=1, bits=16)

@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
+from rftag.evaluation import snapshot_ensemble
 from rftag.inference import crop_window, predict_scores, tile_to_length, window_starts
-from rftag.models import ModelConfig, TemplateConfig, build_model
+from rftag.models import ModelConfig, TemplateConfig, build_model, save_checkpoint
+from rftag.training import TaggedClip
 
 # deterministic examples and no example database on disk, so the suite is reproducible
 CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -85,3 +89,25 @@ class TestZeroFrames:
     def test_predict_scores_rejects_empty_clip(self, model, mode):
         with pytest.raises(ValueError, match="0 frames"):
             predict(model, [clip(CROP), np.zeros((BINS, 0), dtype=np.float32)], mode)
+
+
+class TestNonFiniteClips:
+    @pytest.mark.parametrize("mode", ["windows", "center"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_scores_names_the_clip(self, model, mode, bad):
+        poisoned = clip(CROP + 4, seed=2)
+        poisoned[3, 7] = bad
+        with pytest.raises(ValueError, match=r"clip 1 holds a non-finite value .* \(3, 7\)"):
+            predict(model, [clip(CROP), poisoned], mode)
+
+    def test_snapshot_ensemble_names_the_track(self, model, tmp_path):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, model, extra=dict(crop_frames=CROP, norm_mean=-40.0, norm_std=1.0,
+                                                tags="a,b,c"))
+        poisoned = clip(CROP)
+        poisoned[0, 0] = np.nan
+        clips = [TaggedClip(name, values, np.zeros(3))
+                 for name, values in (("ok", clip(CROP)), ("bad-track", poisoned))]
+        artifacts = SimpleNamespace(best_path=path, swa_paths=[])
+        with pytest.raises(ValueError, match=r"track 'bad-track': clip 1 holds a non-finite"):
+            snapshot_ensemble(artifacts, clips)
