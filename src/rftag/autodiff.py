@@ -79,9 +79,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -327,65 +324,56 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return record("conv2d", out, inputs, vjp)
 
 
+BN_MOMENTUM = 0.1
+
+
 @dataclass
 class BatchNormState:
     """Per-channel running statistics for batchnorm2d.
 
-    ``update_mode`` "ema" tracks an exponential moving average with
-    ``momentum``; "cumulative" tracks the plain mean over all batches seen
-    since the last reset (used when refreshing statistics for an averaged
-    model).
+    One update rule: the first update after construction or ``reset``
+    copies the batch statistics, and every later one moves them by an
+    exponential moving average with momentum ``BN_MOMENTUM``.  The SWA
+    refresh (``training.refresh_bn_statistics``) resets the state before
+    each batch and averages the copies itself.
     """
 
     mean: Optional[np.ndarray] = None
     var: Optional[np.ndarray] = None
-    momentum: float = 0.1
     initialized: bool = False
-    update_mode: str = "ema"
-    count: int = 0
 
     @classmethod
-    def identity(cls, channels: int, dtype=DEFAULT_DTYPE, momentum: float = 0.1) -> "BatchNormState":
+    def identity(cls, channels: int, dtype=DEFAULT_DTYPE) -> "BatchNormState":
         return cls(mean=np.zeros(channels, dtype=dtype),
-                   var=np.ones(channels, dtype=dtype),
-                   momentum=momentum, initialized=True)
+                   var=np.ones(channels, dtype=dtype), initialized=True)
 
     def reset(self) -> None:
         self.mean = None
         self.var = None
         self.initialized = False
-        self.count = 0
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         if not self.initialized:
             self.mean = batch_mean.copy()
             self.var = batch_var.copy()
             self.initialized = True
-            self.count = 1
             return
-        if self.update_mode == "cumulative":
-            n = self.count
-            self.mean = (self.mean * n + batch_mean) / (n + 1)
-            self.var = (self.var * n + batch_var) / (n + 1)
-            self.count = n + 1
-        else:
-            m = self.momentum
-            self.mean = (1.0 - m) * self.mean + m * batch_mean
-            self.var = (1.0 - m) * self.var + m * batch_var
-            self.count += 1
+        m = BN_MOMENTUM
+        self.mean = (1.0 - m) * self.mean + m * batch_mean
+        self.var = (1.0 - m) * self.var + m * batch_var
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                eps: float = 1e-5, mode: str = "train",
-                update_running: bool = True) -> Tensor:
+                eps: float = 1e-5, mode: str = "train") -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
-    Train mode normalizes by biased batch statistics and updates the running
-    moments by exponential moving average: one centred copy of x gives the
-    variance and, scaled in place, ``xhat``, which backward keeps.  Eval mode
-    uses running statistics, folded into one per-channel scale
-    ``gamma / sqrt(var + eps)`` and shift ``beta - mean * scale``, and fails
-    loudly when they were never populated.
+    Train mode normalizes by biased batch statistics and hands them to
+    ``state.update`` (a copy on the first update, an EMA after that): one
+    centred copy of x gives the variance and, scaled in place, ``xhat``,
+    which backward keeps.  Eval mode uses the running statistics, folded
+    into one per-channel scale ``gamma / sqrt(var + eps)`` and shift
+    ``beta - mean * scale``, and fails loudly when they were never
+    populated.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -407,8 +395,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         mean = np.einsum("nchw->c", x.data) / m
         xhat = x.data - mean[:, None, None]
         var = np.einsum("nchw,nchw->c", xhat, xhat) / m
-        if update_running:
-            state.update(mean, var)
+        state.update(mean, var)
         inv_std = 1.0 / np.sqrt(var + eps)
         xhat *= inv_std[:, None, None]
     scale = gamma.data * inv_std
@@ -638,9 +625,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> AdamState:
@@ -648,11 +632,12 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> AdamSta
 
     ``params`` maps names to Tensors, ``grads`` maps the same names to
     gradient arrays.  Parameters without a gradient entry are skipped.
+    The moment decays are 0.9 and 0.999, and eps is 1e-8.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():

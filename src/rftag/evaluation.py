@@ -197,8 +197,6 @@ def snapshot_ensemble(artifacts, clips, batch_size: int = 8) -> PredictionSet:
     provenance.
     """
     paths = [artifacts.best_path] + list(artifacts.swa_paths[-4:])
-    if not artifacts.swa_paths:
-        paths = [artifacts.best_path]
     members = []
     for path in paths:
         model, echo = load_model(path)

@@ -53,6 +53,28 @@ def window_starts(frames: int, window: int, hop: int) -> list[int]:
     return starts
 
 
+def clip_problem(values: np.ndarray) -> Optional[str]:
+    """Why a [bins, frames] clip cannot be scored or trained on, or None.
+
+    A clip needs at least one frame, and every value must be finite; the
+    first NaN or inf is named with its (bin, frame) cell.
+    """
+    if values.shape[1] == 0:
+        return "has 0 frames"
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        cell = tuple(int(k) for k in bad[0])
+        return f"holds a non-finite value {values[cell]} at (bin, frame) {cell}"
+    return None
+
+
+def normalized_batch(windows: list, mean: float, std: float) -> np.ndarray:
+    """[bins, frames] windows as one float32 batch [N, 1, bins, frames] of
+    (x - mean) / std, normalized before the cast."""
+    x = np.stack(windows)[:, None, :, :]
+    return ((x - mean) / std).astype(ad.DEFAULT_DTYPE, copy=False)
+
+
 class ClipError(ValueError):
     """A clip ``predict_scores`` refuses; ``index`` is its position in the list."""
 
@@ -68,8 +90,8 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
 
     mode "windows": mean of sliding-window scores; mode "center": one central
     crop per clip (the fast path used for per-epoch validation).  A clip
-    holding NaN or inf raises ``ClipError`` naming its index before any
-    forward runs.
+    with 0 frames or holding NaN or inf raises ``ClipError`` naming its
+    index before any forward runs.
     """
     if mode not in ("windows", "center"):
         raise ValueError(f"unknown inference mode {mode!r}")
@@ -77,11 +99,9 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
     crops = []
     owners = []
     for i, values in enumerate(values_list):
-        bad = np.argwhere(~np.isfinite(values))
-        if len(bad):
-            cell = tuple(int(k) for k in bad[0])
-            raise ClipError(i, f"clip {i} holds a non-finite value {values[cell]} "
-                               f"at (bin, frame) {cell}")
+        problem = clip_problem(values)
+        if problem:
+            raise ClipError(i, f"clip {i} {problem}")
         if mode == "center":
             windows = [crop_window(values, crop_frames)]
         else:
@@ -93,9 +113,7 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
     scores_sum = np.zeros((len(values_list), model.config.n_tags), dtype=np.float64)
     counts = np.zeros(len(values_list), dtype=np.int64)
     for lo in range(0, len(crops), batch_size):
-        chunk = crops[lo:lo + batch_size]
-        x = np.stack(chunk)[:, None, :, :].astype(ad.DEFAULT_DTYPE)
-        x = (x - norm_mean) / norm_std
+        x = normalized_batch(crops[lo:lo + batch_size], norm_mean, norm_std)
         logits = model.forward(Tensor(x), mode="eval")
         probs = ad.sigmoid(logits).data
         for row, owner in zip(probs, owners[lo:lo + batch_size]):

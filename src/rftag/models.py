@@ -187,10 +187,7 @@ def _layer(model: "Model", name: str, layer: LayerSpec, c_in: int, c_out: int,
     """The step realizing one arch layer, and its output width."""
     if layer.kind == "conv":
         return _Conv(model, name, layer, c_in, c_out, relu), c_out
-    if layer.kind == "pool":
-        return _Pool(layer), c_in
-    raise ValueError(f"layer {layer.name}: the model realizes conv and pool layers, "
-                     f"not {layer.kind!r}")
+    return _Pool(layer), c_in
 
 
 def _run(steps: list, x: Tensor, mode: str, pool_kind: str) -> Tensor:

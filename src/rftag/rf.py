@@ -27,12 +27,12 @@ import numpy as np
 
 from . import autodiff as ad
 
-LAYER_KINDS = ("conv", "pool", "elementwise", "block_entry", "block_exit")
+LAYER_KINDS = ("conv", "pool")
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Geometry of one layer; elementwise/marker layers are RF-neutral."""
+    """Geometry of one conv or pool layer."""
 
     name: str
     kind: str
@@ -46,9 +46,6 @@ class LayerSpec:
             raise ValueError(f"layer {self.name}: unknown kind {self.kind!r}")
         if min(self.kernel) < 1 or min(self.stride) < 1:
             raise ValueError(f"layer {self.name}: kernel and stride must be >= 1 per axis")
-        if self.kind in ("elementwise", "block_entry", "block_exit"):
-            if self.kernel != (1, 1) or self.stride != (1, 1):
-                raise ValueError(f"layer {self.name}: {self.kind} layers must have kernel=stride=1")
 
 
 @dataclass
@@ -217,9 +214,8 @@ def _unit_forward(arch: ArchSpec, x: ad.Tensor) -> ad.Tensor:
             kf, kt = layer.kernel
             w = ad.Tensor(np.ones((1, 1, kf, kt), dtype=np.float64))
             cur = ad.conv2d(cur, w, stride=layer.stride, padding=layer.padding)
-        elif layer.kind == "pool":
+        else:
             cur = ad.pool2d(cur, "avg", kernel=layer.kernel, stride=layer.stride)
-        # elementwise / markers: identity
         for src in skips_into.get(layer.name, ()):
             cur = ad.add(cur, outputs[src])
         outputs[layer.name] = cur
@@ -241,7 +237,6 @@ class RhoTemplate:
     """
 
     base: ArchSpec
-    name: str = "cp_resnet"
 
     @property
     def n_adjustable(self) -> int:

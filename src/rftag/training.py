@@ -22,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward, bce_with_logits
 from .evaluation import LabelSet, PredictionSet, macro_pr_auc
-from .inference import crop_window, predict_scores
-from .models import Model, ModelConfig, build_model, save_checkpoint
+from .inference import clip_problem, crop_window, normalized_batch, predict_scores
+from .models import Model, build_model, save_checkpoint
 
 METRICS_HEADER = "epoch,lr,train_loss,val_pr_auc,is_best,swa_saved"
 
@@ -43,7 +43,6 @@ class TrainConfig:
     crop_frames: int = 512
     swa_every: int = 3
     seed: int = 0
-    normalize: bool = True
 
     def __post_init__(self):
         segments = (self.warmup_epochs + self.constant_epochs
@@ -92,34 +91,26 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MixupDraw:
-    lam: float
-    perm: np.ndarray
-
-
-def draw_mixup(rng: np.random.Generator, n: int, alpha: float) -> MixupDraw:
-    if n < 2:
-        raise ValueError(f"mixup needs a batch of at least 2, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"mixup alpha must be positive, got {alpha}")
-    return MixupDraw(lam=float(rng.beta(alpha, alpha)), perm=rng.permutation(n))
-
-
 def mixup_batch(x: Tensor, y: Tensor, alpha: float, rng: np.random.Generator,
                 lam: Optional[float] = None):
     """Convex-combine a batch with a permuted copy of itself.
 
     One lambda per batch mixes inputs and labels identically.  Returns
-    (x', y', lambda).  ``lam`` overrides the Beta draw (used by tests).
+    (x', y', lambda).  ``lam`` overrides the Beta draw (used by tests); the
+    draw is still made, then the permutation, so the rng advances alike.
     """
-    draw = draw_mixup(rng, x.shape[0], alpha)
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError(f"mixup needs a batch of at least 2, got {n}")
+    if alpha <= 0:
+        raise ValueError(f"mixup alpha must be positive, got {alpha}")
+    lam_ = float(rng.beta(alpha, alpha))
+    perm = rng.permutation(n)
     if lam is not None:
-        draw.lam = float(lam)
-    lam_ = draw.lam
+        lam_ = float(lam)
     xd, yd = x.data, y.data
-    x_mixed = lam_ * xd + (1.0 - lam_) * xd[draw.perm]
-    y_mixed = lam_ * yd + (1.0 - lam_) * yd[draw.perm]
+    x_mixed = lam_ * xd + (1.0 - lam_) * xd[perm]
+    y_mixed = lam_ * yd + (1.0 - lam_) * yd[perm]
     return Tensor(x_mixed), Tensor(y_mixed), lam_
 
 
@@ -206,20 +197,31 @@ class RunArtifacts:
 
 def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
                           norm: tuple, batch_size: int, seed: int) -> None:
-    """Recompute BN running stats as the plain mean over one sweep of the data."""
+    """Recompute BN running stats as the plain mean over one sweep of the data.
+
+    Each state is reset before each batch's train-mode forward, so that it
+    holds the batch's statistics; they are averaged in sweep order as
+    ``avg <- (avg * k + new) / (k + 1)``.  Later train-mode forwards move
+    the averages by the usual EMA.
+    """
+    if not clips:
+        raise ValueError("refreshing batch-norm statistics needs at least one clip")
     rng = np.random.default_rng(seed)
-    for st in model.bn_states.values():
-        st.reset()
-        st.update_mode = "cumulative"
-    mean, std = norm
-    order = np.arange(len(clips))
-    for lo in range(0, len(order), batch_size):
-        idx = order[lo:lo + batch_size]
-        x = np.stack([crop_window(clips[i].values, crop_frames, rng, "random") for i in idx])
-        x = ((x[:, None, :, :] - mean) / std).astype(ad.DEFAULT_DTYPE)
-        model.forward(Tensor(x), mode="train")
-    for st in model.bn_states.values():
-        st.update_mode = "ema"
+    avg: dict = {}
+    for k, lo in enumerate(range(0, len(clips), batch_size)):
+        for st in model.bn_states.values():
+            st.reset()
+        windows = [crop_window(c.values, crop_frames, rng, "random")
+                   for c in clips[lo:lo + batch_size]]
+        model.forward(Tensor(normalized_batch(windows, *norm)), mode="train")
+        for name, st in model.bn_states.items():
+            if k:
+                mean, var = avg[name]
+                avg[name] = ((mean * k + st.mean) / (k + 1), (var * k + st.var) / (k + 1))
+            else:
+                avg[name] = (st.mean, st.var)
+    for name, st in model.bn_states.items():
+        st.mean, st.var = avg[name]
 
 
 def _validation_pr_auc(model: Model, clips: list, tags: list, crop_frames: int,
@@ -244,10 +246,15 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     """
     if not train_clips or not val_clips:
         raise ValueError("training and validation splits must be non-empty")
+    for split, clips in (("training", train_clips), ("validation", val_clips)):
+        for clip in clips:
+            problem = clip_problem(clip.values)
+            if problem:
+                raise ValueError(f"{split} track {clip.track_id!r} {problem}")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
-    norm = normalization_stats(train_clips) if config.normalize else (0.0, 1.0)
+    norm = normalization_stats(train_clips)
     echo_extra = {
         "norm_mean": repr(norm[0]),
         "norm_std": repr(norm[1]),
@@ -269,11 +276,10 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
         losses = []
         for bstart in range(0, n, config.batch_size):
             idx = order[bstart:bstart + config.batch_size]
-            x = np.stack([crop_window(train_clips[i].values, config.crop_frames,
-                                      rng, "random") for i in idx])
-            x = ((x[:, None, :, :] - norm[0]) / norm[1]).astype(ad.DEFAULT_DTYPE)
+            windows = [crop_window(train_clips[i].values, config.crop_frames, rng, "random")
+                       for i in idx]
             y = np.stack([train_clips[i].labels for i in idx]).astype(ad.DEFAULT_DTYPE)
-            xb, yb = Tensor(x), Tensor(y)
+            xb, yb = Tensor(normalized_batch(windows, *norm)), Tensor(y)
             if len(idx) >= 2:
                 xb, yb, _ = mixup_batch(xb, yb, config.mixup_alpha, rng)
             model.zero_grads()

@@ -91,6 +91,19 @@ class TestZeroFrames:
             predict(model, [clip(CROP), np.zeros((BINS, 0), dtype=np.float32)], mode)
 
 
+class TestZeroFrameTrack:
+    def test_snapshot_ensemble_names_the_track(self, model, tmp_path):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, model, extra=dict(crop_frames=CROP, norm_mean=-40.0, norm_std=1.0,
+                                                tags="a,b,c"))
+        clips = [TaggedClip(name, values, np.zeros(3))
+                 for name, values in (("ok", clip(CROP)),
+                                      ("empty-track", np.zeros((BINS, 0), dtype=np.float32)))]
+        artifacts = SimpleNamespace(best_path=path, swa_paths=[])
+        with pytest.raises(ValueError, match=r"track 'empty-track': clip 1 has 0 frames"):
+            snapshot_ensemble(artifacts, clips)
+
+
 class TestNonFiniteClips:
     @pytest.mark.parametrize("mode", ["windows", "center"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -235,6 +235,11 @@ class TestArchText:
         with pytest.raises(ValueError, match="line 2"):
             arch_from_text("input_bins 256\nnot a valid layer line at all extra\n")
 
+    def test_marker_kind_names_line(self):
+        text = "input_bins 32\nc1 conv 3,3 1,1 1,1 0\nb1 block_entry 1,1 1,1 0,0 0\n"
+        with pytest.raises(ValueError, match=r"line 3: .*unknown kind 'block_entry'"):
+            arch_from_text(text)
+
     def test_axis_independence(self):
         # changing only time kernels leaves frequency RF unchanged
         a1 = chain(LayerSpec("c1", "conv", (3, 3), (1, 1), (1, 1)),

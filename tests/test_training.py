@@ -15,6 +15,7 @@ from rftag.training import (
     lr_at,
     mixup_batch,
     normalization_stats,
+    refresh_bn_statistics,
     swa_update,
     train,
 )
@@ -279,3 +280,66 @@ class TestNormalization:
         mean, std = normalization_stats(clips)
         assert mean == pytest.approx(3.0)
         assert std == pytest.approx(1.0)
+
+
+class TestTrainClipChecks:
+    def test_nan_training_clip_names_the_track(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        clips = make_band_clips(4)
+        clips[2].values[5, 3] = np.nan
+        with pytest.raises(ValueError, match=r"training track 't002' holds a non-finite "
+                                             r"value nan at \(bin, frame\) \(5, 3\)"):
+            train(build_model(cfg), clips, make_band_clips(2), list("abc"), tc, tmp_path / "run")
+
+    def test_zero_frame_clip_names_the_track(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        empty = TaggedClip("v-empty", np.zeros((32, 0), dtype=np.float32), np.ones(3))
+        with pytest.raises(ValueError, match="validation track 'v-empty' has 0 frames"):
+            train(build_model(cfg), make_band_clips(4), make_band_clips(1) + [empty],
+                  list("abc"), tc, tmp_path / "run")
+        with pytest.raises(ValueError, match="training track 'v-empty' has 0 frames"):
+            train(build_model(cfg), [empty] + make_band_clips(4), make_band_clips(1),
+                  list("abc"), tc, tmp_path / "run")
+
+
+class TestBnRefresh:
+    """Full-length crops, so every batch's input is fixed and a one-batch
+    refresh gives that batch's statistics."""
+
+    FRAMES = 24
+    NORM = (-50.0, 20.0)
+
+    def refresh(self, clips, batch_size=2):
+        model = build_model(tiny_train_setup(seed=3)[0])
+        refresh_bn_statistics(model, clips, self.FRAMES, self.NORM, batch_size, seed=0)
+        return model
+
+    def test_sweep_mean_not_ema(self):
+        clips = make_band_clips(8, frames=self.FRAMES, seed=4)
+        batches = [self.refresh(clips[lo:lo + 2]).bn_arrays() for lo in range(0, 8, 2)]
+        got = self.refresh(clips).bn_arrays()
+        for key, value in got.items():
+            per_batch = np.stack([b[key] for b in batches])
+            np.testing.assert_allclose(value, per_batch.mean(axis=0), rtol=1e-5, atol=1e-6)
+            ema = per_batch[0]
+            for b in per_batch[1:]:
+                ema = 0.9 * ema + 0.1 * b
+            assert not np.allclose(value, ema, rtol=1e-3, atol=1e-4), key
+
+    def test_train_forward_after_refresh_is_ema(self):
+        clips = make_band_clips(6, frames=self.FRAMES, seed=5)
+        batch = make_band_clips(2, frames=self.FRAMES, seed=6)
+        model = self.refresh(clips)
+        before = model.bn_arrays()
+        mean, std = self.NORM
+        x = ((np.stack([c.values for c in batch])[:, None] - mean) / std).astype(np.float32)
+        model.forward(Tensor(x), mode="train")
+        stats = self.refresh(batch).bn_arrays()
+        for key, value in model.bn_arrays().items():
+            np.testing.assert_allclose(value, 0.9 * before[key] + 0.1 * stats[key],
+                                       rtol=1e-5, atol=1e-6)
+
+    def test_empty_clip_list_rejected(self):
+        model = build_model(tiny_train_setup()[0])
+        with pytest.raises(ValueError, match="at least one clip"):
+            refresh_bn_statistics(model, [], self.FRAMES, self.NORM, 2, seed=0)
