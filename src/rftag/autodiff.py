@@ -485,18 +485,18 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
     ho, wo = win.shape[2], win.shape[3]
     flat = win.reshape(n, c, ho, wo, kh * kw)
 
+    def scatter(taps):
+        """Input gradient from one [n, c, ho, wo] gradient per window tap, row-major."""
+        gx = np.zeros_like(x.data)
+        for (i, j), g in zip(np.ndindex(kh, kw), taps):
+            gx[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g
+        return gx
+
     if kind == "avg":
         out = flat.mean(axis=4)
 
         def vjp_a(gout):
-            if not x.requires_grad:
-                return (None,)
-            gx = np.zeros_like(x.data)
-            gshare = gout / (kh * kw)
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += gshare
-            return (gx,)
+            return (scatter([gout / (kh * kw)] * (kh * kw)),) if x.requires_grad else (None,)
 
         return record("avg_pool", out, [x], vjp_a)
 
@@ -504,16 +504,10 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
     out = np.take_along_axis(flat, amax[..., None], axis=4)[..., 0]
 
     def vjp_m(gout):
+        """Each tap takes ``gout`` where it is its window's argmax."""
         if not x.requires_grad:
             return (None,)
-        gx = np.zeros_like(x.data)
-        ki, kj = np.unravel_index(amax, (kh, kw))
-        hi = (np.arange(ho) * sh)[None, None, :, None] + ki
-        wj = (np.arange(wo) * sw)[None, None, None, :] + kj
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(gx, (ni, ci, hi, wj), gout)
-        return (gx,)
+        return (scatter(np.where(amax == t, gout, 0) for t in range(kh * kw)),)
 
     return record("max_pool", out, [x], vjp_m)
 

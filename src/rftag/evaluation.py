@@ -312,6 +312,3 @@ def _is_number(text: str) -> bool:
         return False
     return True
 
-
-def save_eval_report(path, report: EvalReport) -> None:
-    Path(path).write_text(report.as_csv())

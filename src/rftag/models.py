@@ -1,8 +1,8 @@
 """CP-ResNet variants: RF-regularized, frequency-aware, and shake-shake.
 
 ``build_model`` realizes the ``ArchSpec`` of a config (``rf.cp_resnet_template``
-sized by rho) as named parameter tensors plus a forward recipe, walking the
-arch's layers and skips once:
+sized by ``rf.apply_rho``) as named parameter tensors plus a forward recipe,
+walking the arch's layers and skips once:
 
 - a conv layer becomes conv + batchnorm with the layer's kernel, stride and
   padding, followed by relu unless it ends a residual block;
@@ -10,6 +10,8 @@ arch's layers and skips once:
 - a skip ``(src, dst)`` becomes one residual block: its branch is the layers
   after ``src`` up to and including ``dst``, its residual is the output of
   ``src`` (through a 1x1 conv + bn projection where the width changes).
+  The block returns residual + branch, or, with shake-shake, residual +
+  ``shake_combine`` of its two branches.
 
 Block widths split ``arch.channel_plan`` evenly over the blocks; a conv
 outside a block takes the width of the next block.  A block's layers are
@@ -17,25 +19,25 @@ named ``<block>c<i>`` and its parameters ``<block>.br<k>.c<i>.*``.
 
 Variant flags thread through every block: ``frequency_aware`` appends a
 per-bin coordinate channel to every conv input, ``shake_shake`` doubles each
-block's branch and mixes the two with random convex weights (independent
-weights on the backward pass).  The classifier head is global average
-pooling into a linear layer producing one logit per tag.  Sigmoid lives
-downstream in the loss / evaluation layers.
+block's branch and mixes the two with convex weights: in train mode alpha
+(forward) then beta (backward), each drawn uniform on [0, 1] from
+``Model.rng_shake`` per block per forward; in eval mode 0.5 and 0.5.  The
+classifier head is global average pooling into a linear layer producing one
+logit per tag.  Sigmoid lives downstream in the loss / evaluation layers.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .rf import ArchSpec, LayerSpec, RhoTemplate, apply_rho, connectivity_rf, cp_resnet_template
+from .rf import ArchSpec, LayerSpec, apply_rho, connectivity_rf, cp_resnet_template
 
 CKPT_MAGIC = b"RFCKPT01"
 
@@ -50,7 +52,7 @@ class TemplateConfig:
     pool_stages: int = 2
     time_kernel: int = 3
 
-    def make(self) -> RhoTemplate:
+    def make(self) -> ArchSpec:
         return cp_resnet_template(self.n_stages, self.blocks_per_stage,
                                   tuple(self.channel_plan), self.pool_stages,
                                   time_kernel=self.time_kernel)
@@ -75,30 +77,6 @@ class ModelConfig:
         return apply_rho(self.template.make(), self.rho, self.rho_time)
 
 
-@dataclass
-class ShakeDraw:
-    """Forward/backward mixing coefficients for one shake block.
-
-    Eval mode pins both coefficients at 0.5; train mode draws them
-    independently uniform on [0, 1] per block per forward.
-    """
-
-    alpha: float = 0.5
-    beta: float = 0.5
-    mode: str = "eval"
-
-    def __post_init__(self):
-        if self.mode == "eval":
-            self.alpha = 0.5
-            self.beta = 0.5
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ValueError(f"shake coefficients must lie in [0, 1], got {self.alpha}, {self.beta}")
-
-    @classmethod
-    def train_draw(cls, rng: np.random.Generator) -> "ShakeDraw":
-        return cls(alpha=float(rng.uniform()), beta=float(rng.uniform()), mode="train")
-
-
 def fa_channel(x: Tensor) -> Tensor:
     """Append a frequency-coordinate channel: value f/(F-1) at bin f.
 
@@ -116,30 +94,22 @@ def fa_channel(x: Tensor) -> Tensor:
     return ad.record("fa_channel", out, [x], vjp)
 
 
-def shake_combine(b1: Tensor, b2: Tensor, draw: ShakeDraw) -> Tensor:
-    """alpha*b1 + (1-alpha)*b2 forward; beta/(1-beta) gradient split backward."""
+def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float) -> Tensor:
+    """alpha*b1 + (1-alpha)*b2 forward; the gradient splits beta/(1-beta) backward.
+
+    A shake block passes alpha and beta drawn uniform on [0, 1] in train
+    mode and 0.5, 0.5 in eval mode.
+    """
     if b1.shape != b2.shape:
         raise ValueError(f"shake branch shapes differ: {b1.shape} vs {b2.shape}")
-    a, b = draw.alpha, draw.beta
-    out = a * b1.data + (1.0 - a) * b2.data
+    out = alpha * b1.data + (1.0 - alpha) * b2.data
 
     def vjp(gout):
-        g1 = b * gout if b1.requires_grad else None
-        g2 = (1.0 - b) * gout if b2.requires_grad else None
+        g1 = beta * gout if b1.requires_grad else None
+        g2 = (1.0 - beta) * gout if b2.requires_grad else None
         return g1, g2
 
     return ad.record("shake_combine", out, [b1, b2], vjp)
-
-
-def shake_block(x: Tensor, branch1: Callable, branch2: Callable, draw: ShakeDraw,
-                skip: Optional[Callable] = None) -> Tensor:
-    """skip(x) + alpha*branch1(x) + (1-alpha)*branch2(x)."""
-    residual = x if skip is None else skip(x)
-    mixed = shake_combine(branch1(x), branch2(x), draw)
-    if residual.shape != mixed.shape:
-        raise ValueError(f"branch output shape {mixed.shape} does not match "
-                         f"skip shape {residual.shape}")
-    return ad.add(residual, mixed)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +167,11 @@ def _run(steps: list, x: Tensor, mode: str, pool_kind: str) -> Tensor:
 
 
 class _Block:
-    """The residual block of one skip: branch layers plus the residual."""
+    """The residual block of one skip.
+
+    Its output is the residual (x, or its projection where the width
+    changes) plus the branch, or plus ``shake_combine`` of the two branches.
+    """
 
     def __init__(self, model: "Model", name: str, layers: list, c_in: int, c_out: int):
         self.rng = model.rng_shake
@@ -215,13 +189,14 @@ class _Block:
                               c_in, c_out, relu=False)
 
     def __call__(self, x: Tensor, mode: str, pool_kind: str) -> Tensor:
-        branches = [partial(_run, steps, mode=mode, pool_kind=pool_kind)
-                    for steps in self.branches]
-        skip = None if self.proj is None else partial(self.proj, mode=mode, pool_kind=pool_kind)
-        if len(branches) == 1:
-            return ad.add(x if skip is None else skip(x), branches[0](x))
-        draw = ShakeDraw.train_draw(self.rng) if mode == "train" else ShakeDraw(mode="eval")
-        return shake_block(x, branches[0], branches[1], draw, skip)
+        residual = x if self.proj is None else self.proj(x, mode, pool_kind)
+        out = [_run(steps, x, mode, pool_kind) for steps in self.branches]
+        if len(out) == 2:
+            train = mode == "train"
+            alpha = float(self.rng.uniform()) if train else 0.5
+            beta = float(self.rng.uniform()) if train else 0.5
+            out = [shake_combine(out[0], out[1], alpha, beta)]
+        return ad.add(residual, out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +309,8 @@ class Model:
         return {k: v.data.copy() for k, v in self.params.items()}
 
     def load_state_arrays(self, arrays: dict) -> None:
+        _check_entries("parameter", arrays, {k: p.shape for k, p in self.params.items()})
         for k, p in self.params.items():
-            if k not in arrays:
-                raise ValueError(f"missing parameter {k} in state")
-            if arrays[k].shape != p.data.shape:
-                raise ValueError(f"parameter {k}: shape {arrays[k].shape} != {p.data.shape}")
             p.data = arrays[k].astype(p.data.dtype).copy()
 
     def bn_arrays(self) -> dict[str, np.ndarray]:
@@ -349,19 +321,31 @@ class Model:
         return out
 
     def load_bn_arrays(self, arrays: dict) -> None:
+        _check_entries("batchnorm", arrays, {f"{name}.{stat}": st.mean.shape
+                                             for name, st in self.bn_states.items()
+                                             for stat in ("mean", "var")})
         for name, st in self.bn_states.items():
             st.mean = arrays[f"{name}.mean"].astype(ad.DEFAULT_DTYPE).copy()
             st.var = arrays[f"{name}.var"].astype(ad.DEFAULT_DTYPE).copy()
             st.initialized = True
 
 
+def _check_entries(section: str, arrays: dict, shapes: dict) -> None:
+    """``arrays`` must hold exactly the entries named in ``shapes``, each of its shape."""
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ValueError(f"{section} entry {name!r} is missing")
+        if arrays[name].shape != shape:
+            raise ValueError(f"{section} entry {name!r}: shape {arrays[name].shape} "
+                             f"!= model shape {shape}")
+    for name in arrays:
+        if name not in shapes:
+            raise ValueError(f"{section} entry {name!r} is not in the model")
+
+
 def build_model(config: ModelConfig) -> Model:
     """Deterministic He-initialized model for a config (same seed, same bits)."""
     return Model(config)
-
-
-def parameter_count(model: Model, substring: str = "") -> int:
-    return sum(p.size for name, p in model.params.items() if substring in name)
 
 
 def measure_model_rf(config: ModelConfig) -> tuple[int, int]:
@@ -511,13 +495,23 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
 
 
 def load_model(path) -> tuple[Model, dict]:
-    """Rebuild the model a checkpoint describes; returns (model, echo)."""
+    """Rebuild the model a checkpoint describes; returns (model, echo).
+
+    A checkpoint whose entries differ from the model's in name or shape, or
+    that holds a non-finite value or a negative variance, is refused with a
+    ValueError naming the path and the entry.
+    """
     params, bn, echo = read_checkpoint(path)
     try:
-        config = config_from_echo(echo)
+        model = build_model(config_from_echo(echo))
+        model.load_state_arrays(params)
+        model.load_bn_arrays(bn)
+        for section, arrays in (("parameter", params), ("batchnorm", bn)):
+            for name, arr in arrays.items():
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{section} entry {name!r} holds a non-finite value")
+                if name.endswith(".var") and (arr < 0).any():
+                    raise ValueError(f"{section} entry {name!r} holds a negative variance")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    model = build_model(config)
-    model.load_state_arrays(params)
-    model.load_bn_arrays(bn)
     return model, echo

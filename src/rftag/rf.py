@@ -11,16 +11,20 @@ gradient connectivity through any forward that realizes an architecture.
 ``empirical_rf`` probes a single-channel instantiation of the arch with it,
 and ``models.measure_model_rf`` probes the built model.
 
-``apply_rho`` realizes receptive-field regularization: of the ordered
-adjustable conv slots, the first rho keep frequency-kernel 3 and the rest
-drop to 1, which caps how far the frequency RF can grow.
+An ``ArchSpec`` is the one description of an architecture: the layer
+chain, the skips and the channel plan.  ``cp_resnet_template`` returns the
+CP-ResNet's arch at full rho, and ``apply_rho`` realizes receptive-field
+regularization on any arch: of its ordered adjustable conv slots, the
+first rho keep frequency-kernel 3 and the rest drop to 1, which caps how
+far the frequency RF can grow.  The input width is not part of an arch
+(the calculus does not depend on it); ``models.ModelConfig.input_bins``
+records it for a built model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +63,6 @@ class ArchSpec:
 
     layers: list
     skips: list = field(default_factory=list)
-    input_bins: int = 256
     channel_plan: tuple = ()
 
     def __post_init__(self):
@@ -108,12 +111,6 @@ class RFReport:
             lines.append(f"{r.name:<{width}}  {r.r_freq:>6} {r.j_freq:>6} {r.r_time:>6} {r.j_time:>6}")
         lines.append(f"final receptive field: freq={self.rf_freq} time={self.rf_time}")
         return "\n".join(lines)
-
-    def as_csv(self) -> str:
-        lines = ["layer,rf_freq,jump_freq,rf_time,jump_time"]
-        for r in self.rows:
-            lines.append(f"{r.name},{r.r_freq},{r.j_freq},{r.r_time},{r.j_time}")
-        return "\n".join(lines) + "\n"
 
 
 def compute_rf(arch: ArchSpec) -> RFReport:
@@ -223,36 +220,26 @@ def _unit_forward(arch: ArchSpec, x: ad.Tensor) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# rho templates
+# rho sizing
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RhoTemplate:
-    """Base architecture whose adjustable conv slots are sized by rho.
+def apply_rho(arch: ArchSpec, rho: int, rho_time: Optional[int] = None) -> ArchSpec:
+    """``arch`` with its adjustable conv slots sized by rho.
 
-    The first ``rho`` adjustable slots keep frequency-kernel 3, the rest get
-    frequency-kernel 1.  Time kernels stay at the template's value unless an
-    independent ``rho_time`` is supplied.
+    Of the ordered slots (``arch.adjustable_layers()``), the first ``rho``
+    get frequency-kernel 3 and the rest frequency-kernel 1.  Time kernels
+    keep the arch's value unless an independent ``rho_time`` sizes them the
+    same way.  A sized slot's padding is (k - 1) // 2 per axis.
     """
-
-    base: ArchSpec
-
-    @property
-    def n_adjustable(self) -> int:
-        return len(self.base.adjustable_layers())
-
-
-def apply_rho(template: RhoTemplate, rho: int, rho_time: Optional[int] = None) -> ArchSpec:
-    """Realize a template at a given rho (and optional independent rho_time)."""
-    n = template.n_adjustable
+    n = len(arch.adjustable_layers())
     if not (0 <= rho <= n):
         raise ValueError(f"rho must lie in [0, {n}], got {rho}")
     if rho_time is not None and not (0 <= rho_time <= n):
         raise ValueError(f"rho_time must lie in [0, {n}], got {rho_time}")
     new_layers = []
     slot = 0
-    for layer in template.base.layers:
+    for layer in arch.layers:
         if layer.adjustable and layer.kind == "conv":
             kf = 3 if slot < rho else 1
             kt = layer.kernel[1] if rho_time is None else (3 if slot < rho_time else 1)
@@ -262,21 +249,19 @@ def apply_rho(template: RhoTemplate, rho: int, rho_time: Optional[int] = None) -
             slot += 1
         else:
             new_layers.append(layer)
-    return ArchSpec(layers=new_layers, skips=list(template.base.skips),
-                    input_bins=template.base.input_bins,
-                    channel_plan=template.base.channel_plan)
+    return replace(arch, layers=new_layers, skips=list(arch.skips))
 
 
-def max_rho_for_budget(template: RhoTemplate, rf_budget_freq: int,
+def max_rho_for_budget(arch: ArchSpec, rf_budget_freq: int,
                        rho_time: Optional[int] = None) -> int:
     """Largest rho whose frequency RF stays within the budget (monotone scan)."""
-    floor = compute_rf(apply_rho(template, 0, rho_time)).rf_freq
+    floor = compute_rf(apply_rho(arch, 0, rho_time)).rf_freq
     if rf_budget_freq < floor:
         raise ValueError(
             f"budget {rf_budget_freq} is below the rho=0 receptive field {floor}")
     best = 0
-    for rho in range(1, template.n_adjustable + 1):
-        if compute_rf(apply_rho(template, rho, rho_time)).rf_freq <= rf_budget_freq:
+    for rho in range(1, len(arch.adjustable_layers()) + 1):
+        if compute_rf(apply_rho(arch, rho, rho_time)).rf_freq <= rf_budget_freq:
             best = rho
         else:
             break
@@ -285,9 +270,8 @@ def max_rho_for_budget(template: RhoTemplate, rf_budget_freq: int,
 
 def cp_resnet_template(n_stages: int = 4, blocks_per_stage: int = 3,
                        channel_plan: tuple = (32, 64, 128, 256),
-                       pool_stages: int = 2, input_bins: int = 256,
-                       time_kernel: int = 3) -> RhoTemplate:
-    """The default CP-ResNet-style template.
+                       pool_stages: int = 2, time_kernel: int = 3) -> ArchSpec:
+    """The default CP-ResNet-style architecture, every adjustable slot at rho max.
 
     Input stage of two 3x3 convs (stride (2,2) then (1,1)), then ``n_stages``
     stages of ``blocks_per_stage`` residual blocks with two adjustable convs
@@ -315,9 +299,7 @@ def cp_resnet_template(n_stages: int = 4, blocks_per_stage: int = 3,
                                     (1, (time_kernel - 1) // 2), adjustable=True))
             skips.append((prev, c2))
             prev = c2
-    base = ArchSpec(layers=layers, skips=skips, input_bins=input_bins,
-                    channel_plan=tuple(channel_plan))
-    return RhoTemplate(base=base)
+    return ArchSpec(layers=layers, skips=skips, channel_plan=tuple(channel_plan))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +309,7 @@ def cp_resnet_template(n_stages: int = 4, blocks_per_stage: int = 3,
 
 def arch_to_text(arch: ArchSpec) -> str:
     """One layer per line: ``name kind kf,kt sf,st pf,pt adjustable``."""
-    lines = [f"input_bins {arch.input_bins}"]
+    lines = []
     if arch.channel_plan:
         lines.append("channels " + ",".join(str(c) for c in arch.channel_plan))
     for l in arch.layers:
@@ -342,7 +324,6 @@ def arch_to_text(arch: ArchSpec) -> str:
 def arch_from_text(text: str) -> ArchSpec:
     layers = []
     skips = []
-    input_bins = 256
     channel_plan = ()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -350,9 +331,7 @@ def arch_from_text(text: str) -> ArchSpec:
             continue
         parts = line.split()
         try:
-            if parts[0] == "input_bins":
-                input_bins = int(parts[1])
-            elif parts[0] == "channels":
+            if parts[0] == "channels":
                 channel_plan = tuple(int(c) for c in parts[1].split(","))
             elif parts[0] == "skip":
                 src, dst = parts[1].split("->")
@@ -364,13 +343,4 @@ def arch_from_text(text: str) -> ArchSpec:
                                         adjustable=adj not in ("0", "false", "False")))
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
-    return ArchSpec(layers=layers, skips=skips, input_bins=input_bins,
-                    channel_plan=channel_plan)
-
-
-def save_arch(path, arch: ArchSpec) -> None:
-    Path(path).write_text(arch_to_text(arch))
-
-
-def load_arch(path) -> ArchSpec:
-    return arch_from_text(Path(path).read_text())
+    return ArchSpec(layers=layers, skips=skips, channel_plan=channel_plan)

@@ -159,12 +159,6 @@ class TaggedClip:
     labels: np.ndarray
 
 
-def crop_or_pad(values: np.ndarray, frames: int, rng: Optional[np.random.Generator] = None,
-                mode: str = "center") -> Tensor:
-    """``crop_window`` as a [1, 1, bins, frames] Tensor."""
-    return Tensor(crop_window(values, frames, rng, mode)[None, None].astype(ad.DEFAULT_DTYPE))
-
-
 def normalization_stats(clips: list) -> tuple[float, float]:
     """Global scalar mean/std of the training split's spectrogram values."""
     total = 0.0

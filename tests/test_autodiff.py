@@ -407,6 +407,17 @@ class TestGradcheck:
                 return sum_all(mul(out, out))
             self.check(loss, [x])
 
+    @pytest.mark.parametrize("kernel,stride", [((3, 3), (1, 1)), ((3, 2), (2, 1))])
+    def test_pool_grads_overlapping_windows(self, kernel, stride):
+        # an input cell in several windows sums one gradient per window that holds it
+        rng = np.random.default_rng(16)
+        x = t64(rng.standard_normal((2, 2, 7, 6)), requires_grad=True)
+        for kind in ("max", "avg"):
+            def loss(kind=kind):
+                out = pool2d(x, kind, kernel=kernel, stride=stride)
+                return sum_all(mul(out, out))
+            self.check(loss, [x])
+
     def test_global_pool_linear_sigmoid_grads(self):
         rng = np.random.default_rng(13)
         x = t64(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)

@@ -18,7 +18,7 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
-from tracer import STAGES, Tracer  # noqa: E402
+from tracer import _VJP_FAMILY, _VJP_KEY, STAGES, Tracer  # noqa: E402
 from workloads import N_BINS, N_TAGS, TINY, model_config  # noqa: E402
 
 from rftag import autodiff as ad  # noqa: E402
@@ -63,3 +63,23 @@ def test_every_stage_times_forward_and_backward(traced, stage):
 
 def test_one_tape_alive_at_each_backward(traced):
     assert traced["autodiff.tapes_alive_max"] == 1
+
+
+@pytest.mark.parametrize("key", ["models.shake_combine_s", "models.fa_channel.fwd_s",
+                                 "autodiff.pool2d.bwd_s"])
+def test_block_and_pool_go_through_traced_names(traced, key):
+    # _Block mixes through models.shake_combine, _Conv through models.fa_channel,
+    # and the pool vjps are recorded as max_pool / avg_pool / global_avg_pool
+    assert traced[key] > 0
+
+
+def test_train_tape_ops_have_a_traced_family():
+    # global_avg_pool alone keeps autodiff.pool2d.bwd_s above zero, so a renamed
+    # max_pool record would pass the check above; pin the record names instead
+    model = models.build_model(model_config(TINY, shake=True, seed=0))
+    x = ad.Tensor(np.zeros((1, 1, N_BINS, TINY.crop_frames), dtype=np.float32))
+    with ad.Tape() as tape:
+        model.forward(x, mode="train")
+    names = {rec.name for rec in tape.records}
+    assert {"fa_channel", "max_pool", "shake_combine"} <= names
+    assert names - {"linear", "reshape"} <= set(_VJP_FAMILY) | set(_VJP_KEY)

@@ -99,6 +99,17 @@ class TestMacroPrAuc:
         assert report.ap == [1.0, None] and report.support == [1, 0]
         assert report.macro_pr_auc == 1.0
 
+    def test_report_csv(self):
+        # x: the positive ranks first (AP 1); y: no positive; z: the positive ranks second (AP 1/2)
+        scores = np.array([[0.9, 0.1, 0.3], [0.2, 0.8, 0.6], [0.4, 0.5, 0.7]])
+        labels = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
+        report = macro_pr_auc(*sets(["a", "b", "c"], scores, labels, ["x", "y", "z"]))
+        assert report.as_csv() == ("tag,ap,positives\n"
+                                   "x,1.000000,1\n"
+                                   "y,,0\n"
+                                   "z,0.500000,1\n"
+                                   "macro_pr_auc=0.750000\n")
+
     def test_rejects_id_mismatch(self):
         preds, _ = sets(["a", "b"], np.array([[0.1], [0.2]]), np.array([[1], [0]]))
         other = LabelSet(ids=["a", "c"], tags=preds.tags, labels=np.array([[1], [0]]))

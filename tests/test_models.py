@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from rftag import autodiff as ad
+from rftag import models
 from rftag.autodiff import Tape, Tensor, backward, bce_with_logits
 from rftag.models import (
     ModelConfig,
-    ShakeDraw,
     TemplateConfig,
     build_model,
     config_echo,
@@ -17,10 +17,8 @@ from rftag.models import (
     fa_channel,
     load_model,
     measure_model_rf,
-    parameter_count,
     read_checkpoint,
     save_checkpoint,
-    shake_block,
     shake_combine,
 )
 from rftag.rf import compute_rf
@@ -65,27 +63,26 @@ class TestShake:
         rng = np.random.default_rng(0)
         b1 = Tensor(rng.standard_normal((2, 3)))
         b2 = Tensor(rng.standard_normal((2, 3)))
-        out = shake_combine(b1, b2, ShakeDraw(mode="eval"))
+        out = shake_combine(b1, b2, 0.5, 0.5)
         np.testing.assert_array_equal(out.data, 0.5 * b1.data + (1.0 - 0.5) * b2.data)
 
     def test_eval_identical_branches(self):
         x = Tensor(np.ones((1, 4)))
         g = lambda t: ad.mul(t, Tensor(np.full((1, 4), 2.0)))
-        out = shake_block(x, g, g, ShakeDraw(mode="eval"))
+        out = ad.add(x, shake_combine(g(x), g(x), 0.5, 0.5))
         np.testing.assert_allclose(out.data, x.data + 2.0)
 
     def test_alpha_one_picks_branch1(self):
         b1 = Tensor(np.array([[1.0, 2.0]]))
         b2 = Tensor(np.array([[5.0, 5.0]]))
-        draw = ShakeDraw(alpha=1.0, beta=0.3, mode="train")
-        out = shake_combine(b1, b2, draw)
+        out = shake_combine(b1, b2, 1.0, 0.3)
         np.testing.assert_array_equal(out.data, b1.data * 1.0)
 
     def test_backward_uses_beta(self):
         b1 = Tensor(np.ones((1, 2)), requires_grad=True)
         b2 = Tensor(np.ones((1, 2)), requires_grad=True)
         with Tape():
-            out = shake_combine(b1, b2, ShakeDraw(alpha=0.9, beta=0.2, mode="train"))
+            out = shake_combine(b1, b2, 0.9, 0.2)
             loss = ad.sum_all(out)
         backward(loss)
         np.testing.assert_allclose(b1.grad, 0.2)
@@ -93,8 +90,7 @@ class TestShake:
 
     def test_branch_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            shake_combine(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))),
-                          ShakeDraw(mode="eval"))
+            shake_combine(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3))), 0.5, 0.5)
 
     def test_monte_carlo_mean_matches_eval(self):
         rng = np.random.default_rng(1)
@@ -108,11 +104,25 @@ class TestShake:
         stderr = np.abs(b1 - b2) * np.sqrt(1.0 / 12.0) / np.sqrt(n)
         assert np.all(np.abs(mc_mean - eval_out) <= 3 * stderr + 1e-12)
 
-    def test_draw_validation(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ShakeDraw(alpha=1.4, beta=0.2, mode="train")
-        d = ShakeDraw(alpha=0.9, beta=0.1, mode="eval")
-        assert d.alpha == 0.5 and d.beta == 0.5
+    def test_model_draws_alpha_then_beta_per_block_in_train_only(self, monkeypatch):
+        mixes = []
+
+        def spy(b1, b2, alpha, beta):
+            mixes.append((alpha, beta))
+            return shake_combine(b1, b2, alpha, beta)
+
+        monkeypatch.setattr(models, "shake_combine", spy)
+        cfg = tiny_config(shake_shake=True, seed=4)
+        n_blocks = len(cfg.arch().skips)
+        m = build_model(cfg)
+        before = m.rng_shake.bit_generator.state
+        m.forward(batch(), mode="eval")
+        assert m.rng_shake.bit_generator.state == before
+        assert mixes == [(0.5, 0.5)] * n_blocks
+        mixes.clear()
+        m.forward(batch(), mode="train")
+        ref = np.random.default_rng(cfg.seed + 1)
+        assert mixes == [(float(ref.uniform()), float(ref.uniform())) for _ in range(n_blocks)]
 
 
 class TestBuildModel:
@@ -140,8 +150,11 @@ class TestBuildModel:
     def test_shake_doubles_branch_params(self):
         off = build_model(tiny_config(shake_shake=False))
         on = build_model(tiny_config(shake_shake=True))
-        assert parameter_count(on, ".br") == 2 * parameter_count(off, ".br")
-        assert parameter_count(on, ".proj") == parameter_count(off, ".proj")
+        def count(model, part):
+            return sum(p.size for name, p in model.params.items() if part in name)
+
+        assert count(on, ".br") == 2 * count(off, ".br")
+        assert count(on, ".proj") == count(off, ".proj")
 
     def test_unique_param_names(self):
         m = build_model(tiny_config())
@@ -308,6 +321,48 @@ class TestCheckpoint:
         p.write_bytes(raw[:-len(text) - 4] + struct.pack("<I", len(cut)) + cut)
         with pytest.raises(ValueError, match=re.escape(f"{p}: config echo has no field 'rho'")):
             load_model(p)
+
+    @staticmethod
+    def damaged(tmp_path, entry: bytes, value=None, rename=None):
+        """A tiny checkpoint with ``entry`` renamed, or its first value overwritten."""
+        p = tmp_path / "d.ckpt"
+        save_checkpoint(p, build_model(tiny_config()))
+        raw = bytearray(p.read_bytes())
+        at = raw.index(entry + struct.pack("<I", 1))  # a name followed by rank 1
+        if rename is not None:
+            raw[at:at + len(entry)] = rename
+        else:
+            struct.pack_into("<f", raw, at + len(entry) + 8, value)
+        p.write_bytes(bytes(raw))
+        return p
+
+    def test_renamed_entry_names_path_and_entry(self, tmp_path):
+        p = self.damaged(tmp_path, b"in1.bn.mean", rename=b"in1.bn.meen")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: batchnorm entry 'in1.bn.mean' "
+                                                       "is missing")):
+            load_model(p)
+
+    def test_negative_variance_names_path_and_entry(self, tmp_path):
+        p = self.damaged(tmp_path, b"in1.bn.var", value=-1.0)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: batchnorm entry 'in1.bn.var' "
+                                                       "holds a negative variance")):
+            load_model(p)
+
+    def test_nan_variance_names_path_and_entry(self, tmp_path):
+        p = self.damaged(tmp_path, b"in1.bn.var", value=float("nan"))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: batchnorm entry 'in1.bn.var' "
+                                                       "holds a non-finite value")):
+            load_model(p)
+
+    def test_loaders_want_the_model_entries_and_shapes(self):
+        m = build_model(tiny_config())
+        params, bn = m.state_arrays(), m.bn_arrays()
+        with pytest.raises(ValueError, match=re.escape("parameter entry 'head.bias': shape (4,)")):
+            m.load_state_arrays(dict(params, **{"head.bias": np.zeros(4)}))
+        with pytest.raises(ValueError, match="parameter entry 'extra' is not in the model"):
+            m.load_state_arrays(dict(params, extra=np.zeros(1)))
+        with pytest.raises(ValueError, match="batchnorm entry 'extra.var' is not in the model"):
+            m.load_bn_arrays(dict(bn, **{"extra.var": np.ones(1)}))
 
 
 # A checkpoint of a fixed config and seed, pinned across versions: parameter

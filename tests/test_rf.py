@@ -4,7 +4,6 @@ import pytest
 from rftag.rf import (
     ArchSpec,
     LayerSpec,
-    RhoTemplate,
     apply_rho,
     arch_from_text,
     arch_to_text,
@@ -130,8 +129,8 @@ class TestRhoSizing:
 
     def test_rho_max_is_identity(self):
         tpl = self.template()
-        arch = apply_rho(tpl, tpl.n_adjustable)
-        assert arch_to_text(arch) == arch_to_text(tpl.base)
+        arch = apply_rho(tpl, len(tpl.adjustable_layers()))
+        assert arch_to_text(arch) == arch_to_text(tpl)
 
     def test_rho_zero_all_freq_kernels_one(self):
         tpl = self.template()
@@ -147,28 +146,28 @@ class TestRhoSizing:
     def test_time_axis_untouched_by_default(self):
         tpl = self.template()
         rf_times = {compute_rf(apply_rho(tpl, rho)).rf_time
-                    for rho in range(tpl.n_adjustable + 1)}
+                    for rho in range(len(tpl.adjustable_layers()) + 1)}
         assert len(rf_times) == 1
 
     def test_rho_monotone_in_freq(self):
         tpl = self.template()
         rfs = [compute_rf(apply_rho(tpl, rho)).rf_freq
-               for rho in range(tpl.n_adjustable + 1)]
+               for rho in range(len(tpl.adjustable_layers()) + 1)]
         assert rfs == sorted(rfs)
         assert all(a <= b for a, b in zip(rfs, rfs[1:]))
 
     def test_rho_time_independent(self):
         tpl = self.template()
-        arch = apply_rho(tpl, tpl.n_adjustable, rho_time=0)
+        arch = apply_rho(tpl, len(tpl.adjustable_layers()), rho_time=0)
         report = compute_rf(arch)
-        full = compute_rf(apply_rho(tpl, tpl.n_adjustable))
+        full = compute_rf(apply_rho(tpl, len(tpl.adjustable_layers())))
         assert report.rf_freq == full.rf_freq
         assert report.rf_time < full.rf_time
 
     def test_rho_out_of_range(self):
         tpl = self.template()
         with pytest.raises(ValueError, match="rho"):
-            apply_rho(tpl, tpl.n_adjustable + 1)
+            apply_rho(tpl, len(tpl.adjustable_layers()) + 1)
 
 
 class TestBudgetSearch:
@@ -179,7 +178,7 @@ class TestBudgetSearch:
 
     def test_ceiling_case(self):
         tpl = cp_resnet_template(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8))
-        assert max_rho_for_budget(tpl, 10 ** 9) == tpl.n_adjustable
+        assert max_rho_for_budget(tpl, 10 ** 9) == len(tpl.adjustable_layers())
 
     def test_below_floor_rejected(self):
         tpl = cp_resnet_template(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8))
@@ -190,20 +189,20 @@ class TestBudgetSearch:
     def test_maximality_exhaustive(self):
         tpl = cp_resnet_template(n_stages=3, blocks_per_stage=2, channel_plan=(4, 8, 8))
         rfs = [compute_rf(apply_rho(tpl, rho)).rf_freq
-               for rho in range(tpl.n_adjustable + 1)]
+               for rho in range(len(tpl.adjustable_layers()) + 1)]
         for budget in range(rfs[0], rfs[-1] + 5):
             rho = max_rho_for_budget(tpl, budget)
             assert rfs[rho] <= budget
-            if rho < tpl.n_adjustable:
+            if rho < len(tpl.adjustable_layers()):
                 assert rfs[rho + 1] > budget
 
 
 class TestDefaultTemplate:
     def test_shape_of_default(self):
         tpl = cp_resnet_template()
-        assert tpl.n_adjustable == 24
-        assert tpl.base.channel_plan == (32, 64, 128, 256)
-        kinds = [l.kind for l in tpl.base.layers]
+        assert len(tpl.adjustable_layers()) == 24
+        assert tpl.channel_plan == (32, 64, 128, 256)
+        kinds = [l.kind for l in tpl.layers]
         assert kinds.count("pool") == 2
 
     def test_known_rf_values(self):
@@ -218,8 +217,25 @@ class TestDefaultTemplate:
         from dataclasses import replace
         stripped = ArchSpec(
             layers=[replace(l, padding=(0, 0)) for l in arch.layers],
-            skips=[], input_bins=arch.input_bins)
+            skips=[])
         assert compute_rf(stripped).rf_freq == compute_rf(arch).rf_freq
+
+
+class TestReportTable:
+    def test_default_template_at_rho_zero(self):
+        arch = apply_rho(cp_resnet_template(), 0)
+        report = compute_rf(arch)
+        lines = report.as_table().splitlines()
+        assert lines[0].split() == ["layer", "rf_f", "jump_f", "rf_t", "jump_t"]
+        assert len(lines) == 1 + len(arch.layers) + 1
+        assert len({len(line) for line in lines[:-1]}) == 1  # aligned columns
+        for line, layer, row in zip(lines[1:-1], arch.layers, report.rows):
+            assert line.split() == [layer.name] + [str(v) for v in (row.r_freq, row.j_freq,
+                                                                    row.r_time, row.j_time)]
+        assert lines[1].split() == ["in1", "3", "2", "3", "2"]
+        assert lines[-1] == (f"final receptive field: freq={report.rf_freq} "
+                             f"time={report.rf_time}")
+        assert lines[-1] == "final receptive field: freq=13 time=349"
 
 
 class TestArchText:
@@ -233,10 +249,10 @@ class TestArchText:
 
     def test_parse_error_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            arch_from_text("input_bins 256\nnot a valid layer line at all extra\n")
+            arch_from_text("channels 32\nnot a valid layer line at all extra\n")
 
     def test_marker_kind_names_line(self):
-        text = "input_bins 32\nc1 conv 3,3 1,1 1,1 0\nb1 block_entry 1,1 1,1 0,0 0\n"
+        text = "channels 32\nc1 conv 3,3 1,1 1,1 0\nb1 block_entry 1,1 1,1 0,0 0\n"
         with pytest.raises(ValueError, match=r"line 3: .*unknown kind 'block_entry'"):
             arch_from_text(text)
 

@@ -5,13 +5,13 @@ import pytest
 
 from rftag import autodiff as ad
 from rftag.autodiff import AdamState, Tape, Tensor, adam_step, backward, bce_with_logits
+from rftag.inference import crop_window
 from rftag.models import ModelConfig, TemplateConfig, build_model
 from rftag.training import (
     METRICS_HEADER,
     SWAState,
     TaggedClip,
     TrainConfig,
-    crop_or_pad,
     lr_at,
     mixup_batch,
     normalization_stats,
@@ -168,29 +168,29 @@ class TestSWA:
 class TestCrop:
     def test_exact_length_identity(self):
         v = np.arange(12, dtype=np.float32).reshape(3, 4)
-        out = crop_or_pad(v, 4, mode="center")
-        assert out.shape == (1, 1, 3, 4)
-        np.testing.assert_array_equal(out.data[0, 0], v)
+        out = crop_window(v, 4, mode="center")
+        assert out.shape == (3, 4)
+        np.testing.assert_array_equal(out, v)
 
     def test_center_of_double_length(self):
         v = np.arange(8, dtype=np.float32)[None, :].repeat(2, axis=0)
-        out = crop_or_pad(v, 4, mode="center")
-        np.testing.assert_array_equal(out.data[0, 0, 0], [2, 3, 4, 5])
+        out = crop_window(v, 4, mode="center")
+        np.testing.assert_array_equal(out[0], [2, 3, 4, 5])
 
     def test_short_input_tiled(self):
         v = np.array([[1.0, 2.0]], dtype=np.float32)
-        out = crop_or_pad(v, 5, mode="center")
-        assert out.shape == (1, 1, 1, 5)
-        np.testing.assert_array_equal(out.data[0, 0, 0], [1, 2, 1, 2, 1])
+        out = crop_window(v, 5, mode="center")
+        assert out.shape == (1, 5)
+        np.testing.assert_array_equal(out[0], [1, 2, 1, 2, 1])
 
     def test_random_needs_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            crop_or_pad(np.zeros((2, 8)), 4, mode="random")
+            crop_window(np.zeros((2, 8)), 4, mode="random")
 
     def test_random_offsets_within_range(self):
         rng = np.random.default_rng(7)
         v = np.arange(16, dtype=np.float32)[None, :]
-        firsts = {crop_or_pad(v, 4, rng, mode="random").data[0, 0, 0, 0] for _ in range(50)}
+        firsts = {crop_window(v, 4, rng, mode="random")[0, 0] for _ in range(50)}
         assert firsts <= set(np.arange(13.0))
         assert len(firsts) > 3
 
