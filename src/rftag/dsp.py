@@ -270,7 +270,7 @@ def logmel(clip: AudioClip, hop: int = 512, filterbank: MelFilterbank = None,
     flagged via ``padded``.
     """
     if filterbank is None:
-        filterbank = mel_filterbank(n_fft=window)
+        filterbank = mel_filterbank(n_fft=window, sr=clip.sample_rate)
     samples = clip.samples
     padded = False
     if len(samples) < window:

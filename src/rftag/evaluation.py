@@ -23,6 +23,7 @@ sets list the same ids and the same tags.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,15 +31,16 @@ from typing import Optional
 
 import numpy as np
 
-from .inference import ClipError, predict_scores
-from .models import load_model
+from .inference import clip_problem, predict_scores
+from .models import Model, load_model
 
 
 def _check_table(ids: list, tags: list, matrix: np.ndarray, what: str) -> None:
-    """Unique track ids and a ``len(ids) x len(tags)`` matrix."""
-    if len(set(ids)) != len(ids):
-        dup = next(tid for tid, n in Counter(ids).items() if n > 1)
-        raise ValueError(f"track ids must be unique; {dup!r} repeats")
+    """Unique track ids, unique tag names and a ``len(ids) x len(tags)`` matrix."""
+    for kind, names in (("track ids", ids), ("tag names", tags)):
+        if len(set(names)) != len(names):
+            dup = next(name for name, n in Counter(names).items() if n > 1)
+            raise ValueError(f"{kind} must be unique; {dup!r} repeats")
     if np.shape(matrix) != (len(ids), len(tags)):
         raise ValueError(f"{what} shape {np.shape(matrix)} does not match "
                          f"{len(ids)} ids x {len(tags)} tags")
@@ -188,27 +190,49 @@ def ensemble_average(members: list) -> PredictionSet:
                          scores=acc / len(members), provenance=provenance)
 
 
+def _run_metadata(path, echo: dict, model: Model) -> tuple:
+    """(crop_frames, norm_mean, norm_std, tags) that training wrote into a
+    checkpoint's echo; a missing or unusable field is named with the path."""
+    def read(key, parse, usable, need):
+        if key not in echo:
+            raise ValueError(f"{path}: run metadata has no field {key!r}")
+        try:
+            value = parse(echo[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: run metadata field {key!r}: {exc}") from None
+        if not usable(value):
+            raise ValueError(f"{path}: run metadata field {key!r} {need}, got {echo[key]!r}")
+        return value
+
+    frames = model.min_frames()
+    return (read("crop_frames", int, lambda v: v >= frames,
+                 f"must be >= the model's {frames} frames"),
+            read("norm_mean", float, math.isfinite, "must be finite"),
+            read("norm_std", float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+            read("tags", lambda text: text.split(","), lambda v: len(v) == model.config.n_tags,
+                 f"must name the model's {model.config.n_tags} tags"))
+
+
 def snapshot_ensemble(artifacts, clips, batch_size: int = 8) -> PredictionSet:
     """Predictions averaged over best-val plus up to the 4 most recent SWA models.
 
     ``artifacts`` is a training RunArtifacts; ``clips`` a list of TaggedClip.
-    Each member predicts with sliding windows; members' score sets are then
-    averaged.  Fewer than 4 SWA checkpoints is allowed and recorded in the
-    provenance.
+    Every clip is checked before any member runs, and each member's run
+    metadata before that member runs.  Each member predicts with sliding
+    windows; members' score sets are then averaged.  Fewer than 4 SWA
+    checkpoints is allowed and recorded in the provenance.
     """
+    for i, clip in enumerate(clips):
+        problem = clip_problem(clip.values)
+        if problem:
+            raise ValueError(f"track {clip.track_id!r}: clip {i} {problem}")
     paths = [artifacts.best_path] + list(artifacts.swa_paths[-4:])
     members = []
     for path in paths:
         model, echo = load_model(path)
-        try:
-            scores = predict_scores(model, [c.values for c in clips],
-                                    crop_frames=int(echo["crop_frames"]),
-                                    norm_mean=float(echo["norm_mean"]),
-                                    norm_std=float(echo["norm_std"]),
-                                    mode="windows", batch_size=batch_size)
-        except ClipError as exc:
-            raise ValueError(f"track {clips[exc.index].track_id!r}: {exc}") from None
-        tags = echo["tags"].split(",")
+        crop_frames, norm_mean, norm_std, tags = _run_metadata(path, echo, model)
+        scores = predict_scores(model, [c.values for c in clips], crop_frames, norm_mean,
+                                norm_std, mode="windows", batch_size=batch_size)
         members.append(PredictionSet(ids=[c.track_id for c in clips], tags=tags,
                                      scores=scores, provenance=[str(path)]))
     return ensemble_average(members)

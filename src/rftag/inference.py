@@ -75,14 +75,6 @@ def normalized_batch(windows: list, mean: float, std: float) -> np.ndarray:
     return ((x - mean) / std).astype(ad.DEFAULT_DTYPE, copy=False)
 
 
-class ClipError(ValueError):
-    """A clip ``predict_scores`` refuses; ``index`` is its position in the list."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
 def predict_scores(model: Model, values_list: list, crop_frames: int,
                    norm_mean: float, norm_std: float,
                    mode: str = "windows", batch_size: int = 8) -> np.ndarray:
@@ -90,7 +82,7 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
 
     mode "windows": mean of sliding-window scores; mode "center": one central
     crop per clip (the fast path used for per-epoch validation).  A clip
-    with 0 frames or holding NaN or inf raises ``ClipError`` naming its
+    with 0 frames or holding NaN or inf raises a ValueError naming its
     index before any forward runs.
     """
     if mode not in ("windows", "center"):
@@ -101,7 +93,7 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
     for i, values in enumerate(values_list):
         problem = clip_problem(values)
         if problem:
-            raise ClipError(i, f"clip {i} {problem}")
+            raise ValueError(f"clip {i} {problem}")
         if mode == "center":
             windows = [crop_window(values, crop_frames)]
         else:

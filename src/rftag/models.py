@@ -6,7 +6,7 @@ walking the arch's layers and skips once:
 
 - a conv layer becomes conv + batchnorm with the layer's kernel, stride and
   padding, followed by relu unless it ends a residual block;
-- a pool layer becomes a pool with the layer's window;
+- a pool layer becomes a max pool with the layer's window;
 - a skip ``(src, dst)`` becomes one residual block: its branch is the layers
   after ``src`` up to and including ``dst``, its residual is the output of
   ``src`` (through a 1x1 conv + bn projection where the width changes).
@@ -29,7 +29,7 @@ logit per tag.  Sigmoid lives downstream in the loss / evaluation layers.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .rf import ArchSpec, LayerSpec, apply_rho, connectivity_rf, cp_resnet_template
+from .rf import ArchSpec, LayerSpec, apply_rho, cp_resnet_template
 
 CKPT_MAGIC = b"RFCKPT01"
 
@@ -116,8 +116,9 @@ def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float) -> Tensor:
 # layers
 # ---------------------------------------------------------------------------
 #
-# Every step is called as step(x, mode, pool_kind) and looks its ops up through
-# the module attributes at call time.
+# Every step is called as step(x, mode) and looks its ops up through the
+# module attributes at call time, so a caller can rebind ``ad.pool2d`` or
+# ``shake_combine`` around a forward to observe or substitute an op.
 
 
 class _Conv:
@@ -136,7 +137,7 @@ class _Conv:
         self.beta = model.add_param(f"{name}.bn.beta", np.zeros(c_out))
         self.state = model.add_bn_state(f"{name}.bn", c_out)
 
-    def __call__(self, x: Tensor, mode: str, pool_kind: str) -> Tensor:
+    def __call__(self, x: Tensor, mode: str) -> Tensor:
         if self.fa:
             x = fa_channel(x)
         x = ad.conv2d(x, self.weight, None, stride=self.stride, padding=self.padding)
@@ -148,8 +149,8 @@ class _Pool:
     def __init__(self, layer: LayerSpec):
         self.kernel, self.stride = layer.kernel, layer.stride
 
-    def __call__(self, x: Tensor, mode: str, pool_kind: str) -> Tensor:
-        return ad.pool2d(x, pool_kind, kernel=self.kernel, stride=self.stride)
+    def __call__(self, x: Tensor, mode: str) -> Tensor:
+        return ad.pool2d(x, "max", kernel=self.kernel, stride=self.stride)
 
 
 def _layer(model: "Model", name: str, layer: LayerSpec, c_in: int, c_out: int,
@@ -160,9 +161,9 @@ def _layer(model: "Model", name: str, layer: LayerSpec, c_in: int, c_out: int,
     return _Pool(layer), c_in
 
 
-def _run(steps: list, x: Tensor, mode: str, pool_kind: str) -> Tensor:
+def _run(steps: list, x: Tensor, mode: str) -> Tensor:
     for step in steps:
-        x = step(x, mode, pool_kind)
+        x = step(x, mode)
     return x
 
 
@@ -188,9 +189,9 @@ class _Block:
             self.proj = _Conv(model, f"{name}.proj", LayerSpec("proj", "conv"),
                               c_in, c_out, relu=False)
 
-    def __call__(self, x: Tensor, mode: str, pool_kind: str) -> Tensor:
-        residual = x if self.proj is None else self.proj(x, mode, pool_kind)
-        out = [_run(steps, x, mode, pool_kind) for steps in self.branches]
+    def __call__(self, x: Tensor, mode: str) -> Tensor:
+        residual = x if self.proj is None else self.proj(x, mode)
+        out = [_run(steps, x, mode) for steps in self.branches]
         if len(out) == 2:
             train = mode == "train"
             alpha = float(self.rng.uniform()) if train else 0.5
@@ -276,8 +277,7 @@ class Model:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_features(self, x: Tensor, mode: str = "eval",
-                         pool_override: Optional[str] = None) -> Tensor:
+    def forward_features(self, x: Tensor, mode: str = "eval") -> Tensor:
         """Trunk feature map before global pooling."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -289,7 +289,7 @@ class Model:
         if x.shape[3] < need:
             raise ValueError(f"input has {x.shape[3]} frames but the stride plan "
                              f"needs at least {need}")
-        return _run(self.trunk, x, mode, pool_override or "max")
+        return _run(self.trunk, x, mode)
 
     def forward(self, x: Tensor, mode: str = "eval") -> Tensor:
         """Logits [N, n_tags]."""
@@ -348,28 +348,6 @@ def build_model(config: ModelConfig) -> Model:
     return Model(config)
 
 
-def measure_model_rf(config: ModelConfig) -> tuple[int, int]:
-    """Empirical (freq, time) RF of the built model, by ``rf.connectivity_rf``.
-
-    The probe is the model rebuilt for the probe input's bins with
-    all-positive weights, zero biases, identity BN statistics and average
-    pooling (a max window's influence set is its whole window).
-    """
-
-    def probe(x: Tensor) -> Tensor:
-        model = build_model(replace(config, input_bins=x.shape[2]))
-        for name, p in model.params.items():
-            if name.endswith(".bias") or name.endswith(".beta"):
-                p.data = np.zeros_like(p.data)
-            elif name.endswith(".gamma"):
-                p.data = np.ones_like(p.data)
-            else:
-                p.data = np.full_like(p.data, 0.1)
-        return model.forward_features(x, mode="eval", pool_override="avg")
-
-    return connectivity_rf(config.arch(), probe)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -423,11 +401,17 @@ def _echo_text(value) -> str:
     return str(value)
 
 
+def _echo_bool(text: str) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError(f"expected True or False, got {text!r}")
+    return text == "True"
+
+
 # annotation of a config field -> parser of its echo text
 _ECHO_PARSERS = {
     "int": int,
     "Optional[int]": lambda text: None if text == "none" else int(text),
-    "bool": lambda text: text == "True",
+    "bool": _echo_bool,
     "tuple": lambda text: tuple(int(v) for v in text.split(",")),
 }
 
@@ -457,7 +441,10 @@ def config_from_echo(echo: dict) -> ModelConfig:
         if key not in echo:
             raise ValueError(f"config echo has no field {key!r}")
         owner = template if key.startswith("template.") else top
-        owner[f.name] = _ECHO_PARSERS[f.type](echo[key])
+        try:
+            owner[f.name] = _ECHO_PARSERS[f.type](echo[key])
+        except ValueError as exc:
+            raise ValueError(f"config echo field {key!r}: {exc}") from None
     return ModelConfig(template=TemplateConfig(**template), **top)
 
 
@@ -480,14 +467,14 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
     try:
         params, pos = _unpack_entries(raw, 8, "parameter")
         bn, pos = _unpack_entries(raw, pos, "batchnorm")
+        elen = struct.unpack_from("<I", raw, pos)[0] if len(raw) >= pos + 4 else -1
+        if not 0 <= elen <= len(raw) - pos - 4:
+            raise ValueError("truncated at the config echo")
+        text = raw[pos + 4:pos + 4 + elen].decode("utf-8")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    elen = struct.unpack_from("<I", raw, pos)[0] if len(raw) >= pos + 4 else -1
-    if not 0 <= elen <= len(raw) - pos - 4:
-        raise ValueError(f"{path}: truncated at the config echo")
-    pos += 4
     echo = {}
-    for line in raw[pos:pos + elen].decode("utf-8").splitlines():
+    for line in text.splitlines():
         if line:
             k, _, v = line.partition("=")
             echo[k] = v

@@ -4,19 +4,16 @@ Tracks, per axis (frequency f, time t), the receptive field r and the jump j
 (product of strides) through a chain of layers with optional residual skip
 edges: r_n = r_{n-1} + (k_n - 1) * j_{n-1}, j_n = j_{n-1} * s_n, seeded at
 r = j = 1.  Residual merges take the elementwise maximum over incoming
-paths.
-
-``connectivity_rf`` is the one empirical check of the calculus: it measures
-gradient connectivity through any forward that realizes an architecture.
-``empirical_rf`` probes a single-channel instantiation of the arch with it,
-and ``models.measure_model_rf`` probes the built model.
+paths.  The calculus is plain Python; its empirical check, gradient
+connectivity through an engine-built arch, lives with the test oracles.
 
 An ``ArchSpec`` is the one description of an architecture: the layer
 chain, the skips and the channel plan.  ``cp_resnet_template`` returns the
 CP-ResNet's arch at full rho, and ``apply_rho`` realizes receptive-field
 regularization on any arch: of its ordered adjustable conv slots, the
 first rho keep frequency-kernel 3 and the rest drop to 1, which caps how
-far the frequency RF can grow.  The input width is not part of an arch
+far the frequency RF can grow.  Only a conv can be adjustable, so every
+adjustable layer is a rho slot.  The input width is not part of an arch
 (the calculus does not depend on it); ``models.ModelConfig.input_bins``
 records it for a built model.
 """
@@ -24,12 +21,7 @@ records it for a built model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, Optional
-
-import numpy as np
-
-from . import autodiff as ad
+from typing import Optional
 
 LAYER_KINDS = ("conv", "pool")
 
@@ -50,6 +42,8 @@ class LayerSpec:
             raise ValueError(f"layer {self.name}: unknown kind {self.kind!r}")
         if min(self.kernel) < 1 or min(self.stride) < 1:
             raise ValueError(f"layer {self.name}: kernel and stride must be >= 1 per axis")
+        if self.adjustable and self.kind != "conv":
+            raise ValueError(f"layer {self.name}: only a conv can be adjustable, not a {self.kind}")
 
 
 @dataclass
@@ -142,84 +136,6 @@ def compute_rf(arch: ArchSpec) -> RFReport:
 
 
 # ---------------------------------------------------------------------------
-# gradient-connectivity oracle
-# ---------------------------------------------------------------------------
-
-
-def connectivity_rf(arch: ArchSpec, forward: Callable,
-                    input_extents: Optional[tuple] = None) -> tuple[int, int]:
-    """(freq, time) receptive field of ``forward``, measured as gradient connectivity.
-
-    ``forward`` realizes ``arch``: it maps an all-ones input [1, 1, F, T] to an
-    output [1, C, F', T'].  The input positions with nonzero gradient from
-    the central output position (all channels) give the extent per axis.
-    The default input is the analytic receptive field plus a margin of two
-    output strides and 4 per axis.  When the support touches the input
-    border the central unit was not interior, so the input grows by half and
-    the measurement repeats.
-    """
-    report = compute_rf(arch)
-    if input_extents is None:
-        last = report.rows[-1]
-        input_extents = (report.rf_freq + 2 * last.j_freq + 4,
-                         report.rf_time + 2 * last.j_time + 4)
-    fext, text = input_extents
-    if fext <= report.rf_freq or text <= report.rf_time:
-        raise ValueError(
-            f"input {input_extents} too small: must be strictly larger than the analytic "
-            f"receptive field ({report.rf_freq}, {report.rf_time})")
-    while True:
-        x = ad.Tensor(np.ones((1, 1, fext, text), dtype=np.float64), requires_grad=True)
-        with ad.Tape():
-            out = forward(x)
-            mask = np.zeros(out.shape, dtype=out.dtype)
-            mask[0, :, out.shape[2] // 2, out.shape[3] // 2] = 1.0
-            loss = ad.sum_all(ad.mul(out, ad.Tensor(mask)))
-        ad.backward(loss)
-        grad = np.abs(x.grad[0, 0])
-        f_hit = np.flatnonzero(grad.sum(axis=1) > 0)
-        t_hit = np.flatnonzero(grad.sum(axis=0) > 0)
-        if 0 < f_hit[0] and f_hit[-1] < fext - 1 and 0 < t_hit[0] and t_hit[-1] < text - 1:
-            return int(f_hit[-1] - f_hit[0] + 1), int(t_hit[-1] - t_hit[0] + 1)
-        fext, text = fext + fext // 2, text + text // 2
-
-
-def empirical_rf(arch: ArchSpec, axis: str, input_extents: Optional[tuple] = None) -> int:
-    """Receptive field along ``axis`` measured by ``connectivity_rf``.
-
-    The probe builds the architecture with single-channel convs, all-one
-    weights and no nonlinearity.  Pools are instantiated as average pools:
-    any element of a max window can influence the output under perturbation,
-    so the avg backward measures the true influence set that a single max
-    subgradient undercounts.  Pool padding is ignored (padding shifts
-    extents, never connectivity span).
-    """
-    if axis not in ("freq", "time"):
-        raise ValueError(f"axis must be 'freq' or 'time', got {axis!r}")
-    rf_freq, rf_time = connectivity_rf(arch, partial(_unit_forward, arch), input_extents)
-    return rf_freq if axis == "freq" else rf_time
-
-
-def _unit_forward(arch: ArchSpec, x: ad.Tensor) -> ad.Tensor:
-    skips_into: dict[str, list[str]] = {}
-    for src, dst in arch.skips:
-        skips_into.setdefault(dst, []).append(src)
-    outputs: dict[str, ad.Tensor] = {}
-    cur = x
-    for layer in arch.layers:
-        if layer.kind == "conv":
-            kf, kt = layer.kernel
-            w = ad.Tensor(np.ones((1, 1, kf, kt), dtype=np.float64))
-            cur = ad.conv2d(cur, w, stride=layer.stride, padding=layer.padding)
-        else:
-            cur = ad.pool2d(cur, "avg", kernel=layer.kernel, stride=layer.stride)
-        for src in skips_into.get(layer.name, ()):
-            cur = ad.add(cur, outputs[src])
-        outputs[layer.name] = cur
-    return cur
-
-
-# ---------------------------------------------------------------------------
 # rho sizing
 # ---------------------------------------------------------------------------
 
@@ -240,7 +156,7 @@ def apply_rho(arch: ArchSpec, rho: int, rho_time: Optional[int] = None) -> ArchS
     new_layers = []
     slot = 0
     for layer in arch.layers:
-        if layer.adjustable and layer.kind == "conv":
+        if layer.adjustable:
             kf = 3 if slot < rho else 1
             kt = layer.kernel[1] if rho_time is None else (3 if slot < rho_time else 1)
             new_layers.append(replace(layer,

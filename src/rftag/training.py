@@ -53,6 +53,9 @@ class TrainConfig:
                 f"{self.decay_epochs}+{self.tail_epochs} != total_epochs {self.total_epochs}")
         if not (self.lr_peak > self.lr_final > 0):
             raise ValueError(f"need lr_peak > lr_final > 0, got {self.lr_peak}, {self.lr_final}")
+        for name in ("batch_size", "crop_frames", "swa_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def scaled(self, total: int) -> "TrainConfig":
         """Shrink the schedule proportionally to a reduced epoch count."""
@@ -240,6 +243,9 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     """
     if not train_clips or not val_clips:
         raise ValueError("training and validation splits must be non-empty")
+    for tag in tags:
+        if "," in tag:
+            raise ValueError(f"tag {tag!r} contains ',', which separates tags in a checkpoint")
     for split, clips in (("training", train_clips), ("validation", val_clips)):
         for clip in clips:
             problem = clip_problem(clip.values)

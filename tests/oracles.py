@@ -1,10 +1,21 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive (loops, enumeration, finite
-differences) and shares no code with the implementations it checks.
+differences).  The numeric oracles share no code with the implementations
+they check.  The receptive-field probes (``connectivity_rf``,
+``empirical_rf``, ``measure_model_rf``) realize an arch with the engine and
+size their input from ``rf.compute_rf``, so only their verdict, the span of
+nonzero input gradient, is independent of the calculus they check.
 """
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
+
+from rftag import autodiff as ad
+from rftag.models import build_model
+from rftag.rf import compute_rf
 
 
 def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0)):
@@ -149,3 +160,95 @@ def chain_receptive_field(layers):
         r = r + (k - 1) * j
         j = j * s
     return r, j
+
+
+def connectivity_rf(arch, forward):
+    """(freq, time) receptive field of ``forward``, measured as gradient connectivity.
+
+    ``forward`` realizes ``arch``: it maps an all-ones input [1, 1, F, T] to an
+    output [1, C, F', T'].  The input positions with nonzero gradient from
+    the central output position (all channels) give the extent per axis.
+    The input is the analytic receptive field plus a margin of two output
+    strides and 4 per axis.  When the support touches the input border the
+    central unit was not interior, so the input grows by half and the
+    measurement repeats.
+    """
+    report = compute_rf(arch)
+    last = report.rows[-1]
+    fext = report.rf_freq + 2 * last.j_freq + 4
+    text = report.rf_time + 2 * last.j_time + 4
+    while True:
+        x = ad.Tensor(np.ones((1, 1, fext, text), dtype=np.float64), requires_grad=True)
+        with ad.Tape():
+            out = forward(x)
+            mask = np.zeros(out.shape, dtype=out.dtype)
+            mask[0, :, out.shape[2] // 2, out.shape[3] // 2] = 1.0
+            loss = ad.sum_all(ad.mul(out, ad.Tensor(mask)))
+        ad.backward(loss)
+        grad = np.abs(x.grad[0, 0])
+        f_hit = np.flatnonzero(grad.sum(axis=1) > 0)
+        t_hit = np.flatnonzero(grad.sum(axis=0) > 0)
+        if 0 < f_hit[0] and f_hit[-1] < fext - 1 and 0 < t_hit[0] and t_hit[-1] < text - 1:
+            return int(f_hit[-1] - f_hit[0] + 1), int(t_hit[-1] - t_hit[0] + 1)
+        fext, text = fext + fext // 2, text + text // 2
+
+
+def empirical_rf(arch):
+    """(freq, time) receptive field of a unit instantiation of ``arch``.
+
+    The probe builds the architecture with single-channel convs, all-one
+    weights and no nonlinearity.  Pools are instantiated as average pools:
+    any element of a max window can influence the output under perturbation,
+    so the avg backward measures the true influence set that a single max
+    subgradient undercounts.  Pool padding is ignored (padding shifts
+    extents, never connectivity span).
+    """
+    return connectivity_rf(arch, partial(_unit_forward, arch))
+
+
+def _unit_forward(arch, x):
+    skips_into = {}
+    for src, dst in arch.skips:
+        skips_into.setdefault(dst, []).append(src)
+    outputs = {}
+    cur = x
+    for layer in arch.layers:
+        if layer.kind == "conv":
+            kf, kt = layer.kernel
+            w = ad.Tensor(np.ones((1, 1, kf, kt), dtype=np.float64))
+            cur = ad.conv2d(cur, w, stride=layer.stride, padding=layer.padding)
+        else:
+            cur = ad.pool2d(cur, "avg", kernel=layer.kernel, stride=layer.stride)
+        for src in skips_into.get(layer.name, ()):
+            cur = ad.add(cur, outputs[src])
+        outputs[layer.name] = cur
+    return cur
+
+
+def measure_model_rf(config):
+    """(freq, time) receptive field of the built model, by ``connectivity_rf``.
+
+    The probe is the model rebuilt for the probe input's bins with
+    all-positive weights, zero biases and identity BN statistics.  Its max
+    pools run as average pools (a max window's influence set is its whole
+    window): ``ad.pool2d`` is rebound for the measurement, which the model's
+    steps see because they look it up at call time.
+    """
+
+    def probe(x):
+        model = build_model(replace(config, input_bins=x.shape[2]))
+        for name, p in model.params.items():
+            if name.endswith(".bias") or name.endswith(".beta"):
+                p.data = np.zeros_like(p.data)
+            elif name.endswith(".gamma"):
+                p.data = np.ones_like(p.data)
+            else:
+                p.data = np.full_like(p.data, 0.1)
+        return model.forward_features(x, mode="eval")
+
+    pool2d = ad.pool2d
+    ad.pool2d = lambda x, kind, **window: pool2d(x, "avg", **window)
+    try:
+        return connectivity_rf(config.arch(), probe)
+    finally:
+        ad.pool2d = pool2d

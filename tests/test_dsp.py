@@ -275,6 +275,14 @@ class TestLogmel:
         b = logmel(AudioClip(x.copy()), hop=512, filterbank=fb)
         assert np.array_equal(a.values, b.values)
 
+    def test_default_filterbank_uses_the_clip_rate(self):
+        rng = np.random.default_rng(9)
+        clip = AudioClip(rng.standard_normal(8192) * 0.1, sample_rate=22050)
+        weighted = stft_power(clip) * a_weight_power_multipliers(sr=22050)[:, None]
+        db = 10.0 * np.log10(mel_filterbank(sr=22050).matrix @ weighted + dsp.POWER_FLOOR)
+        want = np.clip(db - db.max(), dsp.DB_CLIP, None).astype(np.float32)
+        assert np.array_equal(logmel(clip, hop=512).values, want)
+
     def test_aweight_bin0_copies_bin1(self):
         w = a_weight_power_multipliers()
         assert w[0] == w[1]

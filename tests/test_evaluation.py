@@ -128,6 +128,10 @@ class TestLabelSet:
         with pytest.raises(ValueError, match="'a' repeats"):
             LabelSet(ids=["a", "b", "a"], tags=["x"], labels=np.array([[1], [0], [0]]))
 
+    def test_duplicate_tag_rejected(self):
+        with pytest.raises(ValueError, match="tag names must be unique; 'x' repeats"):
+            LabelSet(ids=["a", "b"], tags=["x", "y", "x"], labels=np.zeros((2, 3)))
+
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             LabelSet(ids=["a", "b"], tags=["x", "y"], labels=np.array([[1], [0]]))
@@ -255,6 +259,12 @@ class TestFiles:
         path = tmp_path / "bad.tsv"
         path.write_text("track_id\tx\ty\na\t0.1\t0.2\nb\t0.3\toops\n")
         with pytest.raises(ValueError, match=r"bad\.tsv:3: column 'y'"):
+            load_predictions(path)
+
+    def test_repeated_tag_names_file_and_tag(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("track_id\tx\ty\tx\na\t0.1\t0.2\t0.3\n")
+        with pytest.raises(ValueError, match=r"dup\.tsv: tag names must be unique; 'x' repeats"):
             load_predictions(path)
 
     def test_nan_cell_names_file_track_and_tag(self, tmp_path):

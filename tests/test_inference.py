@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
+from rftag import evaluation
 from rftag.evaluation import snapshot_ensemble
 from rftag.inference import crop_window, predict_scores, tile_to_length, window_starts
 from rftag.models import ModelConfig, TemplateConfig, build_model, save_checkpoint
@@ -124,3 +127,42 @@ class TestNonFiniteClips:
         artifacts = SimpleNamespace(best_path=path, swa_paths=[])
         with pytest.raises(ValueError, match=r"track 'bad-track': clip 1 holds a non-finite"):
             snapshot_ensemble(artifacts, clips)
+
+
+class TestRunMetadata:
+    RUN = dict(crop_frames=CROP, norm_mean=-40.0, norm_std=1.0, tags="a,b,c")
+
+    @pytest.mark.parametrize("run,message", [
+        ({}, "run metadata has no field 'crop_frames'"),
+        (dict(RUN, crop_frames="x"), "run metadata field 'crop_frames': invalid literal"),
+        (dict(RUN, crop_frames=1), "run metadata field 'crop_frames' must be >= the model's 3 "
+                                   "frames, got '1'"),
+        (dict(RUN, tags="a,b"), "run metadata field 'tags' must name the model's 3 tags, "
+                                "got 'a,b'"),
+        (dict(RUN, norm_std=0.0), "run metadata field 'norm_std' must be finite and > 0, "
+                                  "got '0.0'"),
+        (dict(RUN, norm_mean="nan"), "run metadata field 'norm_mean' must be finite"),
+    ], ids=["missing", "crop", "short", "tags", "std", "mean"])
+    def test_bad_member_fails_before_any_model_runs(self, model, tmp_path, monkeypatch,
+                                                    run, message):
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        save_checkpoint(good, model, extra=self.RUN)
+        save_checkpoint(bad, model, extra=run)
+        runs = []
+        monkeypatch.setattr(evaluation, "predict_scores", lambda *a, **k: runs.append(a))
+        clips = [TaggedClip("ok", clip(CROP), np.zeros(3))]
+        with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
+            snapshot_ensemble(SimpleNamespace(best_path=bad, swa_paths=[good]), clips)
+        assert runs == []
+
+    def test_bad_clip_fails_before_any_model_runs(self, model, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, model, extra=self.RUN)
+        runs = []
+        monkeypatch.setattr(evaluation, "predict_scores", lambda *a, **k: runs.append(a))
+        poisoned = clip(CROP)
+        poisoned[1, 2] = np.inf
+        clips = [TaggedClip("ok", clip(CROP), np.zeros(3)), TaggedClip("bad", poisoned, np.zeros(3))]
+        with pytest.raises(ValueError, match=r"track 'bad': clip 1 holds a non-finite value inf"):
+            snapshot_ensemble(SimpleNamespace(best_path=path, swa_paths=[]), clips)
+        assert runs == []

@@ -16,12 +16,13 @@ from rftag.models import (
     config_from_echo,
     fa_channel,
     load_model,
-    measure_model_rf,
     read_checkpoint,
     save_checkpoint,
     shake_combine,
 )
 from rftag.rf import compute_rf
+
+from oracles import measure_model_rf
 
 
 def tiny_config(**kw):
@@ -320,6 +321,21 @@ class TestCheckpoint:
         cut = "\n".join(f"{k}={v}" for k, v in sorted(echo.items())).encode()
         p.write_bytes(raw[:-len(text) - 4] + struct.pack("<I", len(cut)) + cut)
         with pytest.raises(ValueError, match=re.escape(f"{p}: config echo has no field 'rho'")):
+            load_model(p)
+
+    @pytest.mark.parametrize("old,new,message", [
+        (b"rho=2", b"rho=x", "config echo field 'rho': invalid literal for int()"),
+        (b"frequency_aware=False", b"frequency_aware=Fakse",
+         "config echo field 'frequency_aware': expected True or False, got 'Fakse'"),
+        (b"rho=2", b"rho=\xff", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["int", "bool", "utf8"])
+    def test_bad_echo_value_names_path_and_field(self, tmp_path, old, new, message):
+        p = tmp_path / "v.ckpt"
+        save_checkpoint(p, build_model(tiny_config()))
+        raw = p.read_bytes()
+        assert raw.count(old) == 1 and len(new) == len(old)
+        p.write_bytes(raw.replace(old, new))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             load_model(p)
 
     @staticmethod

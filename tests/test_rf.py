@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rftag
 from rftag.rf import (
     ArchSpec,
     LayerSpec,
@@ -9,11 +15,10 @@ from rftag.rf import (
     arch_to_text,
     compute_rf,
     cp_resnet_template,
-    empirical_rf,
     max_rho_for_budget,
 )
 
-from oracles import chain_receptive_field
+from oracles import chain_receptive_field, empirical_rf
 
 
 def conv(name, k, s=1, p=0, adjustable=False):
@@ -32,14 +37,13 @@ class TestComputeRf:
     def test_two_stacked_3x3(self):
         report = compute_rf(chain(conv("c1", 3), conv("c2", 3)))
         assert (report.rf_freq, report.rf_time) == (5, 5)
-        assert empirical_rf(chain(conv("c1", 3), conv("c2", 3)), "freq") == 5
+        assert empirical_rf(chain(conv("c1", 3), conv("c2", 3))) == (5, 5)
 
     def test_strided_then_plain(self):
         arch = chain(conv("c1", 5, s=2), conv("c2", 3))
         report = compute_rf(arch)
         assert report.rf_freq == 5 + (3 - 1) * 2 == 9
-        assert empirical_rf(arch, "freq") == 9
-        assert empirical_rf(arch, "time") == 9
+        assert empirical_rf(arch) == (9, 9)
 
     def test_matches_chain_recurrence_oracle(self):
         rng = np.random.default_rng(0)
@@ -76,7 +80,7 @@ class TestComputeRf:
 
 class TestEmpiricalRf:
     def test_single_conv(self):
-        assert empirical_rf(chain(conv("c", 3)), "freq") == 3
+        assert empirical_rf(chain(conv("c", 3))) == (3, 3)
 
     def test_random_architectures_match_analytic(self):
         rng = np.random.default_rng(1)
@@ -95,29 +99,19 @@ class TestEmpiricalRf:
                     layers.append(LayerSpec(f"c{i}", "conv", (kf, kt), (s, s), (pf, pt)))
             arch = ArchSpec(layers=layers)
             report = compute_rf(arch)
-            assert empirical_rf(arch, "freq") == report.rf_freq, f"trial {trial}"
-            assert empirical_rf(arch, "time") == report.rf_time, f"trial {trial}"
+            assert empirical_rf(arch) == (report.rf_freq, report.rf_time), f"trial {trial}"
 
     def test_residual_block_union_of_paths(self):
         arch = ArchSpec(
             layers=[conv("b1", 3, p=1), conv("b2", 3, p=1)],
             skips=[])
-        assert empirical_rf(arch, "freq") == 5
+        assert empirical_rf(arch) == (5, 5)
         # with an identity skip around both convs the union is still 5
         arch2 = ArchSpec(
             layers=[conv("pre", 1), conv("b1", 3, p=1), conv("b2", 3, p=1)],
             skips=[("pre", "b2")])
         assert compute_rf(arch2).rf_freq == 5
-        assert empirical_rf(arch2, "freq") == 5
-
-    def test_too_small_input_rejected_with_bound(self):
-        arch = chain(conv("c1", 5), conv("c2", 5))
-        with pytest.raises(ValueError, match="receptive field \\(9, 9\\)"):
-            empirical_rf(arch, "freq", input_extents=(9, 9))
-
-    def test_axis_validation(self):
-        with pytest.raises(ValueError, match="axis"):
-            empirical_rf(chain(conv("c", 3)), "depth")
+        assert empirical_rf(arch2) == (5, 5)
 
 
 class TestRhoSizing:
@@ -256,6 +250,11 @@ class TestArchText:
         with pytest.raises(ValueError, match=r"line 3: .*unknown kind 'block_entry'"):
             arch_from_text(text)
 
+    def test_adjustable_pool_names_line(self):
+        text = "c1 conv 3,3 1,1 1,1 1\np1 pool 2,2 2,2 0,0 1\n"
+        with pytest.raises(ValueError, match=r"line 2: .*only a conv can be adjustable"):
+            arch_from_text(text)
+
     def test_axis_independence(self):
         # changing only time kernels leaves frequency RF unchanged
         a1 = chain(LayerSpec("c1", "conv", (3, 3), (1, 1), (1, 1)),
@@ -264,3 +263,12 @@ class TestArchText:
                               LayerSpec("c2", "conv", (3, 1), (1, 1), (1, 0))])
         assert compute_rf(a1).rf_freq == compute_rf(a2).rf_freq
         assert compute_rf(a1).rf_time != compute_rf(a2).rf_time
+
+
+def test_calculus_imports_neither_numpy_nor_the_engine():
+    code = ("import sys, rftag.rf; "
+            "print(sorted({'numpy', 'rftag.autodiff'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(rftag.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -282,7 +282,22 @@ class TestNormalization:
         assert std == pytest.approx(1.0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["batch_size", "crop_frames", "swa_every"])
+    def test_count_below_one_names_the_field(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            TrainConfig(**{name: 0})
+
+
 class TestTrainClipChecks:
+    def test_comma_in_a_tag_is_refused(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        with pytest.raises(ValueError, match=r"tag 'x,y' contains ','"):
+            train(build_model(cfg), make_band_clips(4), make_band_clips(2), ["a", "x,y", "c"],
+                  tc, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+
     def test_nan_training_clip_names_the_track(self, tmp_path):
         cfg, tc = tiny_train_setup()
         clips = make_band_clips(4)
