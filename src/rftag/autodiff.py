@@ -10,11 +10,15 @@ accumulates gradients into leaf tensors and consumes the tape: each record
 is dropped once its backward rule has run, so a training step's
 activations are freed by reference counting before the step ends.
 
-The convolution keeps NCHW throughout.  It multiplies the weight with a
-tap-major column matrix built one sample at a time from strided views of
-the padded input (a memory-efficient im2col, after Cho & Brand,
+Forward ops do only forward work, on one code path for training and
+eval: what backward needs beyond the op's inputs and output is rebuilt by
+its vjp.  The convolution keeps NCHW throughout.  It multiplies the weight
+with a tap-major column matrix built one sample at a time, each tap copying
+the part of the unpadded input it reads, so zero padding is read in place
+and never copied (a memory-efficient im2col, after Cho & Brand,
 arXiv:1706.06873); no column matrix outlives the call, and backward
-rebuilds the columns from the saved padded input.  Batchnorm in eval mode
+rebuilds the columns from the input itself.  Max pool combines strided tap
+views with ``np.maximum`` and relu keeps no mask.  Batchnorm in eval mode
 is one per-channel scale and shift.
 
 Precision is parametric: arrays keep whatever float dtype they were created
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_DTYPE = np.float32
 
@@ -230,14 +233,28 @@ def _as_pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """a[N,C,H,W] with ph zero rows and pw zero columns on each side."""
-    if not (ph or pw):
-        return a
-    n, c, h, w = a.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=a.dtype)
-    out[:, :, ph:ph + h, pw:pw + w] = a
-    return out
+def _span(k: int, s: int, p: int, n_in: int, n_out: int):
+    """Where kernel offset k reads along one axis, as (output slice, input slice).
+
+    Output a reads input cell k + s*a - p.  The slices cover exactly the
+    outputs whose read lands inside the unpadded input; None when every
+    read lands in padding.
+    """
+    lo = max(0, -((k - p) // s))                    # first a with k + s*a >= p
+    hi = min(n_out, (n_in - 1 + p - k) // s + 1)    # one past the last a with k + s*a - p < n_in
+    if lo >= hi:
+        return None
+    start = k + s * lo - p
+    return slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)
+
+
+def _taps(kernel: tuple, stride: tuple, padding: tuple, extents: tuple, out_extents: tuple) -> list:
+    """The taps t = i*kw + j that read at least one input cell, in row-major
+    order, each as (t, out_rows, out_cols, in_rows, in_cols)."""
+    rows = [_span(i, stride[0], padding[0], extents[0], out_extents[0]) for i in range(kernel[0])]
+    cols = [_span(j, stride[1], padding[1], extents[1], out_extents[1]) for j in range(kernel[1])]
+    return [(i * kernel[1] + j, r[0], c[0], r[1], c[1])
+            for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -246,19 +263,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     Output extents follow floor((H + 2p - k)/s) + 1.  No kernel flip.
 
-    One sample at a time, the padded input is copied tap by tap into a
-    column matrix of shape (kh*kw*C, Ho*Wo): row ``t*C + c`` holds channel c
-    as seen by kernel tap t = i*kw + j, read from a strided view of the
-    padded plane.  One GEMM with the tap-major weight matrix (O, kh*kw*C)
-    gives that sample's NCHW output.  The column buffer lives for one call
-    only: backward keeps the padded input and rebuilds the columns, gets the
-    weight gradient by one GEMM per sample and scatters the column gradient
-    back into the input tap by tap.
+    One sample at a time, the input is copied tap by tap into a column
+    matrix of shape (kh*kw*C, Ho*Wo): row ``t*C + c`` holds channel c as seen
+    by kernel tap t = i*kw + j.  Each tap copies only the sub-rectangle of
+    the unpadded input that it reads; the buffer is zeroed once per call and
+    the cells a tap reads from padding are never written, so they stay zero
+    for every sample, and a tap that lies wholly in padding copies nothing.
+    One GEMM with the tap-major weight matrix (O, kh*kw*C) gives that
+    sample's NCHW output.  No padded copy of the input is made and no column
+    matrix outlives the call: backward keeps the input itself, rebuilds the
+    columns for the weight gradient by one GEMM per sample, and scatters the
+    column gradient, held in a second buffer so the zero cells survive,
+    straight into an array shaped like the input.
     """
     sh, sw = _as_pair(stride)
     ph, pw = _as_pair(padding)
     if sh < 1 or sw < 1:
         raise ValueError(f"strides must be >= 1, got {(sh, sw)}")
+    if ph < 0 or pw < 0:
+        raise ValueError(f"padding must be >= 0, got {(ph, pw)}")
     if x.ndim != 4 or weight.ndim != 4:
         raise ValueError(f"conv2d expects 4-D input and weight, got {x.shape} and {weight.shape}")
     n, c, h, w = x.shape
@@ -274,20 +297,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ValueError(f"bias shape {bias.shape} does not match {co} output channels")
 
     dtype = np.result_type(x.data, weight.data)
-    xp = _pad(x.data, ph, pw)
+    xd = x.data
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
-    taps = [(slice(i, i + sh * (ho - 1) + 1, sh), slice(j, j + sw * (wo - 1) + 1, sw))
-            for i in range(kh) for j in range(kw)]
+    taps = _taps((kh, kw), (sh, sw), (ph, pw), (h, w), (ho, wo))
     wmat = weight.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * c)
 
     def columns(s: int, cols: np.ndarray) -> np.ndarray:
         planes = cols.reshape(kh * kw, c, ho, wo)
-        for t, (rows, cs) in enumerate(taps):
-            planes[t] = xp[s, :, rows, cs]
+        for t, orows, ocols, irows, icols in taps:
+            planes[t, :, orows, ocols] = xd[s, :, irows, icols]
         return cols
 
-    cols = np.empty((kh * kw * c, ho * wo), dtype=dtype)
+    cols = np.zeros((kh * kw * c, ho * wo), dtype=dtype)
     out = np.empty((n, co, ho * wo), dtype=dtype)
     for s in range(n):
         np.matmul(wmat, columns(s, cols), out=out[s])
@@ -299,22 +321,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     def vjp(gout: np.ndarray):
         g = gout.reshape(n, co, ho * wo)
-        gx = gw = gb = None
-        cols = np.empty((kh * kw * c, ho * wo), dtype=dtype)
-        planes = cols.reshape(kh * kw, c, ho, wo)
+        gw = gb = None
+        cols = np.zeros((kh * kw * c, ho * wo), dtype=dtype) if weight.requires_grad else None
+        gcols = np.empty((kh * kw * c, ho * wo), dtype=dtype) if x.requires_grad else None
         gwmat = np.zeros(wmat.shape, dtype=dtype) if weight.requires_grad else None
-        gxp = np.zeros(xp.shape, dtype=dtype) if x.requires_grad else None
+        gx = np.zeros(xd.shape, dtype=dtype) if x.requires_grad else None
         for s in range(n):
             if gwmat is not None:
                 gwmat += g[s] @ columns(s, cols).T
-            if gxp is not None:
-                np.matmul(wmat.T, g[s], out=cols)
-                for t, (rows, cs) in enumerate(taps):
-                    gxp[s, :, rows, cs] += planes[t]
+            if gx is not None:
+                gplanes = np.matmul(wmat.T, g[s], out=gcols).reshape(kh * kw, c, ho, wo)
+                for t, orows, ocols, irows, icols in taps:
+                    gx[s, :, irows, icols] += gplanes[t, :, orows, ocols]
         if gwmat is not None:
             gw = np.ascontiguousarray(gwmat.reshape(co, kh, kw, c).transpose(0, 3, 1, 2))
-        if gxp is not None:
-            gx = gxp[:, :, ph:ph + h, pw:pw + w]
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(0, 2))
         if bias is None:
@@ -426,11 +446,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0).  Backward passes ``gout`` where the output is positive,
+    which is exactly where x > 0 (NaN included), so no mask is kept."""
     out = np.maximum(x.data, 0)
-    mask = x.data > 0
 
     def vjp(gout):
-        return (gout * mask,) if x.requires_grad else (None,)
+        return (gout * (out > 0),) if x.requires_grad else (None,)
 
     return record("relu", out, [x], vjp)
 
@@ -457,11 +478,17 @@ def sigmoid(x: Tensor) -> Tensor:
 def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
     """Window pooling: max / avg over (kh, kw) windows, or global average.
 
-    ``global_avg`` reduces H, W to 1, 1 and ignores kernel/stride.
+    ``global_avg`` reduces H, W to 1, 1 and ignores kernel/stride.  Max and
+    avg combine the kh*kw strided tap views of the input elementwise, one
+    view per window offset (i, j); backward scatters one gradient per tap
+    back through the same views.  Max pool sends each window's gradient to
+    its first tap, in row-major order, that equals the window's max, which
+    is ``np.argmax``'s rule: the window [[1, 1], [1, 0]] sends all of it to
+    the top-left cell.
     """
     if x.ndim != 4:
         raise ValueError(f"pool2d expects a 4-D input, got shape {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if kind == "global_avg":
         out = x.data.mean(axis=(2, 3), keepdims=True)
 
@@ -478,36 +505,50 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
         raise ValueError("max/avg pooling requires a kernel")
     kh, kw = _as_pair(kernel)
     sh, sw = _as_pair(stride if stride is not None else kernel)
+    if kh < 1 or kw < 1:
+        raise ValueError(f"pool kernel must be >= 1, got {(kh, kw)}")
+    if sh < 1 or sw < 1:
+        raise ValueError(f"pool strides must be >= 1, got {(sh, sw)}")
     if kh > h or kw > w:
         raise ValueError(f"pool kernel {(kh, kw)} exceeds input extents {(h, w)}")
 
-    win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    ho, wo = win.shape[2], win.shape[3]
-    flat = win.reshape(n, c, ho, wo, kh * kw)
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
+    spans = [tap[3:] for tap in _taps((kh, kw), (sh, sw), (0, 0), (h, w), (ho, wo))]
+    views = [x.data[:, :, rows, cols] for rows, cols in spans]
+    combine = np.maximum if kind == "max" else np.add
+    out = views[0].copy()
+    for v in views[1:]:
+        combine(out, v, out=out)
 
     def scatter(taps):
-        """Input gradient from one [n, c, ho, wo] gradient per window tap, row-major."""
+        """Input gradient from one [n, c, ho, wo] gradient per tap, row-major."""
         gx = np.zeros_like(x.data)
-        for (i, j), g in zip(np.ndindex(kh, kw), taps):
-            gx[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += g
+        for (rows, cols), g in zip(spans, taps):
+            gx[:, :, rows, cols] += g
         return gx
 
     if kind == "avg":
-        out = flat.mean(axis=4)
+        out /= kh * kw
 
         def vjp_a(gout):
             return (scatter([gout / (kh * kw)] * (kh * kw)),) if x.requires_grad else (None,)
 
         return record("avg_pool", out, [x], vjp_a)
 
-    amax = flat.argmax(axis=4)
-    out = np.take_along_axis(flat, amax[..., None], axis=4)[..., 0]
-
     def vjp_m(gout):
-        """Each tap takes ``gout`` where it is its window's argmax."""
+        """Each tap takes ``gout`` where it is its window's first max."""
         if not x.requires_grad:
             return (None,)
-        return (scatter(np.where(amax == t, gout, 0) for t in range(kh * kw)),)
+
+        def routed():
+            unrouted = np.ones(out.shape, dtype=bool)
+            for v in views:
+                first = v == out
+                first &= unrouted
+                unrouted ^= first
+                yield np.where(first, gout, 0)
+
+        return (scatter(routed()),)
 
     return record("max_pool", out, [x], vjp_m)
 

@@ -238,19 +238,27 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     Per epoch: seeded shuffle, random crops, mixup, BCE loss, Adam at
     lr_at(epoch); eval-mode validation PR-AUC (center crops) afterwards.
     The best-val checkpoint is kept up to date, and each SWA absorption
-    persists the refreshed averaged model.  A non-finite loss aborts with
-    the epoch and batch index.
+    persists the refreshed averaged model.  Before anything is trained or
+    written, the tag count and every clip's label row must match the
+    model's ``n_tags``.  A non-finite loss aborts with the epoch and batch
+    index.
     """
     if not train_clips or not val_clips:
         raise ValueError("training and validation splits must be non-empty")
     for tag in tags:
         if "," in tag:
             raise ValueError(f"tag {tag!r} contains ',', which separates tags in a checkpoint")
+    n_tags = model.config.n_tags
+    if len(tags) != n_tags:
+        raise ValueError(f"{len(tags)} tags given, the model has {n_tags}")
     for split, clips in (("training", train_clips), ("validation", val_clips)):
         for clip in clips:
             problem = clip_problem(clip.values)
             if problem:
                 raise ValueError(f"{split} track {clip.track_id!r} {problem}")
+            if np.shape(clip.labels) != (n_tags,):
+                raise ValueError(f"{split} track {clip.track_id!r} has labels of shape "
+                                 f"{np.shape(clip.labels)}, the model has {n_tags} tags")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)

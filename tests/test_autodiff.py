@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -45,6 +46,14 @@ MODEL_GEOMETRIES = {
     "1x1_projection": ((2, 3, 4, 4), (4, 3, 1, 1), (1, 1), (0, 0)),
 }
 
+# geometries where the padding reaches furthest into the taps
+PADDING_EDGE_GEOMETRIES = {
+    "tap_wholly_in_padding": ((2, 2, 1, 1), (3, 2, 3, 3), (1, 1), (1, 1)),
+    "3x3_pad2": ((2, 2, 4, 5), (3, 2, 3, 3), (1, 1), (2, 2)),
+    "stride2_odd_extents": ((2, 2, 7, 5), (3, 2, 3, 3), (2, 2), (1, 1)),
+    "1x3_pad01_one_frame": ((2, 3, 4, 1), (2, 3, 1, 3), (1, 1), (0, 1)),
+}
+
 
 class TestConv2d:
     def test_identity_kernel(self):
@@ -87,6 +96,18 @@ class TestConv2d:
         want = naive_conv2d(x, w, b, stride=stride, padding=padding)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("geometry", PADDING_EDGE_GEOMETRIES)
+    def test_matches_naive_oracle_padding_edges(self, geometry):
+        xs, ws, stride, padding = PADDING_EDGE_GEOMETRIES[geometry]
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(xs)
+        w = rng.standard_normal(ws)
+        b = rng.standard_normal(ws[0])
+        got = conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
+        want = naive_conv2d(x, w, b, stride=stride, padding=padding)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
     def test_channel_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 2, 4, 4)))
         w = Tensor(np.zeros((1, 3, 3, 3)))
@@ -96,6 +117,11 @@ class TestConv2d:
     def test_kernel_exceeds_padded_extent(self):
         with pytest.raises(ValueError, match="exceeds"):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+    def test_negative_padding_rejected(self):
+        # a negative pad would read as a crop
+        with pytest.raises(ValueError, match=r"padding must be >= 0, got \(-1, 0\)"):
+            conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), padding=(-1, 0))
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -197,6 +223,32 @@ class TestPool:
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             pool2d(Tensor(np.zeros((1, 1, 2, 2))), "max", kernel=(3, 3))
+
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("kernel,stride,message", [
+        ((0, 2), None, r"pool kernel must be >= 1, got \(0, 2\)"),
+        ((2, 2), (0, 1), r"pool strides must be >= 1, got \(0, 1\)"),
+    ], ids=["kernel", "stride"])
+    def test_kernel_and_stride_below_one_rejected(self, kind, kernel, stride, message):
+        with pytest.raises(ValueError, match=message):
+            pool2d(Tensor(np.zeros((1, 1, 4, 4))), kind, kernel=kernel, stride=stride)
+
+    @pytest.mark.parametrize("rows,kernel,stride,gout,want", [
+        # two 2x2/2 windows, each [[1, 1], [1, 0]]
+        ([[1, 1, 1, 1], [1, 0, 1, 0]], (2, 2), (2, 2), [[2, 3]],
+         [[2, 0, 3, 0], [0, 0, 0, 0]]),
+        # two overlapping 2x2/1 windows, [[1, 1], [1, 0]] and [[1, 1], [0, 1]]
+        ([[1, 1, 1], [1, 0, 1]], (2, 2), (1, 1), [[2, 3]],
+         [[2, 3, 0], [0, 0, 0]]),
+    ], ids=["2x2_stride2", "2x2_stride1"])
+    def test_max_tie_goes_to_first_tap(self, rows, kernel, stride, gout, want):
+        x = t64(np.array(rows, dtype=np.float64)[None, None], requires_grad=True)
+        with Tape():
+            out = pool2d(x, "max", kernel=kernel, stride=stride)
+            loss = sum_all(mul(out, t64(np.array(gout, dtype=np.float64)[None, None])))
+        backward(loss)
+        np.testing.assert_array_equal(out.data[0, 0], np.ones((1, 2)))
+        np.testing.assert_array_equal(x.grad[0, 0], want)
 
 
 class TestLinear:
@@ -337,6 +389,24 @@ class TestBackward:
         assert loss._record is None
         assert w.grad is not None and gamma.grad is not None
 
+    def test_taped_forward_retains_only_its_outputs(self):
+        # conv, relu and max pool keep no padded copy, mask or argmax on the tape
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((4, 8, 32, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((8, 8, 3, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                pool2d(relu(conv2d(x, w, padding=(1, 1))), "max", kernel=(2, 2))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        outputs = sum(rec.output.data.nbytes for rec in tape.records)
+        assert [rec.name for rec in tape.records] == ["conv2d", "relu", "max_pool"]
+        assert outputs == 294_912
+        assert retained <= 1.05 * outputs, f"retained {retained} bytes for {outputs} of outputs"
+
     def test_eval_mode_records_nothing(self):
         x = t64([1.0], requires_grad=True)
         y = mul(x, x)  # no active tape
@@ -374,6 +444,21 @@ class TestGradcheck:
     def test_conv2d_grads_model_geometries(self, geometry):
         xs, ws, stride, padding = MODEL_GEOMETRIES[geometry]
         rng = np.random.default_rng(15)
+        x = t64(rng.standard_normal(xs), requires_grad=True)
+        w = t64(rng.standard_normal(ws) * 0.5, requires_grad=True)
+        b = t64(rng.standard_normal(ws[0]), requires_grad=True)
+        shape = conv2d(x, w, b, stride=stride, padding=padding).shape
+        tgt = t64(rng.uniform(size=shape))
+
+        def loss():
+            return bce_with_logits(conv2d(x, w, b, stride=stride, padding=padding), tgt)
+
+        self.check(loss, [x, w, b])
+
+    @pytest.mark.parametrize("geometry", PADDING_EDGE_GEOMETRIES)
+    def test_conv2d_grads_padding_edges(self, geometry):
+        xs, ws, stride, padding = PADDING_EDGE_GEOMETRIES[geometry]
+        rng = np.random.default_rng(17)
         x = t64(rng.standard_normal(xs), requires_grad=True)
         w = t64(rng.standard_normal(ws) * 0.5, requires_grad=True)
         b = t64(rng.standard_normal(ws[0]), requires_grad=True)

@@ -297,6 +297,21 @@ class TestTrainClipChecks:
                   tc, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    def test_tag_count_must_match_the_model(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        with pytest.raises(ValueError, match="2 tags given, the model has 3"):
+            train(build_model(cfg), make_band_clips(4), make_band_clips(2), ["a", "b"],
+                  tc, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_label_width_must_match_the_model(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        clips = make_band_clips(4)
+        clips[1].labels = clips[1].labels[:2]
+        with pytest.raises(ValueError, match=r"training track 't001' has labels of shape \(2,\), "
+                                             r"the model has 3 tags"):
+            train(build_model(cfg), clips, make_band_clips(2), list("abc"), tc, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_nan_training_clip_names_the_track(self, tmp_path):
         cfg, tc = tiny_train_setup()
