@@ -18,8 +18,9 @@ the part of the unpadded input it reads, so zero padding is read in place
 and never copied (a memory-efficient im2col, after Cho & Brand,
 arXiv:1706.06873); no column matrix outlives the call, and backward
 rebuilds the columns from the input itself.  Max pool combines strided tap
-views with ``np.maximum`` and relu keeps no mask.  Batchnorm in eval mode
-is one per-channel scale and shift.
+views with ``np.maximum`` and relu keeps no mask.  Batchnorm is one
+per-channel scale and shift in both modes; only the source of its
+statistics differs, and backward rebuilds the normalized input from x.
 
 Precision is parametric: arrays keep whatever float dtype they were created
 with.  Training uses float32 by default; gradient-check tests run the same
@@ -286,6 +287,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ValueError(f"conv2d expects 4-D input and weight, got {x.shape} and {weight.shape}")
     n, c, h, w = x.shape
     co, ci, kh, kw = weight.shape
+    if kh < 1 or kw < 1:
+        raise ValueError(f"conv2d kernel extents must be >= 1, got weight shape {weight.shape}")
     if ci != c:
         raise ValueError(
             f"conv2d channel mismatch: input shape {x.shape} has {c} channels, "
@@ -363,9 +366,10 @@ class BatchNormState:
     initialized: bool = False
 
     @classmethod
-    def identity(cls, channels: int, dtype=DEFAULT_DTYPE) -> "BatchNormState":
-        return cls(mean=np.zeros(channels, dtype=dtype),
-                   var=np.ones(channels, dtype=dtype), initialized=True)
+    def identity(cls, channels: int) -> "BatchNormState":
+        """Zero mean and unit variance in ``DEFAULT_DTYPE``, ready for eval."""
+        return cls(mean=np.zeros(channels, dtype=DEFAULT_DTYPE),
+                   var=np.ones(channels, dtype=DEFAULT_DTYPE), initialized=True)
 
     def reset(self) -> None:
         self.mean = None
@@ -387,13 +391,15 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 eps: float = 1e-5, mode: str = "train") -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
-    Train mode normalizes by biased batch statistics and hands them to
-    ``state.update`` (a copy on the first update, an EMA after that): one
-    centred copy of x gives the variance and, scaled in place, ``xhat``,
-    which backward keeps.  Eval mode uses the running statistics, folded
-    into one per-channel scale ``gamma / sqrt(var + eps)`` and shift
-    ``beta - mean * scale``, and fails loudly when they were never
-    populated.
+    Only the source of the per-channel ``mean`` and ``var`` depends on the
+    mode.  Train mode takes the biased batch statistics and hands them to
+    ``state.update`` (a copy on the first update, an EMA after that).  Eval
+    mode reads the running statistics and fails loudly when they were never
+    populated.  Both then apply one per-channel scale
+    ``gamma / sqrt(var + eps)`` and shift ``beta - mean * scale``.  Backward
+    rebuilds ``xhat = (x - mean) / sqrt(var + eps)`` from x; the input
+    gradient follows the batch statistics in train mode and treats the
+    statistics as constants in eval mode.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -409,25 +415,20 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if mode == "eval":
         if not state.initialized:
             raise ValueError("batchnorm eval requested but running statistics were never populated")
-        mean, xhat = state.mean, None  # backward rebuilds xhat if it needs it
-        inv_std = 1.0 / np.sqrt(state.var + eps)
+        mean, var = state.mean, state.var
     else:
         mean = np.einsum("nchw->c", x.data) / m
-        xhat = x.data - mean[:, None, None]
-        var = np.einsum("nchw,nchw->c", xhat, xhat) / m
+        centred = x.data - mean[:, None, None]
+        var = np.einsum("nchw,nchw->c", centred, centred) / m
+        del centred
         state.update(mean, var)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std[:, None, None]
+    inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * inv_std
-    if xhat is None:
-        out = x.data * scale[:, None, None]
-        out += (beta.data - mean * scale)[:, None, None]
-    else:
-        out = xhat * gamma.data[:, None, None]
-        out += beta.data[:, None, None]
+    out = x.data * scale[:, None, None]
+    out += (beta.data - mean * scale)[:, None, None]
 
     def vjp(gout: np.ndarray):
-        xh = xhat if xhat is not None else (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        xh = (x.data - mean[:, None, None]) * inv_std[:, None, None]
         gg = np.einsum("nchw,nchw->c", gout, xh)
         gb = np.einsum("nchw->c", gout)
         gx = None

@@ -112,6 +112,8 @@ def load_wav(path) -> AudioClip:
         (audio_format,) = struct.unpack_from("<H", fmt, 24)
     if channels not in (1, 2):
         raise ValueError(f"{path}: unsupported channel count {channels} (expected 1 or 2)")
+    if rate < 1:
+        raise ValueError(f"{path}: fmt chunk declares a sample rate of {rate}")
 
     if (audio_format, bits) not in ((1, 16), (3, 32)):
         kind = {1: "PCM", 3: "IEEE float"}.get(audio_format, f"format code {audio_format}")

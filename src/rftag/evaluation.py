@@ -324,7 +324,8 @@ def load_predictions(path) -> PredictionSet:
             tag, cell = next((t, v) for t, v in zip(tags, parts[1:]) if not _is_number(v))
             raise ValueError(f"{path}:{lineno}: column {tag!r}: not a number: {cell!r}") from None
     try:
-        return PredictionSet(ids=ids, tags=tags, scores=np.array(rows, dtype=np.float64))
+        return PredictionSet(ids=ids, tags=tags,
+                             scores=np.array(rows, dtype=np.float64).reshape(len(ids), len(tags)))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

@@ -230,7 +230,7 @@ class Model:
     def add_bn_state(self, name: str, channels: int) -> BatchNormState:
         if name in self.bn_states:
             raise ValueError(f"duplicate batchnorm state name {name}")
-        state = BatchNormState.identity(channels, dtype=ad.DEFAULT_DTYPE)
+        state = BatchNormState.identity(channels)
         self.bn_states[name] = state
         return state
 

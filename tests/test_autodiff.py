@@ -123,6 +123,10 @@ class TestConv2d:
         with pytest.raises(ValueError, match=r"padding must be >= 0, got \(-1, 0\)"):
             conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), padding=(-1, 0))
 
+    def test_empty_kernel_rejected(self):
+        with pytest.raises(ValueError, match=r"weight shape \(1, 1, 0, 3\)"):
+            conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 0, 3))), padding=(1, 1))
+
     def test_linearity(self):
         rng = np.random.default_rng(1)
         w = t64(rng.standard_normal((2, 2, 3, 3)))
@@ -184,6 +188,22 @@ class TestBatchNorm:
         c = (slice(None), None, None)
         want = gamma[c] * (x - state.mean[c]) / np.sqrt(state.var[c] + 1e-5) + beta[c]
         np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
+
+
+    def test_train_float32_matches_float64_definition(self):
+        # conv-like magnitudes; the bound is a few float32 roundings of outputs up to ~10
+        rng = np.random.default_rng(5)
+        x = (rng.standard_normal((8, 64, 32, 16)) * 3 + 2).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, 64).astype(np.float32)
+        beta = rng.standard_normal(64).astype(np.float32)
+        out = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), BatchNormState())
+        assert out.dtype == np.float32
+        x64 = x.astype(np.float64)
+        mu = x64.mean(axis=(0, 2, 3))
+        var = x64.var(axis=(0, 2, 3))
+        c = (slice(None), None, None)
+        want = gamma[c] * (x64 - mu[c]) / np.sqrt(var[c] + 1e-5) + beta[c]
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=2e-6)
 
 
 class TestElementwise:
@@ -389,22 +409,35 @@ class TestBackward:
         assert loss._record is None
         assert w.grad is not None and gamma.grad is not None
 
-    def test_taped_forward_retains_only_its_outputs(self):
-        # conv, relu and max pool keep no padded copy, mask or argmax on the tape
+    @pytest.mark.parametrize("chain", ["conv_relu_max_pool", "conv_batchnorm_relu"])
+    def test_taped_forward_retains_only_its_outputs(self, chain):
+        # conv, relu and max pool keep no padded copy, mask or argmax on the
+        # tape, and train-mode batch norm keeps no normalized input
         rng = np.random.default_rng(9)
         x = Tensor(rng.standard_normal((4, 8, 32, 32)).astype(np.float32))
         w = Tensor(rng.standard_normal((8, 8, 3, 3)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        chains = {
+            "conv_relu_max_pool": (
+                lambda: pool2d(relu(conv2d(x, w, padding=(1, 1))), "max", kernel=(2, 2)),
+                ["conv2d", "relu", "max_pool"], 294_912),
+            "conv_batchnorm_relu": (
+                lambda: relu(batchnorm2d(conv2d(x, w, padding=(1, 1)), gamma, beta, BatchNormState())),
+                ["conv2d", "batchnorm2d", "relu"], 393_216),
+        }
+        forward, names, want_outputs = chains[chain]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                pool2d(relu(conv2d(x, w, padding=(1, 1))), "max", kernel=(2, 2))
+                forward()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         outputs = sum(rec.output.data.nbytes for rec in tape.records)
-        assert [rec.name for rec in tape.records] == ["conv2d", "relu", "max_pool"]
-        assert outputs == 294_912
+        assert [rec.name for rec in tape.records] == names
+        assert outputs == want_outputs
         assert retained <= 1.05 * outputs, f"retained {retained} bytes for {outputs} of outputs"
 
     def test_eval_mode_records_nothing(self):
@@ -479,6 +512,21 @@ class TestGradcheck:
         def loss():
             state = BatchNormState()
             out = batchnorm2d(x, gamma, beta, state, eps=1e-3)
+            return sum_all(mul(out, out))
+
+        self.check(loss, [x, gamma, beta])
+
+    def test_batchnorm_eval_grads(self):
+        # eval mode treats the running statistics as constants
+        rng = np.random.default_rng(18)
+        x = t64(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        gamma = t64(rng.uniform(0.5, 1.5, size=2), requires_grad=True)
+        beta = t64(rng.standard_normal(2), requires_grad=True)
+        state = BatchNormState(mean=rng.standard_normal(2), var=rng.uniform(0.5, 2.0, size=2),
+                               initialized=True)
+
+        def loss():
+            out = batchnorm2d(x, gamma, beta, state, eps=1e-3, mode="eval")
             return sum_all(mul(out, out))
 
         self.check(loss, [x, gamma, beta])

@@ -125,6 +125,12 @@ class TestLoadWav:
         with pytest.raises(ValueError, match=r"fmt\.wav: fmt chunk holds 10 bytes"):
             load_wav(p)
 
+    def test_zero_sample_rate_names_path_and_field(self, tmp_path):
+        p = tmp_path / "rate.wav"
+        write_pcm16(p, [0, 1, 2], rate=0)
+        with pytest.raises(ValueError, match=r"rate\.wav: fmt chunk declares a sample rate of 0"):
+            load_wav(p)
+
 
 class TestStft:
     def test_sine_argmax_bin(self):
