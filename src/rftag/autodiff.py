@@ -3,9 +3,9 @@
 Every model in this package is built from the small op set below: conv2d,
 batchnorm2d, relu/sigmoid, pooling, linear, and a numerically stable
 binary-cross-entropy-with-logits loss.  Ops execute eagerly on numpy arrays;
-when a ``Tape`` is active on the current thread, each op appends a record
-(inputs, output, backward rule) in execution order, which is a topological
-order by construction.  ``backward`` replays the tape in reverse,
+while a ``Tape`` is active, each op appends a record (inputs, output,
+backward rule) in execution order, which is a topological order by
+construction.  ``backward`` replays the tape in reverse,
 accumulates gradients into leaf tensors and consumes the tape: each record
 is dropped once its backward rule has run, so a training step's
 activations are freed by reference counting before the step ends.
@@ -29,7 +29,6 @@ ops in float64.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -109,7 +108,8 @@ class Tape:
         backward(loss)
 
     Records are appended in execution order, so every op's inputs precede it
-    (topological order).  A tape belongs to the thread that records on it.
+    (topological order).  Tapes nest: the innermost open tape records, and
+    tapes must exit in the reverse order of entry.
     """
 
     def __init__(self):
@@ -126,41 +126,23 @@ class Tape:
         self.records.clear()
 
     def __enter__(self) -> "Tape":
-        _push_tape(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _pop_tape(self)
+        if not _TAPES or _TAPES[-1] is not self:
+            raise RuntimeError("tape exited out of order")
+        _TAPES.pop()
 
     def __len__(self) -> int:
         return len(self.records)
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
-
-
-def _push_tape(tape: Tape) -> None:
-    _tape_stack().append(tape)
-
-
-def _pop_tape(tape: Tape) -> None:
-    stack = _tape_stack()
-    if not stack or stack[-1] is not tape:
-        raise RuntimeError("tape exited out of order")
-    stack.pop()
+_TAPES: list[Tape] = []  # open tapes, innermost last
 
 
 def active_tape() -> Optional[Tape]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 def record(name: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Tensor:
@@ -363,24 +345,21 @@ class BatchNormState:
 
     mean: Optional[np.ndarray] = None
     var: Optional[np.ndarray] = None
-    initialized: bool = False
 
     @classmethod
     def identity(cls, channels: int) -> "BatchNormState":
         """Zero mean and unit variance in ``DEFAULT_DTYPE``, ready for eval."""
         return cls(mean=np.zeros(channels, dtype=DEFAULT_DTYPE),
-                   var=np.ones(channels, dtype=DEFAULT_DTYPE), initialized=True)
+                   var=np.ones(channels, dtype=DEFAULT_DTYPE))
 
     def reset(self) -> None:
         self.mean = None
         self.var = None
-        self.initialized = False
 
     def update(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
-        if not self.initialized:
+        if self.mean is None:
             self.mean = batch_mean.copy()
             self.var = batch_var.copy()
-            self.initialized = True
             return
         m = BN_MOMENTUM
         self.mean = (1.0 - m) * self.mean + m * batch_mean
@@ -408,12 +387,15 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"gamma/beta shapes {gamma.shape}/{beta.shape} do not match {c} channels")
+    if state.mean is not None and (state.mean.shape != (c,) or state.var.shape != (c,)):
+        raise ValueError(f"running statistics shapes {state.mean.shape}/{state.var.shape} "
+                         f"do not match {c} channels")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
 
     m = x.size // c  # values per channel
     if mode == "eval":
-        if not state.initialized:
+        if state.mean is None:
             raise ValueError("batchnorm eval requested but running statistics were never populated")
         mean, var = state.mean, state.var
     else:

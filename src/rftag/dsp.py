@@ -12,7 +12,7 @@ DC and Nyquist a factor 1, everything divided by n_fft).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +20,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 TARGET_SAMPLE_RATE = 44100
 DEFAULT_N_FFT = 2048
+DEFAULT_HOP = 512
 DEFAULT_N_MELS = 256
 POWER_FLOOR = 1e-10
 DB_CLIP = -100.0
-
-SPEC_MAGIC = b"RFSPEC01"
-
-HOP_PRESETS = {"75%": 512, "25%": 1536}  # window overlap presets for n_fft 2048
 
 
 @dataclass
@@ -47,9 +44,6 @@ class Spectrogram:
     """dB-scaled log-mel matrix, ``bins x frames``, max entry 0 dB."""
 
     values: np.ndarray
-    hop: int
-    window: int
-    padded: bool = False
 
     @property
     def bins(self) -> int:
@@ -65,9 +59,7 @@ class MelFilterbank:
     """Triangular mel filters evaluated at FFT bin centers."""
 
     matrix: np.ndarray  # n_mels x (n_fft//2 + 1)
-    fmin: float
-    fmax: float
-    centers_hz: np.ndarray = field(default=None)
+    centers_hz: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def frame_count(n_samples: int, window: int, hop: int) -> int:
     return (n_samples - window) // hop + 1
 
 
-def stft_power(clip: AudioClip, window: int = DEFAULT_N_FFT, hop: int = 512) -> np.ndarray:
+def stft_power(clip: AudioClip, window: int = DEFAULT_N_FFT, hop: int = DEFAULT_HOP) -> np.ndarray:
     """One-sided power spectrogram, (window//2 + 1) x frames.
 
     Per frame: |rfft(hann * frame)|^2 scaled so the bins sum to the windowed
@@ -232,7 +224,7 @@ def mel_filterbank(n_fft: int = DEFAULT_N_FFT, n_mels: int = DEFAULT_N_MELS,
         if not np.any(row > 0):
             row[int(np.argmin(np.abs(bin_hz - center)))] = 1.0
         matrix[m] = row
-    return MelFilterbank(matrix=matrix, fmin=fmin, fmax=fmax, centers_hz=pts[1:-1].copy())
+    return MelFilterbank(matrix=matrix, centers_hz=pts[1:-1].copy())
 
 
 def a_weighting_db(freq_hz: np.ndarray) -> np.ndarray:
@@ -264,49 +256,21 @@ def a_weight_power_multipliers(n_fft: int = DEFAULT_N_FFT,
 # ---------------------------------------------------------------------------
 
 
-def logmel(clip: AudioClip, hop: int = 512, filterbank: MelFilterbank = None,
-           window: int = DEFAULT_N_FFT) -> Spectrogram:
+def logmel(clip: AudioClip) -> Spectrogram:
     """Perceptually-weighted log-mel spectrogram, ref-max normalized.
 
-    Clips shorter than one window are zero-padded to a single window and
-    flagged via ``padded``.
+    ``DEFAULT_N_FFT``-sample Hann windows every ``DEFAULT_HOP`` samples,
+    ``DEFAULT_N_MELS`` bands at the clip's sample rate.  A clip shorter than
+    one window is zero-padded to a single window, giving one frame.
     """
-    if filterbank is None:
-        filterbank = mel_filterbank(n_fft=window, sr=clip.sample_rate)
+    filterbank = mel_filterbank(sr=clip.sample_rate)
     samples = clip.samples
-    padded = False
-    if len(samples) < window:
-        samples = np.concatenate([samples, np.zeros(window - len(samples))])
-        padded = True
-    power = stft_power(AudioClip(samples, clip.sample_rate), window=window, hop=hop)
-    weighted = power * a_weight_power_multipliers(window, clip.sample_rate)[:, None]
+    if len(samples) < DEFAULT_N_FFT:
+        samples = np.concatenate([samples, np.zeros(DEFAULT_N_FFT - len(samples))])
+    power = stft_power(AudioClip(samples, clip.sample_rate))
+    weighted = power * a_weight_power_multipliers(sr=clip.sample_rate)[:, None]
     mel_power = filterbank.matrix @ weighted
     db = 10.0 * np.log10(mel_power + POWER_FLOOR)
     db -= db.max()
     np.clip(db, DB_CLIP, None, out=db)
-    return Spectrogram(values=db.astype(np.float32), hop=hop, window=window, padded=padded)
-
-
-# ---------------------------------------------------------------------------
-# flat binary container
-# ---------------------------------------------------------------------------
-
-
-def save_spectrogram(path, spec: Spectrogram) -> None:
-    """RFSPEC01: magic, u32 bins/frames/hop/window, then f32 values row-major."""
-    header = SPEC_MAGIC + struct.pack("<IIII", spec.bins, spec.frames, spec.hop, spec.window)
-    body = np.ascontiguousarray(spec.values, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + body)
-
-
-def load_spectrogram(path) -> Spectrogram:
-    raw = Path(path).read_bytes()
-    if raw[:8] != SPEC_MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:8]!r}, expected {SPEC_MAGIC!r}")
-    if len(raw) < 24:
-        raise ValueError(f"{path}: header holds {len(raw)} bytes, expected 24")
-    bins, frames, hop, window = struct.unpack_from("<IIII", raw, 8)
-    values = np.frombuffer(raw, dtype="<f4", count=bins * frames, offset=24)
-    if values.size != bins * frames:
-        raise ValueError(f"{path}: truncated spectrogram payload")
-    return Spectrogram(values=values.reshape(bins, frames).copy(), hop=hop, window=window)
+    return Spectrogram(values=db.astype(np.float32))

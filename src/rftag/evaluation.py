@@ -78,7 +78,6 @@ class PredictionSet:
     tags: list
     scores: np.ndarray
     decisions: Optional[np.ndarray] = None
-    thresholds: Optional[ThresholdSet] = None
     provenance: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -90,8 +89,6 @@ class PredictionSet:
                              f"{self.ids[i]!r}, tag {self.tags[j]!r}")
         if np.any(self.scores < 0) or np.any(self.scores > 1):
             raise ValueError("scores must lie in [0, 1]")
-        if self.decisions is not None and self.thresholds is None:
-            raise ValueError("decisions require an attached thresholds record")
 
 
 @dataclass
@@ -280,7 +277,7 @@ def apply_thresholds(preds: PredictionSet, thresholds: ThresholdSet) -> Predicti
     decisions = (preds.scores >= thresholds.thresholds[None, :]).astype(np.int8)
     return PredictionSet(ids=list(preds.ids), tags=list(preds.tags),
                          scores=preds.scores.copy(), decisions=decisions,
-                         thresholds=thresholds, provenance=list(preds.provenance))
+                         provenance=list(preds.provenance))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,12 @@ def clip_problem(values: np.ndarray) -> Optional[str]:
 
 def normalized_batch(windows: list, mean: float, std: float) -> np.ndarray:
     """[bins, frames] windows as one float32 batch [N, 1, bins, frames] of
-    (x - mean) / std, normalized before the cast."""
+    (x - mean) / std.
+
+    The arithmetic runs in the windows' dtype: for float32 windows (what
+    ``dsp.logmel`` gives) mean and std are rounded to float32 first and
+    nothing is computed in float64.
+    """
     x = np.stack(windows)[:, None, :, :]
     return ((x - mean) / std).astype(ad.DEFAULT_DTYPE, copy=False)
 

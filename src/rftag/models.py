@@ -327,7 +327,6 @@ class Model:
         for name, st in self.bn_states.items():
             st.mean = arrays[f"{name}.mean"].astype(ad.DEFAULT_DTYPE).copy()
             st.var = arrays[f"{name}.var"].astype(ad.DEFAULT_DTYPE).copy()
-            st.initialized = True
 
 
 def _check_entries(section: str, arrays: dict, shapes: dict) -> None:

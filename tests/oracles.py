@@ -8,6 +8,7 @@ size their input from ``rf.compute_rf``, so only their verdict, the span of
 nonzero input gradient, is independent of the calculus they check.
 """
 
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -85,6 +86,15 @@ def max_relative_error(analytic, numeric, floor=1e-6):
     b = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def first_nonfinite_cell(values):
+    """The first (bin, frame) in row-major order holding NaN or inf, or None."""
+    for b in range(values.shape[0]):
+        for f in range(values.shape[1]):
+            if not math.isfinite(values[b, f]):
+                return b, f
+    return None
 
 
 def brute_force_average_precision(scores, labels, ids=None):

@@ -169,6 +169,14 @@ class TestBatchNorm:
         with pytest.raises(ValueError, match="running statistics"):
             batchnorm2d(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState(), mode="eval")
 
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_running_stats_length_must_match_channels(self, channels):
+        x = Tensor(np.ones((1, 3, 2, 2)))
+        state = BatchNormState.identity(channels)
+        with pytest.raises(ValueError, match=rf"running statistics shapes \({channels},\)/"
+                                             rf"\({channels},\) do not match 3 channels"):
+            batchnorm2d(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), state, mode="eval")
+
     def test_eval_uses_running_stats(self):
         state = BatchNormState.identity(2)
         x = Tensor(np.ones((1, 2, 2, 2)))
@@ -182,7 +190,7 @@ class TestBatchNorm:
         gamma = rng.uniform(0.5, 1.5, 4).astype(np.float32)
         beta = rng.standard_normal(4).astype(np.float32)
         state = BatchNormState(mean=rng.standard_normal(4).astype(np.float32),
-                               var=rng.uniform(0.2, 3.0, 4).astype(np.float32), initialized=True)
+                               var=rng.uniform(0.2, 3.0, 4).astype(np.float32))
         out = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), state, eps=1e-5, mode="eval")
         assert out.dtype == np.float32
         c = (slice(None), None, None)
@@ -445,6 +453,30 @@ class TestBackward:
         y = mul(x, x)  # no active tape
         assert y._record is None and not y.requires_grad
 
+    def test_nested_tape_records_while_open_then_outer_resumes(self):
+        x = t64([1.0], requires_grad=True)
+        with Tape() as outer:
+            a = mul(x, x)
+            with Tape() as inner:
+                b = sum_all(x)
+            c = add(a, x)
+        assert [r.name for r in outer.records] == ["mul", "add"]
+        assert [r.name for r in inner.records] == ["sum_all"]
+        assert a._record.tape is outer and b._record.tape is inner and c._record.tape is outer
+        assert mul(x, x)._record is None
+
+    def test_tape_exited_out_of_order_rejected(self):
+        x = t64([1.0], requires_grad=True)
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        with pytest.raises(RuntimeError, match="tape exited out of order"):
+            outer.__exit__(None, None, None)
+        assert mul(x, x)._record.tape is inner
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+        assert mul(x, x)._record is None
+
 
 class TestGradcheck:
     """Finite-difference checks for every differentiable op (64-bit)."""
@@ -522,8 +554,7 @@ class TestGradcheck:
         x = t64(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         gamma = t64(rng.uniform(0.5, 1.5, size=2), requires_grad=True)
         beta = t64(rng.standard_normal(2), requires_grad=True)
-        state = BatchNormState(mean=rng.standard_normal(2), var=rng.uniform(0.5, 2.0, size=2),
-                               initialized=True)
+        state = BatchNormState(mean=rng.standard_normal(2), var=rng.uniform(0.5, 2.0, size=2))
 
         def loss():
             out = batchnorm2d(x, gamma, beta, state, eps=1e-3, mode="eval")

@@ -12,13 +12,11 @@ from rftag.dsp import (
     frame_count,
     hann_periodic,
     hz_to_mel,
-    load_spectrogram,
     load_wav,
     logmel,
     mel_filterbank,
     mel_to_hz,
     resample_linear,
-    save_spectrogram,
     stft_power,
     write_wav,
 )
@@ -220,28 +218,27 @@ class TestMelFilterbank:
 
 class TestLogmel:
     def test_silence_flat(self):
-        spec = logmel(AudioClip(np.zeros(8192)), hop=512)
+        spec = logmel(AudioClip(np.zeros(8192)))
         assert np.all(spec.values == spec.values.reshape(-1)[0])
 
     def test_max_is_exactly_zero(self):
         rng = np.random.default_rng(3)
-        spec = logmel(AudioClip(rng.standard_normal(8192) * 0.1), hop=512)
+        spec = logmel(AudioClip(rng.standard_normal(8192) * 0.1))
         assert spec.values.max() == 0.0
         assert np.all(spec.values >= -100.0)
 
     def test_bins_and_frame_formula(self):
         rng = np.random.default_rng(4)
         n = 20000
-        spec = logmel(AudioClip(rng.standard_normal(n) * 0.1), hop=512)
+        spec = logmel(AudioClip(rng.standard_normal(n) * 0.1))
         assert spec.bins == 256
         assert spec.frames == (n - 2048) // 512 + 1
 
     def test_amplitude_doubling(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(8192)
-        fb = mel_filterbank()
-        base = logmel(AudioClip(x), hop=512, filterbank=fb)
-        doubled = logmel(AudioClip(2 * x), hop=512, filterbank=fb)
+        base = logmel(AudioClip(x))
+        doubled = logmel(AudioClip(2 * x))
         # ref-max normalization cancels the global gain everywhere the power
         # floor is negligible
         above_floor = base.values > -50.0
@@ -270,15 +267,14 @@ class TestLogmel:
         np.testing.assert_allclose(db_scaled - db, 10 * np.log10(a), rtol=1e-9)
 
     def test_short_clip_padded_flag(self):
-        spec = logmel(AudioClip(np.ones(100) * 0.1), hop=512)
-        assert spec.padded and spec.frames == 1
+        spec = logmel(AudioClip(np.ones(100) * 0.1))
+        assert spec.frames == 1
 
     def test_pure_function_bit_identical(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(8192) * 0.1
-        fb = mel_filterbank()
-        a = logmel(AudioClip(x.copy()), hop=512, filterbank=fb)
-        b = logmel(AudioClip(x.copy()), hop=512, filterbank=fb)
+        a = logmel(AudioClip(x.copy()))
+        b = logmel(AudioClip(x.copy()))
         assert np.array_equal(a.values, b.values)
 
     def test_default_filterbank_uses_the_clip_rate(self):
@@ -287,43 +283,12 @@ class TestLogmel:
         weighted = stft_power(clip) * a_weight_power_multipliers(sr=22050)[:, None]
         db = 10.0 * np.log10(mel_filterbank(sr=22050).matrix @ weighted + dsp.POWER_FLOOR)
         want = np.clip(db - db.max(), dsp.DB_CLIP, None).astype(np.float32)
-        assert np.array_equal(logmel(clip, hop=512).values, want)
+        assert np.array_equal(logmel(clip).values, want)
 
     def test_aweight_bin0_copies_bin1(self):
         w = a_weight_power_multipliers()
         assert w[0] == w[1]
         assert np.all(np.isfinite(w)) and np.all(w > 0)
-
-
-class TestSpectrogramContainer:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        spec = Spectrogram(values=rng.standard_normal((256, 31)).astype(np.float32),
-                           hop=512, window=2048)
-        p = tmp_path / "x.spec"
-        save_spectrogram(p, spec)
-        loaded = load_spectrogram(p)
-        assert np.array_equal(loaded.values, spec.values)
-        assert (loaded.bins, loaded.frames, loaded.hop, loaded.window) == (256, 31, 512, 2048)
-
-    def test_byte_stable(self, tmp_path):
-        spec = Spectrogram(values=np.zeros((4, 3), dtype=np.float32), hop=10, window=20)
-        p1, p2 = tmp_path / "a.spec", tmp_path / "b.spec"
-        save_spectrogram(p1, spec)
-        save_spectrogram(p2, load_spectrogram(p1))
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.spec"
-        p.write_bytes(b"NOTSPEC0" + b"\x00" * 24)
-        with pytest.raises(ValueError, match="magic"):
-            load_spectrogram(p)
-
-    def test_short_header_names_path(self, tmp_path):
-        p = tmp_path / "short.spec"
-        p.write_bytes(dsp.SPEC_MAGIC + struct.pack("<II", 4, 3))
-        with pytest.raises(ValueError, match=r"short\.spec: header holds 16 bytes, expected 24"):
-            load_spectrogram(p)
 
 
 class TestResample:
@@ -335,6 +300,3 @@ class TestResample:
         # linear interpolation curvature error ~ (pi*f/sr)^2 / 2; the final
         # sample extrapolates by sample-and-hold, so skip it
         np.testing.assert_allclose(y[:-1], np.sin(2 * np.pi * 220.0 * t2)[:-1], atol=1e-3)
-
-    def test_hop_presets(self):
-        assert dsp.HOP_PRESETS == {"75%": 512, "25%": 1536}

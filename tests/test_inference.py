@@ -9,9 +9,18 @@ from types import SimpleNamespace
 
 from rftag import evaluation
 from rftag.evaluation import snapshot_ensemble
-from rftag.inference import crop_window, predict_scores, tile_to_length, window_starts
+from rftag.inference import (
+    clip_problem,
+    crop_window,
+    normalized_batch,
+    predict_scores,
+    tile_to_length,
+    window_starts,
+)
 from rftag.models import ModelConfig, TemplateConfig, build_model, save_checkpoint
 from rftag.training import TaggedClip
+
+from oracles import first_nonfinite_cell
 
 # deterministic examples and no example database on disk, so the suite is reproducible
 CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -78,6 +87,39 @@ class TestWindows:
         per_window = [predict(model, [long[:, s:s + CROP]], "center")[0] for s in starts]
         np.testing.assert_allclose(predict(model, [long], "windows")[0],
                                    np.mean(per_window, axis=0), rtol=1e-5)
+
+
+class TestNormalizedBatch:
+    def test_float32_arithmetic_and_layout(self):
+        rng = np.random.default_rng(3)
+        windows = [(rng.standard_normal((BINS, CROP)) * 20 - 40).astype(np.float32)
+                   for _ in range(3)]
+        mean, std = -40.123456789, 17.000000123   # neither is a float32
+        got = normalized_batch(windows, mean, std)
+        assert got.shape == (3, 1, BINS, CROP) and got.dtype == np.float32
+        want = (np.stack(windows)[:, None] - np.float32(mean)) / np.float32(std)
+        assert np.array_equal(got, want)
+
+
+class TestClipProblem:
+    @CHECKS
+    @given(st.integers(1, 6), st.integers(1, 9), st.data())
+    def test_names_the_first_nonfinite_cell(self, bins, frames, data):
+        values = np.arange(bins * frames, dtype=np.float32).reshape(bins, frames)
+        cells = data.draw(st.lists(st.tuples(st.integers(0, bins - 1), st.integers(0, frames - 1)),
+                                   max_size=3))
+        for cell in cells:
+            values[cell] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        want = first_nonfinite_cell(values)
+        if want is None:
+            assert clip_problem(values) is None
+        else:
+            assert clip_problem(values) == (f"holds a non-finite value {values[want]} "
+                                            f"at (bin, frame) {want}")
+
+    @pytest.mark.parametrize("bins", [0, BINS])
+    def test_zero_frames(self, bins):
+        assert clip_problem(np.zeros((bins, 0), dtype=np.float32)) == "has 0 frames"
 
 
 class TestZeroFrames:
