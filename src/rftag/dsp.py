@@ -267,10 +267,16 @@ def logmel(clip: AudioClip) -> Spectrogram:
     samples = clip.samples
     if len(samples) < DEFAULT_N_FFT:
         samples = np.concatenate([samples, np.zeros(DEFAULT_N_FFT - len(samples))])
+    # The result outlives every temporary below.  Allocated first, it lies
+    # below them on the heap, so it never pins their freed memory resident
+    # (a 30 s track's temporaries are tens of MB).
+    values = np.empty((DEFAULT_N_MELS, frame_count(len(samples), DEFAULT_N_FFT, DEFAULT_HOP)),
+                      dtype=np.float32)
     power = stft_power(AudioClip(samples, clip.sample_rate))
     weighted = power * a_weight_power_multipliers(sr=clip.sample_rate)[:, None]
     mel_power = filterbank.matrix @ weighted
     db = 10.0 * np.log10(mel_power + POWER_FLOOR)
     db -= db.max()
     np.clip(db, DB_CLIP, None, out=db)
-    return Spectrogram(values=db.astype(np.float32))
+    values[...] = db
+    return Spectrogram(values=values)
