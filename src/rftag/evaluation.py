@@ -2,7 +2,9 @@
 
 Ranking rule: per tag, tracks are ranked by descending score, ties broken by
 ascending track id.  ``_ranking`` is the only place a tag's tracks are
-ranked, and non-finite scores are rejected there.
+ranked, and non-finite scores are rejected there.  The ids are sorted once
+per table by ``_id_order``, an integer order shared by every tag, so no tag
+compares id strings.
 
 PR-AUC here is macro-averaged average precision: per tag, the precision at
 each positive of the ranking, summed in rank order and divided by the
@@ -19,11 +21,21 @@ number of positives among those k.
 
 Track ids are matched across sets by ``_rows``, which raises unless both
 sets list the same ids and the same tags.
+
+Prediction TSVs are UTF-8 with ``"\n"`` line ends; no other character ends a
+line.  The first line is ``track_id`` and the tags, each further line a track
+id and one cell per tag, all separated by tabs, so an id or tag holding a tab
+or a newline is refused.  Cell rule: a cell is a number when ``np.loadtxt``
+reads it as a float64 (ASCII decimal or exponent notation, nan or inf,
+surrounding whitespace ignored); ``1_0``, non-ASCII digits and an empty cell
+are not.  ``_numbers`` applies the rule to a whole file at once and, on a
+failure, to one line and one cell at a time to name the culprit.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,16 +119,23 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _ranking(scores, labels, ids) -> tuple:
+def _id_order(ids) -> np.ndarray:
+    """Row indices in ascending id order: the tie key of ``_ranking``, sorted once per table."""
+    return np.argsort(np.asarray(ids), kind="stable")
+
+
+def _ranking(scores, labels, id_order) -> tuple:
     """One tag's tracks by descending score, ties by ascending id.
 
-    Returns the ranked scores and ``positives``, where ``positives[k]`` is
-    the number of positive labels among the first k ranks.
+    ``id_order`` is ``_id_order`` of the tracks' ids: a stable sort by
+    descending score of the tracks taken in that order keeps tied tracks in
+    id order.  Returns the ranked scores and ``positives``, where
+    ``positives[k]`` is the number of positive labels among the first k ranks.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    order = np.lexsort((ids, -scores))
+    order = id_order[np.argsort(-scores[id_order], kind="stable")]
     positives = np.concatenate(([0], np.cumsum(np.asarray(labels, dtype=bool)[order])))
     return scores[order], positives
 
@@ -139,7 +158,11 @@ def average_precision(scores, labels, ids=None) -> float:
     """Mean of precision at each positive, over the score-sorted list."""
     if ids is None:
         ids = [str(i) for i in range(len(labels))]
-    _, positives = _ranking(scores, labels, np.asarray(ids))
+    return _average_precision(scores, labels, _id_order(ids))
+
+
+def _average_precision(scores, labels, id_order) -> float:
+    _, positives = _ranking(scores, labels, id_order)
     if positives[-1] < 1:
         raise ValueError("average precision needs at least one positive label")
     hit_ranks = np.flatnonzero(np.diff(positives)) + 1
@@ -150,7 +173,7 @@ def average_precision(scores, labels, ids=None) -> float:
 def macro_pr_auc(preds: PredictionSet, labels: LabelSet) -> EvalReport:
     """Mean AP over scoreable tags; per-tag detail in the report."""
     aligned = labels.labels[_rows(labels, preds)]
-    ids = np.asarray(preds.ids)
+    id_order = _id_order(preds.ids)
     aps = []
     supports = []
     skipped = []
@@ -161,7 +184,7 @@ def macro_pr_auc(preds: PredictionSet, labels: LabelSet) -> EvalReport:
             aps.append(None)
             skipped.append(tag)
         else:
-            aps.append(average_precision(preds.scores[:, j], aligned[:, j], ids))
+            aps.append(_average_precision(preds.scores[:, j], aligned[:, j], id_order))
     scored = [a for a in aps if a is not None]
     if not scored:
         raise ValueError("no tag has a positive label; macro PR-AUC undefined")
@@ -247,13 +270,13 @@ def tune_thresholds(preds: PredictionSet, labels: LabelSet) -> ThresholdSet:
     no positive label keep 0.5 and are flagged.
     """
     aligned = labels.labels[_rows(labels, preds)]
-    ids = np.asarray(preds.ids)
+    id_order = _id_order(preds.ids)
     n_tags = len(preds.tags)
     thresholds = np.full(n_tags, 0.5)
     f1s = np.zeros(n_tags)
     flagged = {}
     for j, tag in enumerate(preds.tags):
-        ranked, positives = _ranking(preds.scores[:, j], aligned[:, j], ids)
+        ranked, positives = _ranking(preds.scores[:, j], aligned[:, j], id_order)
         if positives[-1] == 0:
             flagged[tag] = "no positive labels"
             continue
@@ -286,22 +309,35 @@ def apply_thresholds(preds: PredictionSet, thresholds: ThresholdSet) -> Predicti
 
 
 def save_predictions(path, preds: PredictionSet, decisions: bool = False) -> None:
-    """TSV: header ``track_id<TAB>tag...``, scores to 6 decimals (or 0/1)."""
-    lines = ["\t".join(["track_id"] + list(preds.tags))]
-    matrix = preds.decisions if decisions else preds.scores
+    """TSV: header ``track_id<TAB>tag...``, scores to 6 decimals (or 0/1).
+
+    An id or tag holding a tab or a newline is refused before anything is
+    written.
+    """
     if decisions and preds.decisions is None:
         raise ValueError("prediction set has no decisions to write")
-    for i, tid in enumerate(preds.ids):
-        if decisions:
-            cells = [str(int(v)) for v in matrix[i]]
-        else:
-            cells = [f"{v:.6f}" for v in matrix[i]]
-        lines.append("\t".join([tid] + cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    for kind, names in (("track id", preds.ids), ("tag", preds.tags)):
+        for name in names:
+            if "\t" in name or "\n" in name:
+                raise ValueError(f"{path}: {kind} {name!r} holds a tab or a newline")
+    matrix = preds.decisions if decisions else preds.scores
+    row = "\t".join(["%s"] + ["%d" if decisions else "%.6f"] * len(preds.tags)) + "\n"
+    lines = ["\t".join(["track_id"] + list(preds.tags)) + "\n"]
+    lines += [row % (tid, *values.tolist()) for tid, values in zip(preds.ids, matrix)]
+    try:
+        data = "".join(lines).encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ValueError(f"{path}: not writable as UTF-8: {err}") from None
+    Path(path).write_bytes(data)
 
 
 def load_predictions(path) -> PredictionSet:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8: {err}") from None
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise ValueError(f"{path}: empty predictions file")
     header = lines[0].split("\t")
@@ -311,26 +347,43 @@ def load_predictions(path) -> PredictionSet:
     ids = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(parts)}")
-        ids.append(parts[0])
-        try:
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError:
-            tag, cell = next((t, v) for t, v in zip(tags, parts[1:]) if not _is_number(v))
-            raise ValueError(f"{path}:{lineno}: column {tag!r}: not a number: {cell!r}") from None
+        tabs = line.count("\t")
+        if tabs != len(tags):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {tabs + 1}")
+        tid, _, row = line.partition("\t")
+        ids.append(tid)
+        rows.append(row)
+    scores = _numbers(rows, len(tags))
+    if scores is None:
+        raise _cell_error(path, rows, tags)
     try:
-        return PredictionSet(ids=ids, tags=tags,
-                             scores=np.array(rows, dtype=np.float64).reshape(len(ids), len(tags)))
+        return PredictionSet(ids=ids, tags=tags, scores=scores)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
 
-def _is_number(text: str) -> bool:
+def _numbers(rows: list, width: int) -> Optional[np.ndarray]:
+    """Tab-separated rows of ``width`` cells as a float64 matrix, by the
+    module's cell rule; None when a row breaks it."""
+    if not rows or not width:
+        return np.zeros((len(rows), width))
     try:
-        float(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # loadtxt warns when every row is blank
+            matrix = np.loadtxt(rows, delimiter="\t", comments=None, dtype=np.float64, ndmin=2)
     except ValueError:
-        return False
-    return True
+        return None
+    # loadtxt skips a blank row ("" or a lone "\r"): with one tag, an empty cell
+    return matrix if matrix.shape == (len(rows), width) else None
 
+
+def _cell_error(path, rows: list, tags: list) -> ValueError:
+    """The error naming the first line, and in it the first cell, that the cell rule rejects."""
+    for lineno, row in enumerate(rows, start=2):
+        if _numbers([row], len(tags)) is None:
+            for tag, cell in zip(tags, row.split("\t")):
+                if _numbers([cell], 1) is None:
+                    return ValueError(f"{path}:{lineno}: column {tag!r}: not a number: {cell!r}")
+            # each cell passes alone, but a "\r" inside the row ends it early
+            return ValueError(f"{path}:{lineno}: not a row of numbers: {row!r}")
+    return ValueError(f"{path}: not a table of numbers")

@@ -126,6 +126,20 @@ def brute_force_average_precision(scores, labels, ids=None):
     return total / len(precision_at_rank)
 
 
+def per_cell_tsv(ids, tags, matrix, decisions=False):
+    """A prediction TSV's bytes, formatted one cell at a time.
+
+    ``f"{v:.6f}"`` per score or ``str(int(v))`` per decision, tab-separated
+    behind the track id, under a ``track_id`` header, one ``"\\n"``-ended
+    line per track, encoded as UTF-8.
+    """
+    lines = ["\t".join(["track_id"] + list(tags))]
+    for tid, row in zip(ids, matrix):
+        cells = [str(int(v)) for v in row] if decisions else [f"{v:.6f}" for v in row]
+        lines.append("\t".join([tid] + cells))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def brute_force_thresholds(scores, labels):
     """Per-tag F1 threshold by trying every candidate on every track.
 

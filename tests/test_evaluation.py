@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import brute_force_average_precision, brute_force_thresholds
+from oracles import brute_force_average_precision, brute_force_thresholds, per_cell_tsv
 from rftag.evaluation import (
     LabelSet,
     PredictionSet,
@@ -37,6 +39,55 @@ def tables(draw, max_tracks=20, max_tags=3):
     order = draw(st.permutations(range(n)))
     ids = [f"t{i:02d}" for i in order]
     return ids, scores, labels
+
+
+# what the TSV rules allow in an id or tag: any text without a tab or a newline
+NAMES = st.text(st.characters(exclude_characters="\t\n"), max_size=6)
+# line ends for str.splitlines but not for a prediction TSV
+SPLITLINES_ONLY = ["\r", "\x0c", "\x85", "\u2028"]
+
+
+@st.composite
+def named_tables(draw, max_tracks=6, max_tags=3):
+    """(ids, tags, scores): unique text ids and tags, scores in [0, 1]."""
+    ids = draw(st.lists(NAMES, unique=True, max_size=max_tracks))
+    tags = draw(st.lists(NAMES, unique=True, max_size=max_tags))
+    scores = draw(arrays(np.float64, (len(ids), len(tags)), elements=st.floats(0.0, 1.0)))
+    return ids, tags, scores
+
+
+# cells the bulk parse must reject, some of which float() accepts
+NOT_NUMBERS = ["1_0", "\uff11", "\uff10.\uff15", "\u0663", "", " ", "\r", "0x1p-2", "#1", "0.1 0.2"]
+
+# one edit of a saved TSV's bytes; see corrupt()
+EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(1, 255)),
+    st.tuples(st.just("header"), st.integers(0, 4),
+              st.one_of(st.sampled_from(["", "track_id", "g0", "\r", "a\tb", "a\nb"]), NAMES)),
+    st.tuples(st.just("cell"), st.integers(1, 8), st.integers(0, 4),
+              st.sampled_from(NOT_NUMBERS + ["nan", "inf", "-1", "2", "1e999", "0.1\r", "\x85"])),
+)
+
+
+def corrupt(data: bytes, edit: tuple) -> bytes:
+    """Truncate, flip one byte, or rewrite one header field or one cell."""
+    kind, *args = edit
+    if kind == "truncate":
+        return data[:int(args[0] * len(data))]
+    if kind == "flip":
+        if not data:
+            return data
+        i = min(int(args[0] * len(data)), len(data) - 1)
+        return data[:i] + bytes([data[i] ^ args[1]]) + data[i + 1:]
+    lines = data.split(b"\n")
+    line, field, text = (0, *args) if kind == "header" else args
+    if line >= len(lines):
+        return data
+    fields = lines[line].split(b"\t")
+    fields[field % len(fields)] = text.encode("utf-8")
+    lines[line] = b"\t".join(fields)
+    return b"\n".join(lines)
 
 
 def sets(ids, scores, labels, tags=None):
@@ -273,3 +324,83 @@ class TestFiles:
         path.write_text("track_id\tx\ty\na\t0.1\tnan\n")
         with pytest.raises(ValueError, match=r"nan\.tsv: non-finite score nan for track 'a', tag 'y'"):
             load_predictions(path)
+
+    @pytest.mark.parametrize("cell", NOT_NUMBERS)
+    def test_cell_the_bulk_parse_rejects_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "cell.tsv"
+        for tags in (["x"], ["x", "y"]):
+            header = "\t".join(["track_id"] + tags)
+            row = "\t".join(["a"] + ["0.5"] * (len(tags) - 1) + [cell])
+            path.write_bytes(f"{header}\n{row}\n".encode("utf-8"))
+            want = f"{path}:2: column {tags[-1]!r}: not a number: {cell!r}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                load_predictions(path)
+
+    def test_carriage_return_inside_a_row_names_the_line(self, tmp_path):
+        # each cell parses alone, but the bulk parse reads a "\r" before a tab as a line end
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"track_id\tx\ty\na\t0.1\t0.2\nb\t0.1\r\t0.2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: not a row of numbers")):
+            load_predictions(path)
+
+    def test_undecodable_file_names_path(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("track_id\tx\ncaf\u00e9\t0.5\n".encode("latin-1"))
+        with pytest.raises(ValueError, match=r"latin1\.tsv: not UTF-8"):
+            load_predictions(path)
+
+    @CHECKS
+    @given(named_tables())
+    @example((["a" + c for c in SPLITLINES_ONLY] + SPLITLINES_ONLY + [""], SPLITLINES_ONLY[:3],
+              np.full((9, 3), 0.5)))
+    @example(([""], [], np.zeros((1, 0))))    # one empty id, no tags: a blank last line
+    def test_text_ids_and_tags_round_trip(self, tmp_path_factory, table):
+        ids, tags, scores = table
+        path = tmp_path_factory.mktemp("tsv") / "p.tsv"
+        save_predictions(path, PredictionSet(ids=ids, tags=tags, scores=scores))
+        back = load_predictions(path)
+        assert back.ids == ids and back.tags == tags
+        assert np.max(np.abs(back.scores - scores), initial=0.0) <= 5e-7
+
+    @pytest.mark.parametrize("ids, tags, kind, name", [
+        (["ok", "a\tb"], ["x"], "track id", "a\tb"),
+        (["ok", "a\nb"], ["x"], "track id", "a\nb"),
+        (["ok", "b"], ["x\t"], "tag", "x\t"),
+        (["ok", "b"], ["\n"], "tag", "\n"),
+    ])
+    def test_tab_or_newline_refused_before_writing(self, tmp_path, ids, tags, kind, name):
+        path = tmp_path / "p.tsv"
+        preds = PredictionSet(ids=ids, tags=tags, scores=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {kind} {name!r}")):
+            save_predictions(path, preds)
+        assert not path.exists()
+
+    @CHECKS
+    @given(named_tables(), st.booleans())
+    @example((["a", "b"], ["x", "y"], np.array([[0.0, 1.0], [5e-7, 0.9999995]])), False)
+    @example(([], ["x", "y"], np.zeros((0, 2))), False)   # the 0-track table
+    @example(([], ["x", "y"], np.zeros((0, 2))), True)
+    def test_writer_bytes_match_per_cell_oracle(self, tmp_path_factory, table, decisions):
+        ids, tags, scores = table
+        preds = PredictionSet(ids=ids, tags=tags, scores=scores,
+                              decisions=(scores >= 0.5).astype(np.int8))
+        path = tmp_path_factory.mktemp("tsv") / "p.tsv"
+        save_predictions(path, preds, decisions=decisions)
+        matrix = preds.decisions if decisions else preds.scores
+        assert path.read_bytes() == per_cell_tsv(ids, tags, matrix, decisions)
+
+    @settings(CHECKS, max_examples=300)
+    @given(tables(max_tracks=6), st.lists(EDITS, min_size=1, max_size=3))
+    def test_corrupted_file_loads_or_names_path(self, tmp_path_factory, table, edits):
+        ids, scores, _ = table
+        path = tmp_path_factory.mktemp("tsv") / "p.tsv"
+        save_predictions(path, PredictionSet(ids=ids, tags=[f"g{j}" for j in range(scores.shape[1])],
+                                             scores=scores))
+        data = path.read_bytes()
+        for edit in edits:
+            data = corrupt(data, edit)
+        path.write_bytes(data)
+        try:
+            load_predictions(path)
+        except ValueError as err:   # any other exception type fails the test
+            assert str(err).startswith(str(path))
