@@ -51,8 +51,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_record")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype.type not in _FLOAT_TYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr

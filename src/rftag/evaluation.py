@@ -112,8 +112,12 @@ class EvalReport:
     skipped: list       # tags with no positives
 
     def as_csv(self) -> str:
+        """``tag,ap,positives`` rows; a tag holding a comma or a newline is refused."""
         lines = ["tag,ap,positives"]
         for tag, ap, sup in zip(self.tags, self.ap, self.support):
+            if "," in tag or "\n" in tag:
+                raise ValueError(f"tag {tag!r} holds a comma or a newline, "
+                                 f"which the CSV report cannot hold")
             lines.append(f"{tag},{'' if ap is None else f'{ap:.6f}'},{sup}")
         lines.append(f"macro_pr_auc={self.macro_pr_auc:.6f}")
         return "\n".join(lines) + "\n"
@@ -233,7 +237,7 @@ def _run_metadata(path, echo: dict, model: Model) -> tuple:
                  f"must name the model's {model.config.n_tags} tags"))
 
 
-def snapshot_ensemble(artifacts, clips, batch_size: int = 8) -> PredictionSet:
+def snapshot_ensemble(artifacts, clips) -> PredictionSet:
     """Predictions averaged over best-val plus up to the 4 most recent SWA models.
 
     ``artifacts`` is a training RunArtifacts; ``clips`` a list of TaggedClip.
@@ -252,7 +256,7 @@ def snapshot_ensemble(artifacts, clips, batch_size: int = 8) -> PredictionSet:
         model, echo = load_model(path)
         crop_frames, norm_mean, norm_std, tags = _run_metadata(path, echo, model)
         scores = predict_scores(model, [c.values for c in clips], crop_frames, norm_mean,
-                                norm_std, mode="windows", batch_size=batch_size)
+                                norm_std, mode="windows")
         members.append(PredictionSet(ids=[c.track_id for c in clips], tags=tags,
                                      scores=scores, provenance=[str(path)]))
     return ensemble_average(members)

@@ -3,6 +3,7 @@
 Track-level scores come from sliding eval windows (window = crop_frames,
 hop = crop_frames/2): per window, sigmoid over the logits; per track, the
 mean of its window scores.  Clips shorter than one window are repeat-tiled.
+``crop_window`` cuts one window, random given an rng and central otherwise.
 """
 
 from __future__ import annotations
@@ -27,20 +28,16 @@ def tile_to_length(values: np.ndarray, frames: int) -> np.ndarray:
     return np.tile(values, (1, reps))[:, :frames]
 
 
-def crop_window(values: np.ndarray, frames: int, rng: Optional[np.random.Generator] = None,
-                mode: str = "center") -> np.ndarray:
+def crop_window(values: np.ndarray, frames: int,
+                rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """A [bins, frames] window of a repeat-tiled clip.
 
-    Mode "random" takes a uniform offset drawn from ``rng`` (training and the
-    BN refresh); mode "center" takes the central window (validation).
+    With an ``rng`` the offset is drawn uniform from it (training and the BN
+    refresh); without one the window is the central one (validation).
     """
-    if mode not in ("random", "center"):
-        raise ValueError(f"unknown crop mode {mode!r}")
-    if mode == "random" and rng is None:
-        raise ValueError("random crop needs an rng")
     v = tile_to_length(values, frames)
     slack = v.shape[1] - frames
-    off = int(rng.integers(0, slack + 1)) if mode == "random" else slack // 2
+    off = slack // 2 if rng is None else int(rng.integers(0, slack + 1))
     return v[:, off:off + frames]
 
 
@@ -87,8 +84,9 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
 
     mode "windows": mean of sliding-window scores; mode "center": one central
     crop per clip (the fast path used for per-epoch validation).  A clip
-    with 0 frames or holding NaN or inf raises a ValueError naming its
-    index before any forward runs.
+    with 0 frames, holding NaN or inf, or whose bin count is not the
+    model's ``input_bins`` raises a ValueError naming its index before any
+    forward runs.
     """
     if mode not in ("windows", "center"):
         raise ValueError(f"unknown inference mode {mode!r}")
@@ -99,6 +97,9 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
         problem = clip_problem(values)
         if problem:
             raise ValueError(f"clip {i} {problem}")
+        if values.shape[0] != model.config.input_bins:
+            raise ValueError(f"clip {i} has {values.shape[0]} frequency bins, "
+                             f"the model has {model.config.input_bins}")
         if mode == "center":
             windows = [crop_window(values, crop_frames)]
         else:

@@ -1,6 +1,6 @@
 """CP-ResNet variants: RF-regularized, frequency-aware, and shake-shake.
 
-``build_model`` realizes the ``ArchSpec`` of a config (``rf.cp_resnet_template``
+``build_model`` realizes the ``ArchSpec`` of a config (``rf.TemplateConfig.make``
 sized by ``rf.apply_rho``) as named parameter tensors plus a forward recipe,
 walking the arch's layers and skips once:
 
@@ -37,25 +37,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .rf import ArchSpec, LayerSpec, apply_rho, cp_resnet_template
+from .rf import ArchSpec, LayerSpec, TemplateConfig, apply_rho
 
 CKPT_MAGIC = b"RFCKPT01"
-
-
-@dataclass
-class TemplateConfig:
-    """Structural knobs of the CP-ResNet template."""
-
-    n_stages: int = 4
-    blocks_per_stage: int = 3
-    channel_plan: tuple = (32, 64, 128, 256)
-    pool_stages: int = 2
-    time_kernel: int = 3
-
-    def make(self) -> ArchSpec:
-        return cp_resnet_template(self.n_stages, self.blocks_per_stage,
-                                  tuple(self.channel_plan), self.pool_stages,
-                                  time_kernel=self.time_kernel)
 
 
 @dataclass
@@ -448,8 +432,16 @@ def config_from_echo(echo: dict) -> ModelConfig:
 
 
 def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
-    """RFCKPT01: magic, parameter entries, BN running stats, config echo."""
+    """RFCKPT01: magic, parameter entries, BN running stats, config echo.
+
+    The echo is one ``key=value`` line per field, so a key holding ``=`` or
+    a newline, or a value holding a newline, is refused before writing.
+    """
     echo = config_echo(model.config, extra)
+    for key, value in echo.items():
+        if "=" in key or "\n" in key or "\n" in value:
+            raise ValueError(f"{path}: config echo field {key!r} = {value!r}: a key may not "
+                             f"hold '=' or a newline, nor a value a newline")
     echo_bytes = "\n".join(f"{k}={v}" for k, v in sorted(echo.items())).encode("utf-8")
     blob = (CKPT_MAGIC
             + _pack_entries(model.state_arrays())
@@ -473,7 +465,7 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     echo = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if line:
             k, _, v = line.partition("=")
             echo[k] = v

@@ -8,14 +8,15 @@ paths.  The calculus is plain Python; its empirical check, gradient
 connectivity through an engine-built arch, lives with the test oracles.
 
 An ``ArchSpec`` is the one description of an architecture: the layer
-chain, the skips and the channel plan.  ``cp_resnet_template`` returns the
-CP-ResNet's arch at full rho, and ``apply_rho`` realizes receptive-field
-regularization on any arch: of its ordered adjustable conv slots, the
-first rho keep frequency-kernel 3 and the rest drop to 1, which caps how
-far the frequency RF can grow.  Only a conv can be adjustable, so every
-adjustable layer is a rho slot.  The input width is not part of an arch
-(the calculus does not depend on it); ``models.ModelConfig.input_bins``
-records it for a built model.
+chain, the skips and the channel plan.  ``TemplateConfig`` is the one
+description of the CP-ResNet template, its settings and their defaults;
+its ``make`` returns the template's arch at full rho.  ``apply_rho``
+realizes receptive-field regularization on any arch: of its ordered
+adjustable conv slots, the first rho keep frequency-kernel 3 and the rest
+drop to 1, which caps how far the frequency RF can grow.  Only a conv can
+be adjustable, so every adjustable layer is a rho slot.  The input width
+is not part of an arch (the calculus does not depend on it);
+``models.ModelConfig.input_bins`` records it for a built model.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"layer {self.name}: unknown kind {self.kind!r}")
-        if min(self.kernel) < 1 or min(self.stride) < 1:
-            raise ValueError(f"layer {self.name}: kernel and stride must be >= 1 per axis")
+        for what, least in (("kernel", 1), ("stride", 1), ("padding", 0)):
+            value = getattr(self, what)
+            if len(value) != 2 or min(value) < least:
+                raise ValueError(f"layer {self.name}: {what} must be a (freq, time) pair, "
+                                 f"each >= {least}, got {value}")
         if self.adjustable and self.kind != "conv":
             raise ValueError(f"layer {self.name}: only a conv can be adjustable, not a {self.kind}")
 
@@ -184,38 +188,46 @@ def max_rho_for_budget(arch: ArchSpec, rf_budget_freq: int,
     return best
 
 
-def cp_resnet_template(n_stages: int = 4, blocks_per_stage: int = 3,
-                       channel_plan: tuple = (32, 64, 128, 256),
-                       pool_stages: int = 2, time_kernel: int = 3) -> ArchSpec:
-    """The default CP-ResNet-style architecture, every adjustable slot at rho max.
+@dataclass
+class TemplateConfig:
+    """The CP-ResNet template, every adjustable slot at rho max.
 
     Input stage of two 3x3 convs (stride (2,2) then (1,1)), then ``n_stages``
     stages of ``blocks_per_stage`` residual blocks with two adjustable convs
     each; the first ``pool_stages`` stages open with a 2x2 max pool.
     """
-    if len(channel_plan) != n_stages:
-        raise ValueError(f"channel plan {channel_plan} must list one width per stage ({n_stages})")
-    layers = [
-        LayerSpec("in1", "conv", (3, 3), (2, 2), (1, 1)),
-        LayerSpec("in2", "conv", (3, 3), (1, 1), (1, 1)),
-    ]
-    skips = []
-    prev = "in2"
-    for s in range(1, n_stages + 1):
-        if s <= pool_stages:
-            name = f"s{s}_pool"
-            layers.append(LayerSpec(name, "pool", (2, 2), (2, 2)))
-            prev = name
-        for b in range(1, blocks_per_stage + 1):
-            c1 = f"s{s}b{b}c1"
-            c2 = f"s{s}b{b}c2"
-            layers.append(LayerSpec(c1, "conv", (3, time_kernel), (1, 1),
-                                    (1, (time_kernel - 1) // 2), adjustable=True))
-            layers.append(LayerSpec(c2, "conv", (3, time_kernel), (1, 1),
-                                    (1, (time_kernel - 1) // 2), adjustable=True))
-            skips.append((prev, c2))
-            prev = c2
-    return ArchSpec(layers=layers, skips=skips, channel_plan=tuple(channel_plan))
+
+    n_stages: int = 4
+    blocks_per_stage: int = 3
+    channel_plan: tuple = (32, 64, 128, 256)
+    pool_stages: int = 2
+    time_kernel: int = 3
+
+    def make(self) -> ArchSpec:
+        plan, kt = tuple(self.channel_plan), self.time_kernel
+        if len(plan) != self.n_stages:
+            raise ValueError(f"channel plan {plan} must list one width per stage ({self.n_stages})")
+        layers = [
+            LayerSpec("in1", "conv", (3, 3), (2, 2), (1, 1)),
+            LayerSpec("in2", "conv", (3, 3), (1, 1), (1, 1)),
+        ]
+        skips = []
+        prev = "in2"
+        for s in range(1, self.n_stages + 1):
+            if s <= self.pool_stages:
+                name = f"s{s}_pool"
+                layers.append(LayerSpec(name, "pool", (2, 2), (2, 2)))
+                prev = name
+            for b in range(1, self.blocks_per_stage + 1):
+                c1 = f"s{s}b{b}c1"
+                c2 = f"s{s}b{b}c2"
+                layers.append(LayerSpec(c1, "conv", (3, kt), (1, 1), (1, (kt - 1) // 2),
+                                        adjustable=True))
+                layers.append(LayerSpec(c2, "conv", (3, kt), (1, 1), (1, (kt - 1) // 2),
+                                        adjustable=True))
+                skips.append((prev, c2))
+                prev = c2
+        return ArchSpec(layers=layers, skips=skips, channel_plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +266,11 @@ def arch_from_text(text: str) -> ArchSpec:
                 skips.append((src, dst))
             else:
                 name, kind, k, s, p, adj = parts
+                if adj not in ("0", "1"):
+                    raise ValueError(f"adjustable flag must be 0 or 1, got {adj!r}")
                 pair = lambda v: tuple(int(a) for a in v.split(","))
                 layers.append(LayerSpec(name, kind, pair(k), pair(s), pair(p),
-                                        adjustable=adj not in ("0", "false", "False")))
+                                        adjustable=adj == "1"))
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
     return ArchSpec(layers=layers, skips=skips, channel_plan=channel_plan)

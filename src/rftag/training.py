@@ -208,7 +208,7 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
     for k, lo in enumerate(range(0, len(clips), batch_size)):
         for st in model.bn_states.values():
             st.reset()
-        windows = [crop_window(c.values, crop_frames, rng, "random")
+        windows = [crop_window(c.values, crop_frames, rng)
                    for c in clips[lo:lo + batch_size]]
         model.forward(Tensor(normalized_batch(windows, *norm)), mode="train")
         for name, st in model.bn_states.items():
@@ -221,13 +221,11 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
         st.mean, st.var = avg[name]
 
 
-def _validation_pr_auc(model: Model, clips: list, tags: list, crop_frames: int,
+def _validation_pr_auc(model: Model, clips: list, labels: LabelSet, crop_frames: int,
                        norm: tuple, batch_size: int) -> float:
     scores = predict_scores(model, [c.values for c in clips], crop_frames,
                             norm[0], norm[1], mode="center", batch_size=batch_size)
-    preds = PredictionSet(ids=[c.track_id for c in clips], tags=list(tags), scores=scores)
-    labels = LabelSet(ids=[c.track_id for c in clips], tags=list(tags),
-                      labels=np.stack([c.labels for c in clips]))
+    preds = PredictionSet(ids=list(labels.ids), tags=list(labels.tags), scores=scores)
     return macro_pr_auc(preds, labels).macro_pr_auc
 
 
@@ -240,15 +238,19 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     The best-val checkpoint is kept up to date, and each SWA absorption
     persists the refreshed averaged model.  Before anything is trained or
     written, the tag count and every clip's label row must match the
-    model's ``n_tags``.  A non-finite loss aborts with the epoch and batch
+    model's ``n_tags``, every clip's bin count its ``input_bins``, and the
+    validation split must form a ``LabelSet``.  A tag may not hold a comma,
+    a tab or a newline.  A non-finite loss aborts with the epoch and batch
     index.
     """
     if not train_clips or not val_clips:
         raise ValueError("training and validation splits must be non-empty")
     for tag in tags:
-        if "," in tag:
-            raise ValueError(f"tag {tag!r} contains ',', which separates tags in a checkpoint")
-    n_tags = model.config.n_tags
+        for sep, role in ((",", "separates tags in a checkpoint"),
+                          ("\t", "separates prediction TSV cells"), ("\n", "ends a line")):
+            if sep in tag:
+                raise ValueError(f"tag {tag!r} contains {sep!r}, which {role}")
+    n_tags, bins = model.config.n_tags, model.config.input_bins
     if len(tags) != n_tags:
         raise ValueError(f"{len(tags)} tags given, the model has {n_tags}")
     for split, clips in (("training", train_clips), ("validation", val_clips)):
@@ -256,9 +258,17 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
             problem = clip_problem(clip.values)
             if problem:
                 raise ValueError(f"{split} track {clip.track_id!r} {problem}")
+            if clip.values.shape[0] != bins:
+                raise ValueError(f"{split} track {clip.track_id!r} has {clip.values.shape[0]} "
+                                 f"frequency bins, the model has {bins}")
             if np.shape(clip.labels) != (n_tags,):
                 raise ValueError(f"{split} track {clip.track_id!r} has labels of shape "
                                  f"{np.shape(clip.labels)}, the model has {n_tags} tags")
+    try:
+        val_labels = LabelSet(ids=[c.track_id for c in val_clips], tags=list(tags),
+                              labels=np.stack([c.labels for c in val_clips]))
+    except ValueError as exc:
+        raise ValueError(f"validation split: {exc}") from None
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
@@ -284,7 +294,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
         losses = []
         for bstart in range(0, n, config.batch_size):
             idx = order[bstart:bstart + config.batch_size]
-            windows = [crop_window(train_clips[i].values, config.crop_frames, rng, "random")
+            windows = [crop_window(train_clips[i].values, config.crop_frames, rng)
                        for i in idx]
             y = np.stack([train_clips[i].labels for i in idx]).astype(ad.DEFAULT_DTYPE)
             xb, yb = Tensor(normalized_batch(windows, *norm)), Tensor(y)
@@ -303,7 +313,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
             adam_step(model.params, grads, adam, lr)
             losses.append(loss_val)
 
-        val_auc = _validation_pr_auc(model, val_clips, tags, config.crop_frames,
+        val_auc = _validation_pr_auc(model, val_clips, val_labels, config.crop_frames,
                                      norm, config.batch_size)
         is_best = val_auc > best_val
         if is_best:

@@ -161,6 +161,13 @@ class TestMacroPrAuc:
                                    "z,0.500000,1\n"
                                    "macro_pr_auc=0.750000\n")
 
+    @pytest.mark.parametrize("bad", ["x,y", "x\ny"])
+    def test_report_csv_refuses_a_tag_it_cannot_hold(self, bad):
+        report = macro_pr_auc(*sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
+                                    np.array([[1, 0], [0, 1]]), [bad, "z"]))
+        with pytest.raises(ValueError, match=re.escape(f"tag {bad!r} holds a comma or a newline")):
+            report.as_csv()
+
     def test_rejects_id_mismatch(self):
         preds, _ = sets(["a", "b"], np.array([[0.1], [0.2]]), np.array([[1], [0]]))
         other = LabelSet(ids=["a", "c"], tags=preds.tags, labels=np.array([[1], [0]]))

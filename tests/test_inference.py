@@ -136,6 +136,16 @@ class TestZeroFrames:
             predict(model, [clip(CROP), np.zeros((BINS, 0), dtype=np.float32)], mode)
 
 
+class TestBinCount:
+    @pytest.mark.parametrize("mode", ["windows", "center"])
+    def test_predict_scores_names_the_clip(self, model, mode):
+        narrow = clip(CROP)[:16]
+        with pytest.raises(ValueError, match="clip 1 has 16 frequency bins, the model has 32"):
+            predict(model, [clip(CROP), narrow], mode)
+        with pytest.raises(ValueError, match="clip 0 has 16 frequency bins, the model has 32"):
+            predict(model, [narrow], mode)
+
+
 class TestZeroFrameTrack:
     def test_snapshot_ensemble_names_the_track(self, model, tmp_path):
         path = tmp_path / "best.ckpt"

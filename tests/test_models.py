@@ -370,6 +370,23 @@ class TestCheckpoint:
                                                        "holds a non-finite value")):
             load_model(p)
 
+    @pytest.mark.parametrize("extra,key", [
+        ({"tags": "x,y\nnorm_mean=99"}, "tags"),
+        ({"a=b": "1"}, "a=b"),
+        ({"a\nb": "1"}, "a\nb"),
+    ], ids=["newline-in-value", "equals-in-key", "newline-in-key"])
+    def test_echo_line_that_cannot_be_read_back_is_refused(self, tmp_path, extra, key):
+        p = tmp_path / "r.ckpt"
+        with pytest.raises(ValueError, match=re.escape(f"{p}: config echo field {key!r}")):
+            save_checkpoint(p, build_model(tiny_config()), extra=extra)
+        assert not p.exists()
+
+    def test_carriage_return_in_an_echo_value_round_trips(self, tmp_path):
+        p = tmp_path / "cr.ckpt"
+        save_checkpoint(p, build_model(tiny_config()), extra={"tags": "a,b,c\r", "z": "\r"})
+        _, _, echo = read_checkpoint(p)
+        assert echo["tags"] == "a,b,c\r" and echo["z"] == "\r"
+
     def test_loaders_want_the_model_entries_and_shapes(self):
         m = build_model(tiny_config())
         params, bn = m.state_arrays(), m.bn_arrays()
@@ -391,6 +408,11 @@ GOLDEN_ECHO = {
     "rho": "2", "rho_time": "1", "frequency_aware": "True", "shake_shake": "True",
     "n_tags": "3", "input_bins": "32", "seed": "11",
 }
+
+
+def test_template_config_is_the_rf_template():
+    from rftag import rf
+    assert models.TemplateConfig is rf.TemplateConfig
 
 
 class TestGoldenCheckpoint:

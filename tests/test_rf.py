@@ -10,11 +10,11 @@ import rftag
 from rftag.rf import (
     ArchSpec,
     LayerSpec,
+    TemplateConfig,
     apply_rho,
     arch_from_text,
     arch_to_text,
     compute_rf,
-    cp_resnet_template,
     max_rho_for_budget,
 )
 
@@ -119,7 +119,7 @@ class TestRhoSizing:
         kw.setdefault("n_stages", 2)
         kw.setdefault("blocks_per_stage", 1)
         kw.setdefault("channel_plan", (4, 8))
-        return cp_resnet_template(**kw)
+        return TemplateConfig(**kw).make()
 
     def test_rho_max_is_identity(self):
         tpl = self.template()
@@ -166,22 +166,22 @@ class TestRhoSizing:
 
 class TestBudgetSearch:
     def test_floor_case(self):
-        tpl = cp_resnet_template(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8))
+        tpl = TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8)).make()
         floor = compute_rf(apply_rho(tpl, 0)).rf_freq
         assert max_rho_for_budget(tpl, floor) == 0
 
     def test_ceiling_case(self):
-        tpl = cp_resnet_template(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8))
+        tpl = TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8)).make()
         assert max_rho_for_budget(tpl, 10 ** 9) == len(tpl.adjustable_layers())
 
     def test_below_floor_rejected(self):
-        tpl = cp_resnet_template(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8))
+        tpl = TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8)).make()
         floor = compute_rf(apply_rho(tpl, 0)).rf_freq
         with pytest.raises(ValueError, match=str(floor)):
             max_rho_for_budget(tpl, floor - 1)
 
     def test_maximality_exhaustive(self):
-        tpl = cp_resnet_template(n_stages=3, blocks_per_stage=2, channel_plan=(4, 8, 8))
+        tpl = TemplateConfig(n_stages=3, blocks_per_stage=2, channel_plan=(4, 8, 8)).make()
         rfs = [compute_rf(apply_rho(tpl, rho)).rf_freq
                for rho in range(len(tpl.adjustable_layers()) + 1)]
         for budget in range(rfs[0], rfs[-1] + 5):
@@ -193,20 +193,20 @@ class TestBudgetSearch:
 
 class TestDefaultTemplate:
     def test_shape_of_default(self):
-        tpl = cp_resnet_template()
+        tpl = TemplateConfig().make()
         assert len(tpl.adjustable_layers()) == 24
         assert tpl.channel_plan == (32, 64, 128, 256)
         kinds = [l.kind for l in tpl.layers]
         assert kinds.count("pool") == 2
 
     def test_known_rf_values(self):
-        tpl = cp_resnet_template()
+        tpl = TemplateConfig().make()
         assert compute_rf(apply_rho(tpl, 0)).rf_freq == 13
         assert compute_rf(apply_rho(tpl, 24)).rf_freq == 349
         assert compute_rf(apply_rho(tpl, 24)).rf_time == 349
 
     def test_padding_never_affects_rf(self):
-        tpl = cp_resnet_template(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8))
+        tpl = TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8)).make()
         arch = apply_rho(tpl, 2)
         from dataclasses import replace
         stripped = ArchSpec(
@@ -217,7 +217,7 @@ class TestDefaultTemplate:
 
 class TestReportTable:
     def test_default_template_at_rho_zero(self):
-        arch = apply_rho(cp_resnet_template(), 0)
+        arch = apply_rho(TemplateConfig().make(), 0)
         report = compute_rf(arch)
         lines = report.as_table().splitlines()
         assert lines[0].split() == ["layer", "rf_f", "jump_f", "rf_t", "jump_t"]
@@ -234,7 +234,7 @@ class TestReportTable:
 
 class TestArchText:
     def test_roundtrip(self):
-        tpl = cp_resnet_template(n_stages=2, blocks_per_stage=2, channel_plan=(8, 16))
+        tpl = TemplateConfig(n_stages=2, blocks_per_stage=2, channel_plan=(8, 16)).make()
         arch = apply_rho(tpl, 2)
         text = arch_to_text(arch)
         back = arch_from_text(text)
@@ -254,6 +254,22 @@ class TestArchText:
         text = "c1 conv 3,3 1,1 1,1 1\np1 pool 2,2 2,2 0,0 1\n"
         with pytest.raises(ValueError, match=r"line 2: .*only a conv can be adjustable"):
             arch_from_text(text)
+
+    @pytest.mark.parametrize("flag", ["2", "Fasle", "true", "-1"])
+    def test_adjustable_flag_must_be_0_or_1(self, flag):
+        with pytest.raises(ValueError, match=f"line 2: .*adjustable flag must be 0 or 1, "
+                                             f"got '{flag}'"):
+            arch_from_text(f"channels 8\nc1 conv 3,3 1,1 1,1 {flag}\n")
+
+    @pytest.mark.parametrize("fields,what", [
+        ("3 1,1 1,1", "kernel"), ("3,3,3 1,1 1,1", "kernel"), ("0,3 1,1 1,1", "kernel"),
+        ("3,3 1 1,1", "stride"), ("3,3 1,0 1,1", "stride"),
+        ("3,3 1,1 -1,0", "padding"), ("3,3 1,1 1", "padding"),
+    ])
+    def test_bad_geometry_names_line_and_layer(self, fields, what):
+        with pytest.raises(ValueError, match=rf"line 1: .*layer c1: {what} must be a "
+                                             rf"\(freq, time\) pair"):
+            arch_from_text(f"c1 conv {fields} 0\n")
 
     def test_axis_independence(self):
         # changing only time kernels leaves frequency RF unchanged

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from rftag import autodiff as ad
 from rftag.autodiff import AdamState, Tape, Tensor, adam_step, backward, bce_with_logits
+from rftag.evaluation import snapshot_ensemble
 from rftag.inference import crop_window
 from rftag.models import ModelConfig, TemplateConfig, build_model
 from rftag.training import (
@@ -168,29 +170,25 @@ class TestSWA:
 class TestCrop:
     def test_exact_length_identity(self):
         v = np.arange(12, dtype=np.float32).reshape(3, 4)
-        out = crop_window(v, 4, mode="center")
+        out = crop_window(v, 4)
         assert out.shape == (3, 4)
         np.testing.assert_array_equal(out, v)
 
     def test_center_of_double_length(self):
         v = np.arange(8, dtype=np.float32)[None, :].repeat(2, axis=0)
-        out = crop_window(v, 4, mode="center")
+        out = crop_window(v, 4)
         np.testing.assert_array_equal(out[0], [2, 3, 4, 5])
 
     def test_short_input_tiled(self):
         v = np.array([[1.0, 2.0]], dtype=np.float32)
-        out = crop_window(v, 5, mode="center")
+        out = crop_window(v, 5)
         assert out.shape == (1, 5)
         np.testing.assert_array_equal(out[0], [1, 2, 1, 2, 1])
-
-    def test_random_needs_rng(self):
-        with pytest.raises(ValueError, match="rng"):
-            crop_window(np.zeros((2, 8)), 4, mode="random")
 
     def test_random_offsets_within_range(self):
         rng = np.random.default_rng(7)
         v = np.arange(16, dtype=np.float32)[None, :]
-        firsts = {crop_window(v, 4, rng, mode="random")[0, 0] for _ in range(50)}
+        firsts = {crop_window(v, 4, rng)[0, 0] for _ in range(50)}
         assert firsts <= set(np.arange(13.0))
         assert len(firsts) > 3
 
@@ -295,6 +293,42 @@ class TestTrainClipChecks:
         with pytest.raises(ValueError, match=r"tag 'x,y' contains ','"):
             train(build_model(cfg), make_band_clips(4), make_band_clips(2), ["a", "x,y", "c"],
                   tc, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("sep", ["\t", "\n"], ids=["tab", "newline"])
+    def test_tab_or_newline_in_a_tag_is_refused(self, tmp_path, sep):
+        cfg, tc = tiny_train_setup()
+        tag = f"b{sep}x"
+        with pytest.raises(ValueError, match=re.escape(f"tag {tag!r} contains {sep!r}")):
+            train(build_model(cfg), make_band_clips(4), make_band_clips(2), ["a", tag, "c"],
+                  tc, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_carriage_return_in_a_tag_round_trips(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        clips = make_band_clips(4)
+        art = train(build_model(cfg), clips, clips[:2], ["a", "b", "c\r"], tc, tmp_path / "run")
+        assert snapshot_ensemble(art, clips[:2]).tags == ["a", "b", "c\r"]
+
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_bin_count_must_match_the_model(self, tmp_path, split):
+        cfg, tc = tiny_train_setup()
+        train_clips, val_clips = make_band_clips(4), make_band_clips(2)
+        narrow = (train_clips if split == "training" else val_clips)[1]
+        narrow.values = narrow.values[:16]
+        with pytest.raises(ValueError, match=f"{split} track 't001' has 16 frequency bins, "
+                                             f"the model has 32"):
+            train(build_model(cfg), train_clips, val_clips, list("abc"), tc, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_validation_id_fails_before_training(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        val_clips = make_band_clips(2)
+        val_clips[1].track_id = val_clips[0].track_id
+        with pytest.raises(ValueError, match="validation split: track ids must be unique; "
+                                             "'t000' repeats"):
+            train(build_model(cfg), make_band_clips(4), val_clips, list("abc"), tc,
+                  tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     def test_tag_count_must_match_the_model(self, tmp_path):
