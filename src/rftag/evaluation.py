@@ -47,12 +47,18 @@ from .inference import clip_problem, predict_scores
 from .models import Model, load_model
 
 
+def _unique(kind: str, names: list) -> list:
+    """``names``, unless one of them repeats."""
+    if len(set(names)) != len(names):
+        dup = next(name for name, n in Counter(names).items() if n > 1)
+        raise ValueError(f"{kind} must be unique; {dup!r} repeats")
+    return names
+
+
 def _check_table(ids: list, tags: list, matrix: np.ndarray, what: str) -> None:
     """Unique track ids, unique tag names and a ``len(ids) x len(tags)`` matrix."""
-    for kind, names in (("track ids", ids), ("tag names", tags)):
-        if len(set(names)) != len(names):
-            dup = next(name for name, n in Counter(names).items() if n > 1)
-            raise ValueError(f"{kind} must be unique; {dup!r} repeats")
+    _unique("track ids", ids)
+    _unique("tag names", tags)
     if np.shape(matrix) != (len(ids), len(tags)):
         raise ValueError(f"{what} shape {np.shape(matrix)} does not match "
                          f"{len(ids)} ids x {len(tags)} tags")
@@ -216,7 +222,8 @@ def ensemble_average(members: list) -> PredictionSet:
 
 def _run_metadata(path, echo: dict, model: Model) -> tuple:
     """(crop_frames, norm_mean, norm_std, tags) that training wrote into a
-    checkpoint's echo; a missing or unusable field is named with the path."""
+    checkpoint's echo; a missing or unusable field, or a repeated tag, is
+    named with the path."""
     def read(key, parse, usable, need):
         if key not in echo:
             raise ValueError(f"{path}: run metadata has no field {key!r}")
@@ -233,7 +240,8 @@ def _run_metadata(path, echo: dict, model: Model) -> tuple:
                  f"must be >= the model's {frames} frames"),
             read("norm_mean", float, math.isfinite, "must be finite"),
             read("norm_std", float, lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
-            read("tags", lambda text: text.split(","), lambda v: len(v) == model.config.n_tags,
+            read("tags", lambda text: _unique("tag names", text.split(",")),
+                 lambda v: len(v) == model.config.n_tags,
                  f"must name the model's {model.config.n_tags} tags"))
 
 
@@ -241,19 +249,20 @@ def snapshot_ensemble(artifacts, clips) -> PredictionSet:
     """Predictions averaged over best-val plus up to the 4 most recent SWA models.
 
     ``artifacts`` is a training RunArtifacts; ``clips`` a list of TaggedClip.
-    Every clip is checked before any member runs, and each member's run
-    metadata before that member runs.  Each member predicts with sliding
-    windows; members' score sets are then averaged.  Fewer than 4 SWA
+    Once a member is loaded, every clip must pass ``clip_problem`` for its
+    ``input_bins`` (a bad one is named by track and index) and its run
+    metadata must be usable, before that member predicts with sliding
+    windows.  Members' score sets are averaged; fewer than 4 SWA
     checkpoints is allowed and recorded in the provenance.
     """
-    for i, clip in enumerate(clips):
-        problem = clip_problem(clip.values)
-        if problem:
-            raise ValueError(f"track {clip.track_id!r}: clip {i} {problem}")
     paths = [artifacts.best_path] + list(artifacts.swa_paths[-4:])
     members = []
     for path in paths:
         model, echo = load_model(path)
+        for i, clip in enumerate(clips):
+            problem = clip_problem(clip.values, model.config.input_bins)
+            if problem:
+                raise ValueError(f"track {clip.track_id!r}: clip {i} {problem}")
         crop_frames, norm_mean, norm_std, tags = _run_metadata(path, echo, model)
         scores = predict_scores(model, [c.values for c in clips], crop_frames, norm_mean,
                                 norm_std, mode="windows")

@@ -4,6 +4,8 @@ Track-level scores come from sliding eval windows (window = crop_frames,
 hop = crop_frames/2): per window, sigmoid over the logits; per track, the
 mean of its window scores.  Clips shorter than one window are repeat-tiled.
 ``crop_window`` cuts one window, random given an rng and central otherwise.
+``clip_problem`` is the one clip rule: every entry point that takes clips
+applies it with the model's ``input_bins`` before any forward runs.
 """
 
 from __future__ import annotations
@@ -50,12 +52,14 @@ def window_starts(frames: int, window: int, hop: int) -> list[int]:
     return starts
 
 
-def clip_problem(values: np.ndarray) -> Optional[str]:
-    """Why a [bins, frames] clip cannot be scored or trained on, or None.
+def clip_problem(values: np.ndarray, bins: int) -> Optional[str]:
+    """Why a clip cannot be scored or trained on by a model of ``bins`` bins, or None.
 
-    A clip needs at least one frame, and every value must be finite; the
-    first NaN or inf is named with its (bin, frame) cell.
+    Checked in order: the model's bin count, at least one frame, and every
+    value finite; the first NaN or inf is named with its (bin, frame) cell.
     """
+    if values.shape[0] != bins:
+        return f"has {values.shape[0]} frequency bins, the model has {bins}"
     if values.shape[1] == 0:
         return "has 0 frames"
     bad = np.argwhere(~np.isfinite(values))
@@ -84,9 +88,8 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
 
     mode "windows": mean of sliding-window scores; mode "center": one central
     crop per clip (the fast path used for per-epoch validation).  A clip
-    with 0 frames, holding NaN or inf, or whose bin count is not the
-    model's ``input_bins`` raises a ValueError naming its index before any
-    forward runs.
+    that breaks ``clip_problem`` for the model's ``input_bins`` raises a
+    ValueError naming its index before any forward runs.
     """
     if mode not in ("windows", "center"):
         raise ValueError(f"unknown inference mode {mode!r}")
@@ -94,12 +97,9 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
     crops = []
     owners = []
     for i, values in enumerate(values_list):
-        problem = clip_problem(values)
+        problem = clip_problem(values, model.config.input_bins)
         if problem:
             raise ValueError(f"clip {i} {problem}")
-        if values.shape[0] != model.config.input_bins:
-            raise ValueError(f"clip {i} has {values.shape[0]} frequency bins, "
-                             f"the model has {model.config.input_bins}")
         if mode == "center":
             windows = [crop_window(values, crop_frames)]
         else:

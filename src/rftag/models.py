@@ -44,6 +44,10 @@ CKPT_MAGIC = b"RFCKPT01"
 
 @dataclass
 class ModelConfig:
+    """A CP-ResNet variant: the template sized by rho, the variant flags, the
+    tag and input bin counts and the init seed.  ``n_tags`` or ``input_bins``
+    below one and a negative ``seed`` are refused, naming the field."""
+
     template: TemplateConfig = field(default_factory=TemplateConfig)
     rho: int = 4
     rho_time: Optional[int] = None
@@ -54,8 +58,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_tags < 1:
-            raise ValueError(f"n_tags must be >= 1, got {self.n_tags}")
+        for name, least in (("n_tags", 1), ("input_bins", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
     def arch(self) -> ArchSpec:
         return apply_rho(self.template.make(), self.rho, self.rho_time)

@@ -195,6 +195,10 @@ class TemplateConfig:
     Input stage of two 3x3 convs (stride (2,2) then (1,1)), then ``n_stages``
     stages of ``blocks_per_stage`` residual blocks with two adjustable convs
     each; the first ``pool_stages`` stages open with a 2x2 max pool.
+    ``make`` refuses, naming the field, settings that build no working
+    model: fewer than one stage or block, a plan width below one, more pool
+    stages than stages, and an even time kernel, whose convs would shorten
+    the time axis under a residual add.
     """
 
     n_stages: int = 4
@@ -205,8 +209,17 @@ class TemplateConfig:
 
     def make(self) -> ArchSpec:
         plan, kt = tuple(self.channel_plan), self.time_kernel
+        for name in ("n_stages", "blocks_per_stage"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(plan) != self.n_stages:
             raise ValueError(f"channel plan {plan} must list one width per stage ({self.n_stages})")
+        if min(plan) < 1:
+            raise ValueError(f"channel_plan widths must be >= 1, got {plan}")
+        if not 0 <= self.pool_stages <= self.n_stages:
+            raise ValueError(f"pool_stages must lie in [0, {self.n_stages}], got {self.pool_stages}")
+        if kt < 1 or kt % 2 == 0:
+            raise ValueError(f"time_kernel must be odd and >= 1, got {kt}")
         layers = [
             LayerSpec("in1", "conv", (3, 3), (2, 2), (1, 1)),
             LayerSpec("in2", "conv", (3, 3), (1, 1), (1, 1)),

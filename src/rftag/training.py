@@ -30,6 +30,15 @@ METRICS_HEADER = "epoch,lr,train_loss,val_pr_auc,is_best,swa_saved"
 
 @dataclass
 class TrainConfig:
+    """Settings of one ``train`` run; the schedule is described in the module docstring.
+
+    Refused, naming the field: ``total_epochs``, ``batch_size``,
+    ``crop_frames`` or ``swa_every`` below one, a negative segment, segments
+    that do not sum to ``total_epochs``, learning rates outside
+    ``lr_peak > lr_final > 0``, ``mixup_alpha <= 0`` and a
+    ``warmup_start_factor`` outside (0, 1].
+    """
+
     total_epochs: int = 200
     warmup_epochs: int = 10
     constant_epochs: int = 60
@@ -45,6 +54,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, least in (("total_epochs", 1), ("batch_size", 1), ("crop_frames", 1),
+                            ("swa_every", 1), ("warmup_epochs", 0), ("constant_epochs", 0),
+                            ("decay_epochs", 0), ("tail_epochs", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         segments = (self.warmup_epochs + self.constant_epochs
                     + self.decay_epochs + self.tail_epochs)
         if segments != self.total_epochs:
@@ -53,9 +67,11 @@ class TrainConfig:
                 f"{self.decay_epochs}+{self.tail_epochs} != total_epochs {self.total_epochs}")
         if not (self.lr_peak > self.lr_final > 0):
             raise ValueError(f"need lr_peak > lr_final > 0, got {self.lr_peak}, {self.lr_final}")
-        for name in ("batch_size", "crop_frames", "swa_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.mixup_alpha > 0:
+            raise ValueError(f"mixup_alpha must be > 0, got {self.mixup_alpha}")
+        if not 0 < self.warmup_start_factor <= 1:
+            raise ValueError(f"warmup_start_factor must lie in (0, 1], "
+                             f"got {self.warmup_start_factor}")
 
     def scaled(self, total: int) -> "TrainConfig":
         """Shrink the schedule proportionally to a reduced epoch count."""
@@ -196,29 +212,28 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
                           norm: tuple, batch_size: int, seed: int) -> None:
     """Recompute BN running stats as the plain mean over one sweep of the data.
 
+    Every clip must pass ``clip_problem`` for the model's ``input_bins``;
+    the first that does not is named with its track before any batch runs.
     Each state is reset before each batch's train-mode forward, so that it
-    holds the batch's statistics; they are averaged in sweep order as
-    ``avg <- (avg * k + new) / (k + 1)``.  Later train-mode forwards move
-    the averages by the usual EMA.
+    holds the batch's statistics, and ``swa_update`` averages them in sweep
+    order.  Later train-mode forwards move the averages by the usual EMA.
     """
     if not clips:
         raise ValueError("refreshing batch-norm statistics needs at least one clip")
+    for clip in clips:
+        problem = clip_problem(clip.values, model.config.input_bins)
+        if problem:
+            raise ValueError(f"track {clip.track_id!r} {problem}")
     rng = np.random.default_rng(seed)
-    avg: dict = {}
-    for k, lo in enumerate(range(0, len(clips), batch_size)):
+    sweep = SWAState()
+    for lo in range(0, len(clips), batch_size):
         for st in model.bn_states.values():
             st.reset()
         windows = [crop_window(c.values, crop_frames, rng)
                    for c in clips[lo:lo + batch_size]]
         model.forward(Tensor(normalized_batch(windows, *norm)), mode="train")
-        for name, st in model.bn_states.items():
-            if k:
-                mean, var = avg[name]
-                avg[name] = ((mean * k + st.mean) / (k + 1), (var * k + st.var) / (k + 1))
-            else:
-                avg[name] = (st.mean, st.var)
-    for name, st in model.bn_states.items():
-        st.mean, st.var = avg[name]
+        swa_update(sweep, model.bn_arrays())
+    model.load_bn_arrays(sweep.average)
 
 
 def _validation_pr_auc(model: Model, clips: list, labels: LabelSet, crop_frames: int,
@@ -238,10 +253,10 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     The best-val checkpoint is kept up to date, and each SWA absorption
     persists the refreshed averaged model.  Before anything is trained or
     written, the tag count and every clip's label row must match the
-    model's ``n_tags``, every clip's bin count its ``input_bins``, and the
-    validation split must form a ``LabelSet``.  A tag may not hold a comma,
-    a tab or a newline.  A non-finite loss aborts with the epoch and batch
-    index.
+    model's ``n_tags``, every clip must pass ``clip_problem`` for its
+    ``input_bins``, and the validation split must form a ``LabelSet``.  A
+    tag may not hold a comma, a tab or a newline.  A non-finite loss aborts
+    with the epoch and batch index.
     """
     if not train_clips or not val_clips:
         raise ValueError("training and validation splits must be non-empty")
@@ -255,12 +270,9 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
         raise ValueError(f"{len(tags)} tags given, the model has {n_tags}")
     for split, clips in (("training", train_clips), ("validation", val_clips)):
         for clip in clips:
-            problem = clip_problem(clip.values)
+            problem = clip_problem(clip.values, bins)
             if problem:
                 raise ValueError(f"{split} track {clip.track_id!r} {problem}")
-            if clip.values.shape[0] != bins:
-                raise ValueError(f"{split} track {clip.track_id!r} has {clip.values.shape[0]} "
-                                 f"frequency bins, the model has {bins}")
             if np.shape(clip.labels) != (n_tags,):
                 raise ValueError(f"{split} track {clip.track_id!r} has labels of shape "
                                  f"{np.shape(clip.labels)}, the model has {n_tags} tags")

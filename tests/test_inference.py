@@ -112,14 +112,14 @@ class TestClipProblem:
             values[cell] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         want = first_nonfinite_cell(values)
         if want is None:
-            assert clip_problem(values) is None
+            assert clip_problem(values, bins) is None
         else:
-            assert clip_problem(values) == (f"holds a non-finite value {values[want]} "
-                                            f"at (bin, frame) {want}")
+            assert clip_problem(values, bins) == (f"holds a non-finite value {values[want]} "
+                                                  f"at (bin, frame) {want}")
 
     @pytest.mark.parametrize("bins", [0, BINS])
     def test_zero_frames(self, bins):
-        assert clip_problem(np.zeros((bins, 0), dtype=np.float32)) == "has 0 frames"
+        assert clip_problem(np.zeros((bins, 0), dtype=np.float32), bins) == "has 0 frames"
 
 
 class TestZeroFrames:
@@ -144,6 +144,20 @@ class TestBinCount:
             predict(model, [clip(CROP), narrow], mode)
         with pytest.raises(ValueError, match="clip 0 has 16 frequency bins, the model has 32"):
             predict(model, [narrow], mode)
+
+    def test_snapshot_ensemble_names_the_track_before_any_member_predicts(self, model, tmp_path,
+                                                                          monkeypatch):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, model, extra=dict(crop_frames=CROP, norm_mean=-40.0, norm_std=1.0,
+                                                tags="a,b,c"))
+        runs = []
+        monkeypatch.setattr(evaluation, "predict_scores", lambda *a, **k: runs.append(a))
+        clips = [TaggedClip("ok", clip(CROP), np.zeros(3)),
+                 TaggedClip("narrow", clip(CROP)[:16], np.zeros(3))]
+        with pytest.raises(ValueError, match="track 'narrow': clip 1 has 16 frequency bins, "
+                                             "the model has 32"):
+            snapshot_ensemble(SimpleNamespace(best_path=path, swa_paths=[]), clips)
+        assert runs == []
 
 
 class TestZeroFrameTrack:
@@ -194,7 +208,9 @@ class TestRunMetadata:
         (dict(RUN, norm_std=0.0), "run metadata field 'norm_std' must be finite and > 0, "
                                   "got '0.0'"),
         (dict(RUN, norm_mean="nan"), "run metadata field 'norm_mean' must be finite"),
-    ], ids=["missing", "crop", "short", "tags", "std", "mean"])
+        (dict(RUN, tags="a,a,b"), "run metadata field 'tags': tag names must be unique; "
+                                  "'a' repeats"),
+    ], ids=["missing", "crop", "short", "tags", "std", "mean", "repeated-tag"])
     def test_bad_member_fails_before_any_model_runs(self, model, tmp_path, monkeypatch,
                                                     run, message):
         good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"

@@ -161,6 +161,16 @@ class TestBuildModel:
         m = build_model(tiny_config())
         assert len(m.params) == len(set(m.params))
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(input_bins=0), "input_bins must be >= 1, got 0"),
+        (dict(input_bins=-3), "input_bins must be >= 1, got -3"),
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(n_tags=0), "n_tags must be >= 1, got 0"),
+    ], ids=["bins-0", "bins-neg", "seed", "tags"])
+    def test_unusable_config_names_the_field(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**kw)
+
 
 class TestForward:
     def test_output_shape(self):
@@ -328,7 +338,10 @@ class TestCheckpoint:
         (b"frequency_aware=False", b"frequency_aware=Fakse",
          "config echo field 'frequency_aware': expected True or False, got 'Fakse'"),
         (b"rho=2", b"rho=\xff", "'utf-8' codec can't decode byte 0xff"),
-    ], ids=["int", "bool", "utf8"])
+        (b"template.time_kernel=3", b"template.time_kernel=2",
+         "time_kernel must be odd and >= 1, got 2"),
+        (b"input_bins=32", b"input_bins=00", "input_bins must be >= 1, got 0"),
+    ], ids=["int", "bool", "utf8", "time-kernel", "input-bins"])
     def test_bad_echo_value_names_path_and_field(self, tmp_path, old, new, message):
         p = tmp_path / "v.ckpt"
         save_checkpoint(p, build_model(tiny_config()))

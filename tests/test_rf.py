@@ -158,6 +158,23 @@ class TestRhoSizing:
         assert report.rf_freq == full.rf_freq
         assert report.rf_time < full.rf_time
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(time_kernel=2), "time_kernel must be odd and >= 1, got 2"),
+        (dict(time_kernel=4), "time_kernel must be odd and >= 1, got 4"),
+        (dict(time_kernel=0), "time_kernel must be odd and >= 1, got 0"),
+        (dict(time_kernel=-1), "time_kernel must be odd and >= 1, got -1"),
+        (dict(n_stages=0, channel_plan=()), "n_stages must be >= 1, got 0"),
+        (dict(blocks_per_stage=0), "blocks_per_stage must be >= 1, got 0"),
+        (dict(channel_plan=(4, 0)), r"channel_plan widths must be >= 1, got \(4, 0\)"),
+        (dict(channel_plan=(-2, 8)), r"channel_plan widths must be >= 1, got \(-2, 8\)"),
+        (dict(pool_stages=9), r"pool_stages must lie in \[0, 2\], got 9"),
+        (dict(pool_stages=-1), r"pool_stages must lie in \[0, 2\], got -1"),
+    ], ids=["time-2", "time-4", "time-0", "time-neg", "stages", "blocks", "width-0", "width-neg",
+            "pool-9", "pool-neg"])
+    def test_unbuildable_template_names_the_field(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            self.template(**kw)
+
     def test_rho_out_of_range(self):
         tpl = self.template()
         with pytest.raises(ValueError, match="rho"):

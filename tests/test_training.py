@@ -281,10 +281,26 @@ class TestNormalization:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("name", ["batch_size", "crop_frames", "swa_every"])
+    @pytest.mark.parametrize("name", ["batch_size", "crop_frames", "swa_every", "total_epochs"])
     def test_count_below_one_names_the_field(self, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
             TrainConfig(**{name: 0})
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(warmup_epochs=-1, constant_epochs=3, decay_epochs=0, tail_epochs=0, total_epochs=2),
+         "warmup_epochs must be >= 0, got -1"),
+        (dict(constant_epochs=-1), "constant_epochs must be >= 0, got -1"),
+        (dict(decay_epochs=-1), "decay_epochs must be >= 0, got -1"),
+        (dict(tail_epochs=-1), "tail_epochs must be >= 0, got -1"),
+        (dict(mixup_alpha=0.0), "mixup_alpha must be > 0, got 0.0"),
+        (dict(mixup_alpha=float("nan")), "mixup_alpha must be > 0, got nan"),
+        (dict(warmup_start_factor=0.0), r"warmup_start_factor must lie in \(0, 1\], got 0.0"),
+        (dict(warmup_start_factor=1.5), r"warmup_start_factor must lie in \(0, 1\], got 1.5"),
+    ], ids=["warmup", "constant", "decay", "tail", "alpha", "alpha-nan", "factor-0",
+            "factor-1.5"])
+    def test_value_train_would_trip_on_names_the_field(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kw)
 
 
 class TestTrainClipChecks:
@@ -402,6 +418,25 @@ class TestBnRefresh:
         for key, value in model.bn_arrays().items():
             np.testing.assert_allclose(value, 0.9 * before[key] + 0.1 * stats[key],
                                        rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("bad,message", [
+        ("nan", r"track 'x' holds a non-finite value nan at \(bin, frame\) \(3, 5\)"),
+        ("bins", "track 'x' has 16 frequency bins, the model has 32"),
+        ("frames", "track 'x' has 0 frames"),
+    ], ids=["nan", "bins", "frames"])
+    def test_bad_clip_names_the_track_before_any_batch(self, bad, message):
+        clips = make_band_clips(5, frames=self.FRAMES, seed=4)
+        values = clips[4].values
+        if bad == "nan":
+            values[3, 5] = np.nan
+        clips[4] = TaggedClip("x", {"nan": values, "bins": values[:16], "frames": values[:, :0]}[bad],
+                              clips[4].labels)
+        model = build_model(tiny_train_setup(seed=3)[0])
+        before = model.bn_arrays()
+        with pytest.raises(ValueError, match=message):
+            refresh_bn_statistics(model, clips, self.FRAMES, self.NORM, 2, seed=0)
+        for key, value in model.bn_arrays().items():
+            assert np.array_equal(value, before[key]), key
 
     def test_empty_clip_list_rejected(self):
         model = build_model(tiny_train_setup()[0])
