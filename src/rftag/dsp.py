@@ -19,6 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 TARGET_SAMPLE_RATE = 44100
+MIN_SAMPLE_RATE = 8000      # the lowest standard PCM rate
+MAX_SAMPLE_RATE = 768000    # the highest common one
 DEFAULT_N_FFT = 2048
 DEFAULT_HOP = 512
 DEFAULT_N_MELS = 256
@@ -73,7 +75,9 @@ def load_wav(path) -> AudioClip:
     Supports PCM 16-bit and IEEE float 32-bit, 1 or 2 channels.  Stereo is
     averaged to mono; 16-bit samples are scaled by 1/32768; other rates are
     resampled to 44.1 kHz by linear interpolation.  A chunk that declares
-    more bytes than the file holds is an error, not a truncated read.
+    more bytes than the file holds is an error, not a truncated read, and
+    so is a rate outside [8 kHz, 768 kHz], which no real recording has and
+    whose resampling could take gigabytes or leave a single sample.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -104,8 +108,9 @@ def load_wav(path) -> AudioClip:
         (audio_format,) = struct.unpack_from("<H", fmt, 24)
     if channels not in (1, 2):
         raise ValueError(f"{path}: unsupported channel count {channels} (expected 1 or 2)")
-    if rate < 1:
-        raise ValueError(f"{path}: fmt chunk declares a sample rate of {rate}")
+    if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
+        raise ValueError(f"{path}: fmt chunk declares a sample rate of {rate}, outside "
+                         f"[{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz")
 
     if (audio_format, bits) not in ((1, 16), (3, 32)):
         kind = {1: "PCM", 3: "IEEE float"}.get(audio_format, f"format code {audio_format}")

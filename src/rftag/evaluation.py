@@ -235,7 +235,7 @@ def _run_metadata(path, echo: dict, model: Model) -> tuple:
             raise ValueError(f"{path}: run metadata field {key!r} {need}, got {echo[key]!r}")
         return value
 
-    frames = model.min_frames()
+    frames = model.min_input[1]
     return (read("crop_frames", int, lambda v: v >= frames,
                  f"must be >= the model's {frames} frames"),
             read("norm_mean", float, math.isfinite, "must be finite"),

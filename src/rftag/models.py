@@ -16,6 +16,9 @@ walking the arch's layers and skips once:
 Block widths split ``arch.channel_plan`` evenly over the blocks; a conv
 outside a block takes the width of the next block.  A block's layers are
 named ``<block>c<i>`` and its parameters ``<block>.br<k>.c<i>.*``.
+``rf.min_input`` of the arch is the one extent rule: ``ModelConfig``
+refuses ``input_bins`` below its bins, and ``Model.min_input`` holds it,
+computed once, for the frames of a forward and a run's ``crop_frames``.
 
 Variant flags thread through every block: ``frequency_aware`` appends a
 per-bin coordinate channel to every conv input, ``shake_shake`` doubles each
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, Tensor
-from .rf import ArchSpec, LayerSpec, TemplateConfig, apply_rho
+from .rf import ArchSpec, LayerSpec, TemplateConfig, apply_rho, min_input
 
 CKPT_MAGIC = b"RFCKPT01"
 
@@ -46,7 +49,9 @@ CKPT_MAGIC = b"RFCKPT01"
 class ModelConfig:
     """A CP-ResNet variant: the template sized by rho, the variant flags, the
     tag and input bin counts and the init seed.  ``n_tags`` or ``input_bins``
-    below one and a negative ``seed`` are refused, naming the field."""
+    below one, a negative ``seed``, a template or rho that ``arch`` refuses
+    and ``input_bins`` below the arch's ``min_input`` bins are refused on
+    construction, naming the field."""
 
     template: TemplateConfig = field(default_factory=TemplateConfig)
     rho: int = 4
@@ -61,6 +66,10 @@ class ModelConfig:
         for name, least in (("n_tags", 1), ("input_bins", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        bins = min_input(self.arch())[0]
+        if self.input_bins < bins:
+            raise ValueError(f"input_bins must be >= {bins}, the bins the stride plan "
+                             f"needs, got {self.input_bins}")
 
     def arch(self) -> ArchSpec:
         return apply_rho(self.template.make(), self.rho, self.rho_time)
@@ -204,6 +213,7 @@ class Model:
         self.rng_init = np.random.default_rng(config.seed)
         self.rng_shake = np.random.default_rng(config.seed + 1)
         self._arch = config.arch()
+        self.min_input = min_input(self._arch)
         self._build()
         del self.rng_init
 
@@ -246,24 +256,6 @@ class Model:
         self.head_w = self.add_param("head.weight", w)
         self.head_b = self.add_param("head.bias", np.zeros(self.config.n_tags))
 
-    # -- geometry ----------------------------------------------------------
-
-    def min_frames(self) -> int:
-        """Smallest time extent the stride/pool plan can digest.
-
-        A reverse pass over the arch from one output frame: each layer needs
-        (need - 1) * stride + kernel input frames, less its padding on both
-        sides for a conv, and at least one.
-        """
-        need = 1
-        for layer in reversed(self._arch.layers):
-            k, s, p = layer.kernel[1], layer.stride[1], layer.padding[1]
-            if layer.kind == "pool":
-                need = (need - 1) * s + k
-            elif layer.kind == "conv":
-                need = max(1, (need - 1) * s + k - 2 * p)
-        return need
-
     # -- forward -----------------------------------------------------------
 
     def forward_features(self, x: Tensor, mode: str = "eval") -> Tensor:
@@ -274,7 +266,7 @@ class Model:
             raise ValueError(f"expected input [N,1,bins,frames], got {x.shape}")
         if x.shape[2] != self.config.input_bins:
             raise ValueError(f"expected {self.config.input_bins} frequency bins, got {x.shape[2]}")
-        need = self.min_frames()
+        need = self.min_input[1]
         if x.shape[3] < need:
             raise ValueError(f"input has {x.shape[3]} frames but the stride plan "
                              f"needs at least {need}")
@@ -456,7 +448,11 @@ def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict, dict, dict]:
-    """Returns (parameter arrays, BN stat arrays, config echo dict)."""
+    """Returns (parameter arrays, BN stat arrays, config echo dict).
+
+    A file that is short, corrupt or runs on past the config echo is
+    refused with a ValueError naming the path and where it broke.
+    """
     raw = Path(path).read_bytes()
     if raw[:8] != CKPT_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:8]!r}, expected {CKPT_MAGIC!r}")
@@ -466,6 +462,8 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
         elen = struct.unpack_from("<I", raw, pos)[0] if len(raw) >= pos + 4 else -1
         if not 0 <= elen <= len(raw) - pos - 4:
             raise ValueError("truncated at the config echo")
+        if len(raw) > pos + 4 + elen:
+            raise ValueError(f"{len(raw) - pos - 4 - elen} bytes follow the config echo")
         text = raw[pos + 4:pos + 4 + elen].decode("utf-8")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

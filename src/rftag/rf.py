@@ -4,7 +4,8 @@ Tracks, per axis (frequency f, time t), the receptive field r and the jump j
 (product of strides) through a chain of layers with optional residual skip
 edges: r_n = r_{n-1} + (k_n - 1) * j_{n-1}, j_n = j_{n-1} * s_n, seeded at
 r = j = 1.  Residual merges take the elementwise maximum over incoming
-paths.  The calculus is plain Python; its empirical check, gradient
+paths, and ``min_input`` walks the chain backwards to the smallest input
+per axis.  The calculus is plain Python; its empirical check, gradient
 connectivity through an engine-built arch, lives with the test oracles.
 
 An ``ArchSpec`` is the one description of an architecture: the layer
@@ -16,7 +17,8 @@ adjustable conv slots, the first rho keep frequency-kernel 3 and the rest
 drop to 1, which caps how far the frequency RF can grow.  Only a conv can
 be adjustable, so every adjustable layer is a rho slot.  The input width
 is not part of an arch (the calculus does not depend on it);
-``models.ModelConfig.input_bins`` records it for a built model.
+``models.ModelConfig.input_bins`` records it for a built model, and may
+not be below the arch's ``min_input`` bins.
 """
 
 from __future__ import annotations
@@ -137,6 +139,21 @@ def compute_rf(arch: ArchSpec) -> RFReport:
         rows.append(RFRow(layer.name, rf, jf, rt, jt))
     rf, jf, rt, jt = prev
     return RFReport(rows=rows, rf_freq=rf, rf_time=rt)
+
+
+def min_input(arch: ArchSpec) -> tuple[int, int]:
+    """Smallest (bins, frames) input that leaves every layer an output cell.
+
+    One reverse pass from one output cell per axis: a layer with ``need``
+    output cells needs ``max(1, (need - 1) * stride + kernel - 2 * padding)``
+    input cells.  Pools have zero padding, so the rule is the same for every
+    layer kind, and skips do not enter: a residual branch keeps its extent.
+    """
+    need = (1, 1)
+    for layer in reversed(arch.layers):
+        need = tuple(max(1, (n - 1) * s + k - 2 * p)
+                     for n, k, s, p in zip(need, layer.kernel, layer.stride, layer.padding))
+    return need
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,8 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     The best-val checkpoint is kept up to date, and each SWA absorption
     persists the refreshed averaged model.  Before anything is trained or
     written, the tag count and every clip's label row must match the
-    model's ``n_tags``, every clip must pass ``clip_problem`` for its
+    model's ``n_tags``, ``crop_frames`` must reach the model's
+    ``min_input`` frames, every clip must pass ``clip_problem`` for its
     ``input_bins``, and the validation split must form a ``LabelSet``.  A
     tag may not hold a comma, a tab or a newline.  A non-finite loss aborts
     with the epoch and batch index.
@@ -268,6 +269,9 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     n_tags, bins = model.config.n_tags, model.config.input_bins
     if len(tags) != n_tags:
         raise ValueError(f"{len(tags)} tags given, the model has {n_tags}")
+    if config.crop_frames < model.min_input[1]:
+        raise ValueError(f"crop_frames must be >= the model's {model.min_input[1]} frames, "
+                         f"got {config.crop_frames}")
     for split, clips in (("training", train_clips), ("validation", val_clips)):
         for clip in clips:
             problem = clip_problem(clip.values, bins)

@@ -23,7 +23,7 @@ from rftag.training import TaggedClip
 from oracles import first_nonfinite_cell
 
 # deterministic examples and no example database on disk, so the suite is reproducible
-CHECKS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+CHECKS = settings(max_examples=100)
 
 CROP = 16
 BINS = 32

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rftag.models import (
     save_checkpoint,
     shake_combine,
 )
-from rftag.rf import compute_rf
+from rftag.rf import compute_rf, min_input
 
 from oracles import measure_model_rf
 
@@ -166,7 +167,12 @@ class TestBuildModel:
         (dict(input_bins=-3), "input_bins must be >= 1, got -3"),
         (dict(seed=-1), "seed must be >= 0, got -1"),
         (dict(n_tags=0), "n_tags must be >= 1, got 0"),
-    ], ids=["bins-0", "bins-neg", "seed", "tags"])
+        (dict(input_bins=2), "input_bins must be >= 3, the bins the stride plan needs, got 2"),
+        (dict(template=TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 6),
+                                      pool_stages=2), input_bins=6),
+         "input_bins must be >= 7, the bins the stride plan needs, got 6"),
+        (dict(rho=5), r"rho must lie in \[0, 4\], got 5"),
+    ], ids=["bins-0", "bins-neg", "seed", "tags", "bins-pool1", "bins-pool2", "rho"])
     def test_unusable_config_names_the_field(self, kw, message):
         with pytest.raises(ValueError, match=message):
             tiny_config(**kw)
@@ -195,7 +201,7 @@ class TestForward:
 
     def test_too_few_frames_names_minimum(self):
         m = build_model(tiny_config())
-        need = m.min_frames()
+        need = m.min_input[1]
         with pytest.raises(ValueError, match=str(need)):
             m.forward(batch(frames=need - 1), mode="eval")
 
@@ -243,6 +249,10 @@ class TestFaSanity:
         print(f"\nfrequency-shift sensitivity: FA-on {mean_on:.4f} vs FA-off {mean_off:.4f}")
 
 
+# (bins, frames) that rf.min_input gives the two-stage test templates, by pool stages
+EXPECTED_MIN_INPUT = {0: (1, 1), 1: (3, 3), 2: (7, 7)}
+
+
 class TestModelRf:
     @pytest.mark.parametrize("fa,shake", [(False, False), (True, True)])
     def test_analytic_equals_empirical(self, fa, shake):
@@ -262,12 +272,21 @@ class TestModelRf:
                           frequency_aware=True, shake_shake=True)
         m = build_model(cfg)
         assert "s2b1.proj.weight" in m.params
-        need = m.min_frames()
+        bins, need = m.min_input
         assert m.forward(batch(frames=need), mode="eval").shape == (2, 3)
         with pytest.raises(ValueError, match=f"at least {need}"):
             m.forward(batch(frames=need - 1), mode="eval")
         report = compute_rf(cfg.arch())
         assert measure_model_rf(cfg) == (report.rf_freq, report.rf_time)
+        # the frequency axis: the least bins build and run, one less is refused
+        # by the config and breaks the trunk itself
+        assert m.min_input == min_input(cfg.arch()) == EXPECTED_MIN_INPUT[pool_stages]
+        narrow = build_model(replace(cfg, input_bins=bins))
+        assert narrow.forward(batch(bins=bins, frames=need), mode="eval").shape == (2, 3)
+        with pytest.raises(ValueError, match=f"input_bins must be >= {bins},.* got {bins - 1}"):
+            replace(cfg, input_bins=bins - 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            models._run(narrow.trunk, batch(bins=bins - 1, frames=need), "eval")
 
 
 class TestCheckpoint:
@@ -341,7 +360,9 @@ class TestCheckpoint:
         (b"template.time_kernel=3", b"template.time_kernel=2",
          "time_kernel must be odd and >= 1, got 2"),
         (b"input_bins=32", b"input_bins=00", "input_bins must be >= 1, got 0"),
-    ], ids=["int", "bool", "utf8", "time-kernel", "input-bins"])
+        (b"input_bins=32", b"input_bins=02",
+         "input_bins must be >= 3, the bins the stride plan needs, got 2"),
+    ], ids=["int", "bool", "utf8", "time-kernel", "input-bins", "input-bins-pool1"])
     def test_bad_echo_value_names_path_and_field(self, tmp_path, old, new, message):
         p = tmp_path / "v.ckpt"
         save_checkpoint(p, build_model(tiny_config()))

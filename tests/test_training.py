@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,6 +346,14 @@ class TestTrainClipChecks:
                                              "'t000' repeats"):
             train(build_model(cfg), make_band_clips(4), val_clips, list("abc"), tc,
                   tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_crop_below_the_stride_plan_names_crop_frames(self, tmp_path):
+        cfg, tc = tiny_train_setup()
+        short = replace(tc, crop_frames=2)
+        with pytest.raises(ValueError, match="crop_frames must be >= the model's 3 frames, got 2"):
+            train(build_model(cfg), make_band_clips(4), make_band_clips(2), list("abc"),
+                  short, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
     def test_tag_count_must_match_the_model(self, tmp_path):
