@@ -13,14 +13,23 @@ activations are freed by reference counting before the step ends.
 Forward ops do only forward work, on one code path for training and
 eval: what backward needs beyond the op's inputs and output is rebuilt by
 its vjp.  The convolution keeps NCHW throughout.  It multiplies the weight
-with a tap-major column matrix built one sample at a time, each tap copying
-the part of the unpadded input it reads, so zero padding is read in place
-and never copied (a memory-efficient im2col, after Cho & Brand,
-arXiv:1706.06873); no column matrix outlives the call, and backward
-rebuilds the columns from the input itself.  Max pool combines strided tap
-views with ``np.maximum`` and relu keeps no mask.  Batchnorm is one
-per-channel scale and shift in both modes; only the source of its
-statistics differs, and backward rebuilds the normalized input from x.
+with a tap-major column matrix built one band of output rows and one sample
+at a time in one buffer per call, each tap copying the part of the unpadded
+input it reads, so zero padding is read in place and never copied (a
+memory-efficient im2col, after Cho & Brand, arXiv:1706.06873).  With
+``freq_coord`` it reads a frequency-coordinate plane as one more input
+channel (CoordConv, arXiv:1807.03247) whose column rows it writes once per
+band, so the plane is never materialized as an input.  No column matrix
+outlives the call, and backward rebuilds the columns from the input itself.
+Max pool combines strided tap views with ``np.maximum`` and relu keeps no
+mask.  Batchnorm is one per-channel scale and shift in both modes; only the
+source of its statistics differs, and backward rebuilds the normalized
+input from x.
+
+``batchnorm2d``, ``relu`` and ``add`` take ``out=``, an array to write the
+result into (a fresh conv output, say), so an eval forward need not
+allocate a copy per op.  Because the vjps rebuild from their inputs, an op
+refuses ``out=`` whenever it would record on a tape.
 
 Precision is parametric: arrays keep whatever float dtype they were created
 with.  Training uses float32 by default; gradient-check tests run the same
@@ -153,12 +162,28 @@ def record(name: str, out_data: np.ndarray, inputs: Sequence[Tensor], vjp) -> Te
     active and at least one input requires grad, so eval-mode forwards build
     no graph.
     """
-    tape = active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+    needs = _records(inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        tape.append(name, out, inputs, vjp)
+        active_tape().append(name, out, inputs, vjp)
     return out
+
+
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` would be recorded on the active tape."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
+def _check_out(name: str, out: Optional[np.ndarray], x: Tensor, inputs: Sequence[Tensor]) -> None:
+    """``out=`` overwrites an array the tape may still need, so an op that
+    would record refuses it; it must also match x in shape and dtype."""
+    if out is None:
+        return
+    if _records(inputs):
+        raise ValueError(f"{name} cannot write in place (out=) while a tape records it")
+    if out.shape != x.shape or out.dtype != x.dtype:
+        raise ValueError(f"{name} out= must be a {x.dtype} array of shape {x.shape}, "
+                         f"got {out.dtype} {out.shape}")
 
 
 def backward(loss: Tensor) -> None:
@@ -216,47 +241,83 @@ def _as_pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-def _span(k: int, s: int, p: int, n_in: int, n_out: int):
+def _span(k: int, s: int, p: int, n_in: int, n_out: int, first: int = 0):
     """Where kernel offset k reads along one axis, as (output slice, input slice).
 
     Output a reads input cell k + s*a - p.  The slices cover exactly the
-    outputs whose read lands inside the unpadded input; None when every
-    read lands in padding.
+    outputs in [first, n_out) whose read lands inside the unpadded input,
+    counted from ``first``; None when every read lands in padding.
     """
-    lo = max(0, -((k - p) // s))                    # first a with k + s*a >= p
+    lo = max(first, -((k - p) // s))                # first a with k + s*a >= p
     hi = min(n_out, (n_in - 1 + p - k) // s + 1)    # one past the last a with k + s*a - p < n_in
     if lo >= hi:
         return None
     start = k + s * lo - p
-    return slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)
+    return slice(lo - first, hi - first), slice(start, start + s * (hi - lo - 1) + 1, s)
 
 
-def _taps(kernel: tuple, stride: tuple, padding: tuple, extents: tuple, out_extents: tuple) -> list:
-    """The taps t = i*kw + j that read at least one input cell, in row-major
-    order, each as (t, out_rows, out_cols, in_rows, in_cols)."""
-    rows = [_span(i, stride[0], padding[0], extents[0], out_extents[0]) for i in range(kernel[0])]
+def _taps(kernel: tuple, stride: tuple, padding: tuple, extents: tuple, out_extents: tuple,
+          first_row: int = 0) -> list:
+    """The taps t = i*kw + j that read at least one input cell for output
+    rows [first_row, out_extents[0]), in row-major order, each as
+    (t, out_rows, out_cols, in_rows, in_cols) with out_rows counted from
+    ``first_row``."""
+    rows = [_span(i, stride[0], padding[0], extents[0], out_extents[0], first_row)
+            for i in range(kernel[0])]
     cols = [_span(j, stride[1], padding[1], extents[1], out_extents[1]) for j in range(kernel[1])]
     return [(i * kernel[1] + j, r[0], c[0], r[1], c[1])
             for i, r in enumerate(rows) if r for j, c in enumerate(cols) if c]
 
 
+_BAND_BYTES = 8 << 20
+"""Bytes of column matrix one conv2d band may hold (at least one output row).
+
+A whole column matrix is kh*kw*C times the input plane: 39 MB per sample
+for the 3x3 conv at 32 (+1) channels on 128 x 256 cells, the widest of a
+512-frame window.  8 MiB splits that one into five bands and keeps the 1x3
+convs of the last stages (6.3 MB at 257 channels on 32 x 64) in one; on a
+5-member tagging job, budgets of 1-6 MiB, which split those too, read 12 MB
+more peak RSS.  The bands of a split matrix hold at least half the budget
+each, so each product stays above the size (about a million multiply-adds) below which OpenBLAS
+takes a small-matrix kernel that rounds differently; on OpenBLAS 0.3.31
+(Skylake-X kernels) banded and whole-matrix outputs are bit-identical."""
+
+
+def _bands(rows: int, row_bytes: int) -> list:
+    """Output-row bands [lo, hi) of one conv2d call: as few as keep each band
+    within ``_BAND_BYTES``, sizes differing by at most one row, larger first."""
+    count = -(-rows // max(1, _BAND_BYTES // row_bytes))
+    return [(-(-b * rows // count), -(-(b + 1) * rows // count)) for b in range(count)]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride=(1, 1), padding=(0, 0)) -> Tensor:
+           stride=(1, 1), padding=(0, 0), freq_coord: bool = False) -> Tensor:
     """2-D cross-correlation of x[N,C,H,W] with weight[O,C,kh,kw].
 
     Output extents follow floor((H + 2p - k)/s) + 1.  No kernel flip.
 
-    One sample at a time, the input is copied tap by tap into a column
-    matrix of shape (kh*kw*C, Ho*Wo): row ``t*C + c`` holds channel c as seen
-    by kernel tap t = i*kw + j.  Each tap copies only the sub-rectangle of
-    the unpadded input that it reads; the buffer is zeroed once per call and
-    the cells a tap reads from padding are never written, so they stay zero
-    for every sample, and a tap that lies wholly in padding copies nothing.
-    One GEMM with the tap-major weight matrix (O, kh*kw*C) gives that
-    sample's NCHW output.  No padded copy of the input is made and no column
-    matrix outlives the call: backward keeps the input itself, rebuilds the
-    columns for the weight gradient by one GEMM per sample, and scatters the
-    column gradient, held in a second buffer so the zero cells survive,
+    With ``freq_coord`` the input has one channel fewer than the weight: the
+    last input channel is the frequency coordinate plane, h/(H-1) at row h
+    (0 when H == 1), which is never materialized as an input channel.  The
+    result is bit for bit that of the weight applied to the input with that
+    plane appended (``models.fa_channel``).
+
+    The input is copied tap by tap into a column matrix of shape
+    (kh*kw*C, rows*Wo): row ``t*C + c`` holds channel c as seen by kernel
+    tap t = i*kw + j.  The output rows are split into bands of at most
+    ``_BAND_BYTES`` of columns, and one buffer per call holds a band.  Per
+    band the buffer is zeroed and the coordinate plane's rows are written
+    once; then, one sample at a time, each tap copies only the
+    sub-rectangle of the unpadded input that it reads (the cells it reads
+    from padding stay zero, and a tap that lies wholly in padding copies
+    nothing), and one GEMM with the tap-major weight matrix (O, kh*kw*C)
+    writes that sample's band of the NCHW output.
+
+    No padded copy of the input is made and no column matrix outlives the
+    call: backward keeps the input itself and rebuilds the columns for the
+    weight gradient in one full-extent band, one GEMM per sample, so the
+    weight gradient sums in the same order at any band size.  It scatters
+    the column gradient, held in a second buffer so the zero cells survive,
     straight into an array shaped like the input.
     """
     sh, sw = _as_pair(stride)
@@ -271,9 +332,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     co, ci, kh, kw = weight.shape
     if kh < 1 or kw < 1:
         raise ValueError(f"conv2d kernel extents must be >= 1, got weight shape {weight.shape}")
-    if ci != c:
+    if ci != c + freq_coord:
         raise ValueError(
-            f"conv2d channel mismatch: input shape {x.shape} has {c} channels, "
+            f"conv2d channel mismatch: input shape {x.shape} has {c} channels"
+            f"{' plus the frequency coordinate' if freq_coord else ''}, "
             f"weight shape {weight.shape} expects {ci}")
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise ValueError(
@@ -285,19 +347,39 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     xd = x.data
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
-    taps = _taps((kh, kw), (sh, sw), (ph, pw), (h, w), (ho, wo))
-    wmat = weight.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * c)
+    depth = kh * kw * ci  # rows of the column matrix
+    wmat = weight.data.transpose(0, 2, 3, 1).reshape(co, depth)
+    coord = None
+    if freq_coord:
+        coord = (np.arange(h, dtype=xd.dtype) / (h - 1) if h > 1
+                 else np.zeros(1, dtype=xd.dtype))[:, None]
 
-    def columns(s: int, cols: np.ndarray) -> np.ndarray:
-        planes = cols.reshape(kh * kw, c, ho, wo)
-        for t, orows, ocols, irows, icols in taps:
-            planes[t, :, orows, ocols] = xd[s, :, irows, icols]
+    def taps(lo: int, hi: int) -> list:
+        return _taps((kh, kw), (sh, sw), (ph, pw), (h, w), (hi, wo), lo)
+
+    def coordinates(cols: np.ndarray, band: list) -> None:
+        planes = cols.reshape(kh * kw, ci, -1, wo)
+        for t, orows, ocols, irows, icols in band:
+            planes[t, c, orows, ocols] = coord[irows]
+
+    def columns(s: int, cols: np.ndarray, band: list) -> np.ndarray:
+        planes = cols.reshape(kh * kw, ci, -1, wo)
+        for t, orows, ocols, irows, icols in band:
+            planes[t, :c, orows, ocols] = xd[s, :, irows, icols]
         return cols
 
-    cols = np.zeros((kh * kw * c, ho * wo), dtype=dtype)
+    bands = _bands(ho, depth * wo * np.dtype(dtype).itemsize)
+    buf = np.zeros(depth * (bands[0][1] - bands[0][0]) * wo, dtype=dtype)
     out = np.empty((n, co, ho * wo), dtype=dtype)
-    for s in range(n):
-        np.matmul(wmat, columns(s, cols), out=out[s])
+    for lo, hi in bands:
+        cols = buf[:depth * (hi - lo) * wo].reshape(depth, (hi - lo) * wo)
+        if lo:
+            cols.fill(0)
+        band = taps(lo, hi)
+        if freq_coord:
+            coordinates(cols, band)
+        for s in range(n):
+            np.matmul(wmat, columns(s, cols, band), out=out[s, :, lo * wo:hi * wo])
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape(n, co, ho, wo)
@@ -306,20 +388,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     def vjp(gout: np.ndarray):
         g = gout.reshape(n, co, ho * wo)
-        gw = gb = None
-        cols = np.zeros((kh * kw * c, ho * wo), dtype=dtype) if weight.requires_grad else None
-        gcols = np.empty((kh * kw * c, ho * wo), dtype=dtype) if x.requires_grad else None
-        gwmat = np.zeros(wmat.shape, dtype=dtype) if weight.requires_grad else None
-        gx = np.zeros(xd.shape, dtype=dtype) if x.requires_grad else None
-        for s in range(n):
-            if gwmat is not None:
-                gwmat += g[s] @ columns(s, cols).T
-            if gx is not None:
-                gplanes = np.matmul(wmat.T, g[s], out=gcols).reshape(kh * kw, c, ho, wo)
-                for t, orows, ocols, irows, icols in taps:
-                    gx[s, :, irows, icols] += gplanes[t, :, orows, ocols]
-        if gwmat is not None:
-            gw = np.ascontiguousarray(gwmat.reshape(co, kh, kw, c).transpose(0, 3, 1, 2))
+        band = taps(0, ho)
+        gw = gb = gx = None
+        if weight.requires_grad:
+            cols = np.zeros((depth, ho * wo), dtype=dtype)
+            if freq_coord:
+                coordinates(cols, band)
+            gwmat = np.zeros(wmat.shape, dtype=dtype)
+            for s in range(n):
+                gwmat += g[s] @ columns(s, cols, band).T
+            del cols
+            gw = np.ascontiguousarray(gwmat.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
+        if x.requires_grad:
+            gcols = np.empty((depth, ho * wo), dtype=dtype)
+            gx = np.zeros(xd.shape, dtype=dtype)
+            for s in range(n):
+                gplanes = np.matmul(wmat.T, g[s], out=gcols).reshape(kh * kw, ci, ho, wo)
+                for t, orows, ocols, irows, icols in band:
+                    gx[s, :, irows, icols] += gplanes[t, :c, orows, ocols]
         if bias is not None and bias.requires_grad:
             gb = g.sum(axis=(0, 2))
         if bias is None:
@@ -367,7 +453,8 @@ class BatchNormState:
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                eps: float = 1e-5, mode: str = "train") -> Tensor:
+                eps: float = 1e-5, mode: str = "train",
+                out: Optional[np.ndarray] = None) -> Tensor:
     """Per-channel batch normalization over (N, H, W).
 
     Only the source of the per-channel ``mean`` and ``var`` depends on the
@@ -379,6 +466,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     rebuilds ``xhat = (x - mean) / sqrt(var + eps)`` from x; the input
     gradient follows the batch statistics in train mode and treats the
     statistics as constants in eval mode.
+
+    ``out`` (x's data itself, say) receives the result in place; it is
+    refused when the op would record on a tape, whose vjp rebuilds from x.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -392,6 +482,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                          f"do not match {c} channels")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
+    _check_out("batchnorm2d", out, x, [x, gamma, beta])
 
     m = x.size // c  # values per channel
     if mode == "eval":
@@ -406,7 +497,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         state.update(mean, var)
     inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * inv_std
-    out = x.data * scale[:, None, None]
+    out = np.multiply(x.data, scale[:, None, None], out=out)
     out += (beta.data - mean * scale)[:, None, None]
 
     def vjp(gout: np.ndarray):
@@ -428,10 +519,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     return record("batchnorm2d", out, [x, gamma, beta], vjp)
 
 
-def relu(x: Tensor) -> Tensor:
+def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
     """max(x, 0).  Backward passes ``gout`` where the output is positive,
-    which is exactly where x > 0 (NaN included), so no mask is kept."""
-    out = np.maximum(x.data, 0)
+    which is exactly where x > 0 (NaN included), so no mask is kept.
+    ``out`` follows ``batchnorm2d``'s rule."""
+    _check_out("relu", out, x, [x])
+    out = np.maximum(x.data, 0, out=out)
 
     def vjp(gout):
         return (gout * (out > 0),) if x.requires_grad else (None,)
@@ -562,10 +655,12 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return record("linear", out, inputs, vjp)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
+    """a + b; ``out`` follows ``batchnorm2d``'s rule."""
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data + b.data
+    _check_out("add", out, b, [a, b])
+    out = np.add(a.data, b.data, out=out)
 
     def vjp(gout):
         return (gout if a.requires_grad else None,

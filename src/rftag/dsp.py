@@ -261,26 +261,52 @@ def a_weight_power_multipliers(n_fft: int = DEFAULT_N_FFT,
 # ---------------------------------------------------------------------------
 
 
+_STFT_BLOCK = 256
+"""Frames per block of ``logmel``'s STFT.
+
+One-shot, a 30 s clip's STFT temporaries (frames, spectrum, power and its
+weighted copy) peak at about 85 MB in float64; a block of 256 frames peaks
+at about 13 MB.  Blocks start at multiples of 256 frames and hold at least
+256 (but a whole short clip), so each mel product is a full-size GEMM
+whose columns OpenBLAS rounds as it does in the one-shot product."""
+
+
+def _blocks(frames: int) -> list:
+    """Frame blocks [lo, hi) of ``_STFT_BLOCK`` frames, the remainder joining
+    the last one, so no block but a whole short clip is narrower than a block."""
+    starts = list(range(0, frames, _STFT_BLOCK))[:max(1, frames // _STFT_BLOCK)]
+    return list(zip(starts, starts[1:] + [frames]))
+
+
 def logmel(clip: AudioClip) -> Spectrogram:
     """Perceptually-weighted log-mel spectrogram, ref-max normalized.
 
     ``DEFAULT_N_FFT``-sample Hann windows every ``DEFAULT_HOP`` samples,
     ``DEFAULT_N_MELS`` bands at the clip's sample rate.  A clip shorter than
     one window is zero-padded to a single window, giving one frame.
+
+    The STFT, A-weighting and mel projection run over blocks of
+    ``_STFT_BLOCK`` frames into one float64 dB matrix; every step works per
+    frame, so the result is bit for bit that of one pass over the whole
+    clip, without its temporaries.
     """
     filterbank = mel_filterbank(sr=clip.sample_rate)
+    weights = a_weight_power_multipliers(sr=clip.sample_rate)[:, None]
     samples = clip.samples
     if len(samples) < DEFAULT_N_FFT:
         samples = np.concatenate([samples, np.zeros(DEFAULT_N_FFT - len(samples))])
+    frames = frame_count(len(samples), DEFAULT_N_FFT, DEFAULT_HOP)
     # The result outlives every temporary below.  Allocated first, it lies
-    # below them on the heap, so it never pins their freed memory resident
-    # (a 30 s track's temporaries are tens of MB).
-    values = np.empty((DEFAULT_N_MELS, frame_count(len(samples), DEFAULT_N_FFT, DEFAULT_HOP)),
-                      dtype=np.float32)
-    power = stft_power(AudioClip(samples, clip.sample_rate))
-    weighted = power * a_weight_power_multipliers(sr=clip.sample_rate)[:, None]
-    mel_power = filterbank.matrix @ weighted
-    db = 10.0 * np.log10(mel_power + POWER_FLOOR)
+    # below them on the heap, so it never pins their freed memory resident.
+    values = np.empty((DEFAULT_N_MELS, frames), dtype=np.float32)
+    db = np.empty((DEFAULT_N_MELS, frames))
+    for lo, hi in _blocks(frames):
+        block = samples[lo * DEFAULT_HOP:(hi - 1) * DEFAULT_HOP + DEFAULT_N_FFT]
+        power = stft_power(AudioClip(block, clip.sample_rate))
+        np.matmul(filterbank.matrix, power * weights, out=db[:, lo:hi])
+    db += POWER_FLOOR
+    np.log10(db, out=db)
+    db *= 10.0
     db -= db.max()
     np.clip(db, DB_CLIP, None, out=db)
     values[...] = db

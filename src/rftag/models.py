@@ -27,6 +27,13 @@ block's branch and mixes the two with convex weights: in train mode alpha
 ``Model.rng_shake`` per block per forward; in eval mode 0.5 and 0.5.  The
 classifier head is global average pooling into a linear layer producing one
 logit per tag.  Sigmoid lives downstream in the loss / evaluation layers.
+
+Eval mode takes the coordinate channel inside the conv
+(``conv2d(freq_coord=True)``), and with no tape open its batch norm, relu
+and residual add write over the fresh conv and branch outputs (``out=``),
+so a forward holds about two activations and one column band at a time.
+Train mode appends the channel with ``fa_channel``, whose copy the
+benchmark still times under its own name.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -128,19 +135,22 @@ class _Conv:
         self.stride, self.padding, self.relu = layer.stride, layer.padding, relu
         self.fa = model.config.frequency_aware
         c_eff = c_in + (1 if self.fa else 0)
-        fan_in = c_eff * kf * kt
-        w = model.rng_init.standard_normal((c_out, c_eff, kf, kt)) * np.sqrt(2.0 / fan_in)
-        self.weight = model.add_param(f"{name}.weight", w)
+        self.weight = model.add_param(f"{name}.weight",
+                                      model._he_init((c_out, c_eff, kf, kt), c_eff * kf * kt))
         self.gamma = model.add_param(f"{name}.bn.gamma", np.ones(c_out))
         self.beta = model.add_param(f"{name}.bn.beta", np.zeros(c_out))
         self.state = model.add_bn_state(f"{name}.bn", c_out)
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        if self.fa:
+        train = mode == "train"
+        if self.fa and train:
             x = fa_channel(x)
-        x = ad.conv2d(x, self.weight, None, stride=self.stride, padding=self.padding)
-        x = ad.batchnorm2d(x, self.gamma, self.beta, self.state, mode=mode)
-        return ad.relu(x) if self.relu else x
+        x = ad.conv2d(x, self.weight, None, stride=self.stride, padding=self.padding,
+                      freq_coord=self.fa and not train)
+        # The conv's output is fresh: with nothing recording, eval writes over it.
+        out = None if train or ad.active_tape() else x.data
+        x = ad.batchnorm2d(x, self.gamma, self.beta, self.state, mode=mode, out=out)
+        return ad.relu(x, out=out) if self.relu else x
 
 
 class _Pool:
@@ -188,14 +198,15 @@ class _Block:
                               c_in, c_out, relu=False)
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
+        train = mode == "train"
         residual = x if self.proj is None else self.proj(x, mode)
         out = [_run(steps, x, mode) for steps in self.branches]
         if len(out) == 2:
-            train = mode == "train"
             alpha = float(self.rng.uniform()) if train else 0.5
             beta = float(self.rng.uniform()) if train else 0.5
             out = [shake_combine(out[0], out[1], alpha, beta)]
-        return ad.add(residual, out[0])
+        # The branch's output is fresh: with nothing recording, eval adds into it.
+        return ad.add(residual, out[0], out=None if train or ad.active_tape() else out[0].data)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +218,23 @@ class Model:
     """Named parameters plus the forward recipe for one architecture."""
 
     def __init__(self, config: ModelConfig):
-        self.config = config
-        self.params: dict[str, Tensor] = {}
-        self.bn_states: dict[str, BatchNormState] = {}
-        self.rng_init = np.random.default_rng(config.seed)
-        self.rng_shake = np.random.default_rng(config.seed + 1)
-        self._arch = config.arch()
-        self.min_input = min_input(self._arch)
-        self._build()
-        del self.rng_init
+        self._build(config, np.random.default_rng(config.seed))
+
+    @classmethod
+    def _unfilled(cls, config: ModelConfig) -> "Model":
+        """The model of ``config`` with zero weights, for a checkpoint to fill:
+        no He init is drawn only to be overwritten."""
+        model = cls.__new__(cls)
+        model._build(config, None)
+        return model
 
     # -- construction ------------------------------------------------------
+
+    def _he_init(self, shape: tuple, fan_in: int) -> np.ndarray:
+        """He-normal weights, or zeros while an unfilled model is built."""
+        if self._rng_init is None:
+            return np.zeros(shape)
+        return self._rng_init.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
     def add_param(self, name: str, values: np.ndarray) -> Tensor:
         if name in self.params:
@@ -233,8 +250,16 @@ class Model:
         self.bn_states[name] = state
         return state
 
-    def _build(self):
-        """One walk over the arch: plain layers and one block per skip."""
+    def _build(self, config: ModelConfig, rng_init: Optional[np.random.Generator]):
+        """Parameters and statistics of ``config`` in one walk over the arch:
+        plain layers and one block per skip."""
+        self.config = config
+        self.params: dict[str, Tensor] = {}
+        self.bn_states: dict[str, BatchNormState] = {}
+        self._rng_init = rng_init
+        self.rng_shake = np.random.default_rng(config.seed + 1)
+        self._arch = config.arch()
+        self.min_input = min_input(self._arch)
         layers, plan = self._arch.layers, self._arch.channel_plan
         n_blocks = len(self._arch.skips)
         block_end = {self._arch.layer_index(src) + 1: self._arch.layer_index(dst)
@@ -252,9 +277,9 @@ class Model:
                 step, c = _layer(self, layers[i].name, layers[i], c, width, relu=True)
                 self.trunk.append(step)
                 i += 1
-        w = self.rng_init.standard_normal((c, self.config.n_tags)) * np.sqrt(2.0 / c)
-        self.head_w = self.add_param("head.weight", w)
+        self.head_w = self.add_param("head.weight", self._he_init((c, self.config.n_tags), c))
         self.head_b = self.add_param("head.bias", np.zeros(self.config.n_tags))
+        del self._rng_init
 
     # -- forward -----------------------------------------------------------
 
@@ -484,7 +509,7 @@ def load_model(path) -> tuple[Model, dict]:
     """
     params, bn, echo = read_checkpoint(path)
     try:
-        model = build_model(config_from_echo(echo))
+        model = Model._unfilled(config_from_echo(echo))
         model.load_state_arrays(params)
         model.load_bn_arrays(bn)
         for section, arrays in (("parameter", params), ("batchnorm", bn)):

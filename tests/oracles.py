@@ -6,6 +6,9 @@ they check.  The receptive-field probes (``connectivity_rf``,
 ``empirical_rf``, ``measure_model_rf``) realize an arch with the engine and
 size their input from ``rf.compute_rf``, so only their verdict, the span of
 nonzero input gradient, is independent of the calculus they check.
+``reference_eval_forward`` and ``oneshot_logmel`` are references of a third
+kind: they compose the package's own ops the plain, allocating way, so that
+a leaner composition of the same ops can be pinned to them bit for bit.
 """
 
 import math
@@ -15,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from rftag import autodiff as ad
-from rftag.models import build_model
+from rftag import dsp
+from rftag.models import build_model, fa_channel, shake_combine
 from rftag.rf import compute_rf
 
 
@@ -276,3 +280,51 @@ def measure_model_rf(config):
         return connectivity_rf(config.arch(), probe)
     finally:
         ad.pool2d = pool2d
+
+
+def reference_eval_forward(model, x):
+    """Eval logits of ``model`` on ``x``, walking ``model.trunk`` with the
+    allocating ops: ``fa_channel`` before each conv of a frequency-aware
+    model, then ``conv2d``, ``batchnorm2d`` and ``relu``, each into a fresh
+    array; blocks add the residual to the branch, or to ``shake_combine`` of
+    the two branches at 0.5 and 0.5; then global average pool and the head.
+    """
+
+    def conv(step, h):
+        if step.fa:
+            h = fa_channel(h)
+        h = ad.conv2d(h, step.weight, None, stride=step.stride, padding=step.padding)
+        h = ad.batchnorm2d(h, step.gamma, step.beta, step.state, mode="eval")
+        return ad.relu(h) if step.relu else h
+
+    def run(steps, h):
+        for step in steps:
+            if hasattr(step, "branches"):
+                residual = h if step.proj is None else conv(step.proj, h)
+                out = [run(branch, h) for branch in step.branches]
+                if len(out) == 2:
+                    out = [shake_combine(out[0], out[1], 0.5, 0.5)]
+                h = ad.add(residual, out[0])
+            elif hasattr(step, "weight"):
+                h = conv(step, h)
+            else:
+                h = ad.pool2d(h, "max", kernel=step.kernel, stride=step.stride)
+        return h
+
+    pooled = ad.pool2d(run(model.trunk, x), "global_avg")
+    flat = ad.reshape(pooled, (x.shape[0], pooled.shape[1]))
+    return ad.linear(flat, model.head_w, model.head_b)
+
+
+def oneshot_logmel(clip):
+    """``dsp.logmel``'s values from one pass over the whole clip: the STFT
+    power of every frame, A-weighted, projected on the mel filterbank,
+    10*log10 above the power floor, less its maximum, clipped, as float32."""
+    samples = clip.samples
+    if len(samples) < dsp.DEFAULT_N_FFT:
+        samples = np.concatenate([samples, np.zeros(dsp.DEFAULT_N_FFT - len(samples))])
+    clip = dsp.AudioClip(samples, clip.sample_rate)
+    weighted = dsp.stft_power(clip) * dsp.a_weight_power_multipliers(sr=clip.sample_rate)[:, None]
+    mel_power = dsp.mel_filterbank(sr=clip.sample_rate).matrix @ weighted
+    db = 10.0 * np.log10(mel_power + dsp.POWER_FLOOR)
+    return np.clip(db - db.max(), dsp.DB_CLIP, None).astype(np.float32)

@@ -25,6 +25,7 @@ from rftag.autodiff import (
     sigmoid,
     sum_all,
 )
+from rftag.models import ModelConfig, TemplateConfig, build_model, fa_channel
 
 from oracles import (
     finite_difference_grads,
@@ -136,6 +137,118 @@ class TestConv2d:
         lhs = conv2d(t64(a * x + b * y), w, padding=(1, 1)).data
         rhs = a * conv2d(t64(x), w, padding=(1, 1)).data + b * conv2d(t64(y), w, padding=(1, 1)).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def band_of(monkeypatch, weight_shape, wo, rows, itemsize=8):
+    """Make conv2d's bands ``rows`` output rows of a weight and output width;
+    returns the bytes of one row of columns."""
+    row_bytes = int(np.prod(weight_shape[1:])) * wo * itemsize
+    monkeypatch.setattr(ad, "_BAND_BYTES", rows * row_bytes)
+    return row_bytes
+
+
+# outputs that span three or more bands: (x shape, weight shape, stride,
+# padding, rows per band, the band sizes that gives)
+BAND_GEOMETRIES = {
+    "3x3_stride2_padding_rows_on_band_edges": ((2, 3, 9, 6), (2, 3, 3, 3), (2, 2), (1, 1), 2,
+                                               [2, 2, 1]),
+    "1x3_pad01": ((2, 3, 7, 5), (2, 3, 1, 3), (1, 1), (0, 1), 3, [3, 2, 2]),
+    "last_band_of_one_row": ((2, 2, 7, 4), (3, 2, 3, 3), (1, 1), (1, 1), 2, [2, 2, 2, 1]),
+}
+
+# conv2d(x, w, freq_coord=True) geometries: x has one channel fewer than w
+FREQ_COORD_GEOMETRIES = {
+    "in1_3x3_stride2": ((2, 1, 9, 6), (3, 2, 3, 3), (2, 2), (1, 1)),
+    "1x3_pad01": ((2, 3, 7, 5), (2, 4, 1, 3), (1, 1), (0, 1)),
+    "one_bin": ((2, 2, 1, 4), (2, 3, 3, 3), (1, 1), (1, 1)),
+}
+
+
+class TestConvBands:
+    @pytest.mark.parametrize("geometry", BAND_GEOMETRIES)
+    def test_bands_match_naive_oracle(self, geometry, monkeypatch):
+        xs, ws, stride, padding, rows, sizes = BAND_GEOMETRIES[geometry]
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(xs)
+        w = rng.standard_normal(ws)
+        b = rng.standard_normal(ws[0])
+        want = naive_conv2d(x, w, b, stride=stride, padding=padding)
+        row_bytes = band_of(monkeypatch, ws, want.shape[3], rows)
+        assert [hi - lo for lo, hi in ad._bands(want.shape[2], row_bytes)] == sizes
+        got = conv2d(t64(x), t64(w), t64(b), stride=stride, padding=padding)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [None, 1], ids=["one_band", "one_row_bands"])
+    @pytest.mark.parametrize("geometry", FREQ_COORD_GEOMETRIES)
+    def test_freq_coord_is_the_appended_plane_bit_for_bit(self, geometry, rows, dtype,
+                                                          monkeypatch):
+        xs, ws, stride, padding = FREQ_COORD_GEOMETRIES[geometry]
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal(shape).astype(dtype) for shape in (xs, ws, ws[:1])]
+        out_shape = conv2d(Tensor(arrays[0]), Tensor(arrays[1]), stride=stride, padding=padding,
+                           freq_coord=True).shape
+        if rows:
+            band_of(monkeypatch, ws, out_shape[3], rows, np.dtype(dtype).itemsize)
+        gout = Tensor(rng.standard_normal(out_shape).astype(dtype))
+        results = []
+        for freq_coord in (True, False):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            with Tape():
+                y = conv2d(x if freq_coord else fa_channel(x), w, b, stride=stride,
+                           padding=padding, freq_coord=freq_coord)
+                loss = sum_all(mul(y, gout))
+            backward(loss)
+            results.append((y.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_freq_coord_weight_needs_the_extra_channel(self):
+        with pytest.raises(ValueError, match="2 channels plus the frequency coordinate"):
+            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 3, 3))),
+                   padding=(1, 1), freq_coord=True)
+
+
+class TestInPlace:
+    """``out=`` on batchnorm2d, relu and add: the allocating bits, refused on a tape."""
+
+    @staticmethod
+    def ops(rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32))
+        other = Tensor(rng.standard_normal((2, 3, 4, 5)).astype(np.float32))
+        gamma = Tensor(rng.uniform(0.5, 2.0, 3).astype(np.float32), requires_grad=True)
+        beta = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        state = BatchNormState(mean=rng.standard_normal(3).astype(np.float32),
+                               var=rng.uniform(0.5, 2.0, 3).astype(np.float32))
+        return {
+            "batchnorm2d": (lambda out: batchnorm2d(x, gamma, beta, state, mode="eval", out=out), x),
+            "relu": (lambda out: relu(x, out=out), x),
+            "add": (lambda out: add(other, x, out=out), x),
+        }
+
+    @pytest.mark.parametrize("op", ["batchnorm2d", "relu", "add"])
+    def test_writes_the_allocating_bits_into_out(self, op):
+        run, x = self.ops(np.random.default_rng(5))[op]
+        want = run(None).data
+        target = x.data
+        got = run(target)
+        assert got.data is target and np.array_equal(target, want)
+
+    @pytest.mark.parametrize("op", ["batchnorm2d", "relu", "add"])
+    def test_refused_while_a_tape_records(self, op):
+        run, x = self.ops(np.random.default_rng(5))[op]
+        x.requires_grad = True
+        before = x.data.copy()
+        with Tape(), pytest.raises(ValueError, match=f"{op} cannot write in place"):
+            run(x.data)
+        assert np.array_equal(x.data, before)
+
+    def test_out_must_match_the_input(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"relu out= must be a float32 array of shape \(2, 3\)"):
+            relu(x, out=np.empty((3, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="float64 \\(2, 3\\)"):
+            relu(x, out=np.empty((2, 3)))
 
 
 class TestBatchNorm:
@@ -447,6 +560,27 @@ class TestBackward:
         assert [rec.name for rec in tape.records] == names
         assert outputs == want_outputs
         assert retained <= 1.05 * outputs, f"retained {retained} bytes for {outputs} of outputs"
+
+    def test_eval_forward_peak_is_two_activations_and_a_band(self, monkeypatch):
+        # fa model, batch 4 x 64 bins x 64 frames: in1 and in2 give 8 x 32 x 32
+        # float32 per sample, the largest consecutive pair; with bands of
+        # 32 KiB no fa copy, full column matrix or batch-norm/relu copy is live
+        model = build_model(ModelConfig(
+            template=TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(8, 16),
+                                    pool_stages=1),
+            frequency_aware=True, n_tags=3, input_bins=64))
+        monkeypatch.setattr(ad, "_BAND_BYTES", 32 << 10)
+        batch = 4 * 64 * 64 * 4
+        activation = 4 * 8 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            x = Tensor(np.random.default_rng(6).standard_normal((4, 1, 64, 64)).astype(np.float32))
+            model.forward(x, mode="eval")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1.05 * (batch + 2 * activation + ad._BAND_BYTES)
+        assert peak <= bound, f"traced peak {peak} bytes, bound {bound:.0f}"
 
     def test_eval_mode_records_nothing(self):
         x = t64([1.0], requires_grad=True)

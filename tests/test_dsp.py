@@ -1,4 +1,6 @@
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from rftag.dsp import (
     stft_power,
     write_wav,
 )
+
+from oracles import oneshot_logmel
 
 
 def write_pcm16(path, samples_i16, rate=44100, channels=1):
@@ -207,6 +211,21 @@ class TestMelFilterbank:
         inside = (bin_hz >= lo) & (bin_hz <= hi)
         assert np.all(covered[inside])
 
+    def test_mel_scale_at_known_points(self):
+        # 2595 * log10(1 + f/700): 1 kHz is 999.985 mel, 1000 mel is 1000.022 Hz
+        assert abs(hz_to_mel(1000.0) - 999.985) < 1e-3
+        assert abs(mel_to_hz(1000.0) - 1000.022) < 1e-3
+        assert hz_to_mel(0.0) == 0.0
+
+    def test_centers_are_the_equal_mel_grid(self):
+        # band m peaks at the m-th of n_mels + 1 equal steps from 0 to sr/2 in mel
+        n_mels, sr = 8, 44100
+        top = 2595.0 * math.log10(1.0 + (sr / 2) / 700.0)
+        want = [700.0 * (10.0 ** (m * top / (n_mels + 1) / 2595.0) - 1.0)
+                for m in range(1, n_mels + 1)]
+        np.testing.assert_allclose(mel_filterbank(n_mels=n_mels, sr=sr).centers_hz, want,
+                                   rtol=1e-12)
+
     def test_too_many_bands_rejected(self):
         with pytest.raises(ValueError, match="too many bands"):
             mel_filterbank(n_fft=64, n_mels=256)
@@ -280,10 +299,45 @@ class TestLogmel:
     def test_default_filterbank_uses_the_clip_rate(self):
         rng = np.random.default_rng(9)
         clip = AudioClip(rng.standard_normal(8192) * 0.1, sample_rate=22050)
-        weighted = stft_power(clip) * a_weight_power_multipliers(sr=22050)[:, None]
-        db = 10.0 * np.log10(mel_filterbank(sr=22050).matrix @ weighted + dsp.POWER_FLOOR)
-        want = np.clip(db - db.max(), dsp.DB_CLIP, None).astype(np.float32)
-        assert np.array_equal(logmel(clip).values, want)
+        assert np.array_equal(logmel(clip).values, oneshot_logmel(clip))
+
+    @pytest.mark.parametrize("frames", [1, dsp._STFT_BLOCK - 1, dsp._STFT_BLOCK,
+                                        dsp._STFT_BLOCK + 1, "30 s"])
+    def test_blocks_give_the_one_shot_bits(self, frames):
+        rng = np.random.default_rng(10)
+        if frames == "30 s":
+            n = 30 * dsp.TARGET_SAMPLE_RATE
+        else:
+            n = dsp.DEFAULT_N_FFT + (frames - 1) * dsp.DEFAULT_HOP + 100
+        clip = AudioClip(rng.standard_normal(n) * 0.1)
+        got = logmel(clip).values
+        assert got.shape[1] == (n - dsp.DEFAULT_N_FFT) // dsp.DEFAULT_HOP + 1
+        assert got.dtype == np.float32 and np.array_equal(got, oneshot_logmel(clip))
+
+    def test_logmel_keeps_no_one_shot_temporaries(self):
+        # one pass over a 30 s clip traces 85 MB of STFT temporaries; in blocks
+        # the peak is the float32 result, its float64 dB matrix, the filterbank
+        # and at most four float64 windows' worth per frame of one block
+        clip = AudioClip(np.random.default_rng(11).standard_normal(30 * dsp.TARGET_SAMPLE_RATE))
+        frames = frame_count(len(clip.samples), dsp.DEFAULT_N_FFT, dsp.DEFAULT_HOP)
+        result = dsp.DEFAULT_N_MELS * frames * (4 + 8)
+        filterbank = dsp.DEFAULT_N_MELS * (dsp.DEFAULT_N_FFT // 2 + 1) * 8
+        block = 4 * dsp._STFT_BLOCK * dsp.DEFAULT_N_FFT * 8
+        tracemalloc.start()
+        try:
+            logmel(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= result + filterbank + block, f"traced peak {peak} bytes"
+
+    @pytest.mark.parametrize("tenths,want", [(-20, -70.4), (-15, -39.4), (-12, -26.2),
+                                             (-10, -19.1), (-6, -8.6), (-3, -3.2), (0, 0.0),
+                                             (3, 1.2), (6, 1.0), (9, -1.1), (10, -2.5),
+                                             (12, -6.6), (13, -9.3)])
+    def test_aweighting_matches_the_iec_table(self, tenths, want):
+        # IEC 61672-1, table 3, at the exact base-ten band centres 1 kHz * 10^(n/10)
+        assert abs(float(dsp.a_weighting_db(1000.0 * 10.0 ** (tenths / 10))) - want) <= 0.05
 
     def test_aweight_bin0_copies_bin1(self):
         w = a_weight_power_multipliers()

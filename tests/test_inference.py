@@ -17,10 +17,11 @@ from rftag.inference import (
     tile_to_length,
     window_starts,
 )
+from rftag.autodiff import Tensor
 from rftag.models import ModelConfig, TemplateConfig, build_model, save_checkpoint
 from rftag.training import TaggedClip
 
-from oracles import first_nonfinite_cell
+from oracles import first_nonfinite_cell, reference_eval_forward
 
 # deterministic examples and no example database on disk, so the suite is reproducible
 CHECKS = settings(max_examples=100)
@@ -87,6 +88,62 @@ class TestWindows:
         per_window = [predict(model, [long[:, s:s + CROP]], "center")[0] for s in starts]
         np.testing.assert_allclose(predict(model, [long], "windows")[0],
                                    np.mean(per_window, axis=0), rtol=1e-5)
+
+
+def reference_scores(model, values, mode, mean=-40.0, std=1.0):
+    """Mean over ``values``' windows of the sigmoid of ``reference_eval_forward``,
+    one window at a time."""
+    if mode == "center":
+        windows = [crop_window(values, CROP)]
+    else:
+        tiled = tile_to_length(values, CROP)
+        windows = [tiled[:, s:s + CROP] for s in window_starts(tiled.shape[1], CROP, CROP // 2)]
+    rows = []
+    for window in windows:
+        x = ((window - np.float32(mean)) / np.float32(std)).astype(np.float32)
+        logits = reference_eval_forward(model, Tensor(x[None, None])).data[0]
+        rows.append(1.0 / (1.0 + np.exp(-logits.astype(np.float64))))
+    return np.mean(rows, axis=0)
+
+
+def fa_member(seed):
+    """A frequency-aware model with drawn batch-norm statistics."""
+    model = build_model(ModelConfig(template=TemplateConfig(n_stages=2, blocks_per_stage=1,
+                                                            channel_plan=(4, 6), pool_stages=1),
+                                    rho=2, frequency_aware=True, n_tags=3, input_bins=BINS,
+                                    seed=seed))
+    rng = np.random.default_rng(seed)
+    for state in model.bn_states.values():
+        state.mean = (0.1 * rng.standard_normal(state.mean.shape)).astype(np.float32)
+        state.var = rng.uniform(0.5, 2.0, state.var.shape).astype(np.float32)
+    return model
+
+
+# a tiled short clip, exactly one window, and a long clip with a tail window
+CLIP_FRAMES = (CROP // 2 + 3, CROP, 3 * CROP + 5)
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("mode", ["windows", "center"])
+    def test_predict_scores_is_the_window_mean(self, mode):
+        model = fa_member(21)
+        clips = [clip(frames, seed=k) for k, frames in enumerate(CLIP_FRAMES)]
+        want = [reference_scores(model, values, mode) for values in clips]
+        np.testing.assert_allclose(predict(model, clips, mode), want, rtol=1e-5)
+
+    def test_snapshot_ensemble_is_the_member_mean(self, tmp_path):
+        members = [fa_member(seed) for seed in (22, 23)]
+        paths = [tmp_path / "best.ckpt", tmp_path / "swa_epoch1.ckpt"]
+        for member, path in zip(members, paths):
+            save_checkpoint(path, member, extra=dict(crop_frames=CROP, norm_mean=-40.0,
+                                                     norm_std=1.0, tags="a,b,c"))
+        clips = [TaggedClip(f"t{k}", clip(frames, seed=k), np.zeros(3))
+                 for k, frames in enumerate(CLIP_FRAMES)]
+        got = snapshot_ensemble(SimpleNamespace(best_path=paths[0], swa_paths=paths[1:]), clips)
+        want = np.mean([[reference_scores(member, c.values, "windows") for c in clips]
+                        for member in members], axis=0)
+        assert got.ids == [c.track_id for c in clips]
+        np.testing.assert_allclose(got.scores, want, rtol=1e-5)
 
 
 class TestNormalizedBatch:

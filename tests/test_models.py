@@ -23,7 +23,7 @@ from rftag.models import (
 )
 from rftag.rf import compute_rf, min_input
 
-from oracles import measure_model_rf
+from oracles import measure_model_rf, reference_eval_forward
 
 
 def tiny_config(**kw):
@@ -38,6 +38,21 @@ def tiny_config(**kw):
 def batch(n=2, bins=32, frames=16, seed=0):
     rng = np.random.default_rng(seed)
     return Tensor(rng.standard_normal((n, 1, bins, frames)).astype(np.float32))
+
+
+def with_statistics(model, seed=0):
+    """``model`` with drawn batch-norm statistics, gammas and betas, so that
+    every eval scale and shift differs from the identity."""
+    rng = np.random.default_rng(seed)
+    for state in model.bn_states.values():
+        state.mean = rng.standard_normal(state.mean.shape).astype(np.float32)
+        state.var = rng.uniform(0.5, 2.0, state.var.shape).astype(np.float32)
+    for name, p in model.params.items():
+        if name.endswith(".gamma"):
+            p.data = rng.uniform(0.5, 1.5, p.shape).astype(np.float32)
+        elif name.endswith(".beta"):
+            p.data = (0.1 * rng.standard_normal(p.shape)).astype(np.float32)
+    return model
 
 
 class TestFaChannel:
@@ -224,6 +239,42 @@ class TestForward:
         assert np.array_equal(out, out2)
 
 
+class TestEvalReference:
+    """The eval forward (coordinate channel inside conv2d, batch norm, relu
+    and the residual add in place) against ``reference_eval_forward``."""
+
+    @pytest.mark.parametrize("band_bytes", [None, 4 << 10], ids=["default_bands", "4KiB_bands"])
+    @pytest.mark.parametrize("frames", [16, 17, 23])
+    @pytest.mark.parametrize("shake", [False, True], ids=["plain", "shake"])
+    @pytest.mark.parametrize("fa", [False, True], ids=["no_fa", "fa"])
+    def test_eval_forward_is_the_reference_bit_for_bit(self, fa, shake, frames, band_bytes,
+                                                       monkeypatch):
+        if band_bytes:
+            monkeypatch.setattr(ad, "_BAND_BYTES", band_bytes)
+        m = with_statistics(build_model(tiny_config(frequency_aware=fa, shake_shake=shake)))
+        x = batch(n=3, frames=frames)
+        got = m.forward(x, mode="eval").data
+        assert np.array_equal(got, reference_eval_forward(m, x).data)
+        assert np.array_equal(m.forward(x, mode="eval").data, got)
+
+    @pytest.mark.parametrize("shake", [False, True], ids=["plain", "shake"])
+    @pytest.mark.parametrize("fa", [False, True], ids=["no_fa", "fa"])
+    def test_eval_under_a_tape_gives_the_reference_gradients(self, fa, shake):
+        targets = Tensor((np.random.default_rng(1).uniform(size=(2, 3)) < 0.5).astype(np.float32))
+        grads = []
+        for forward in (lambda m, x: m.forward(x, mode="eval"), reference_eval_forward):
+            m = with_statistics(build_model(tiny_config(frequency_aware=fa, shake_shake=shake)))
+            x = batch(frames=17)
+            x.requires_grad = True
+            with Tape():
+                loss = bce_with_logits(forward(m, x), targets)
+            backward(loss)
+            grads.append({"input": x.grad, **{k: p.grad for k, p in m.params.items()}})
+        assert grads[0].keys() == grads[1].keys()
+        for name, g in grads[0].items():
+            assert g is not None and np.array_equal(g, grads[1][name]), name
+
+
 class TestFaSanity:
     def test_fa_breaks_shift_equivariance(self):
         cfg = tiny_config(frequency_aware=True, input_bins=32)
@@ -300,6 +351,29 @@ class TestCheckpoint:
         after = m2.forward(x, mode="eval").data
         assert np.array_equal(before, after)
         assert echo["norm_mean"] == "-42.0"
+
+    def test_load_draws_no_init(self, tmp_path, monkeypatch):
+        m = build_model(tiny_config(shake_shake=True, frequency_aware=True))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, m)
+        default_rng = np.random.default_rng
+
+        class NoInitDraws:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                raise AssertionError("an init was drawn")
+
+            def uniform(self, *args, **kwargs):
+                return self.rng.uniform(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", NoInitDraws)
+        with pytest.raises(AssertionError, match="an init was drawn"):
+            build_model(m.config)
+        loaded, _ = load_model(p)
+        assert loaded.params.keys() == m.params.keys()
+        assert all(np.array_equal(loaded.params[k].data, v.data) for k, v in m.params.items())
 
     def test_byte_stable(self, tmp_path):
         m = build_model(tiny_config())
