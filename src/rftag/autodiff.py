@@ -27,9 +27,15 @@ source of its statistics differs, and backward rebuilds the normalized
 input from x.
 
 ``batchnorm2d``, ``relu`` and ``add`` take ``out=``, an array to write the
-result into (a fresh conv output, say), so an eval forward need not
-allocate a copy per op.  Because the vjps rebuild from their inputs, an op
-refuses ``out=`` whenever it would record on a tape.
+result into, so a forward need not allocate a copy per op.  With nothing
+recording, any array of x's shape and dtype will do (a fresh conv output,
+say).  A tape keeps every record's output until backward, so under one
+``out=`` must be the output of the tape's last record, which no recorded op
+has read yet, and that record must be an op whose vjp never reads its
+output (``_OVERWRITABLE``).  Batch norm's vjp reads its input, so it refuses
+``out=`` whenever it would record.  This keeps an activation once on the
+tape: relu writes over its batch norm's output, as In-Place Activated
+BatchNorm does (Rota Bulò et al., arXiv:1712.02616).
 
 Precision is parametric: arrays keep whatever float dtype they were created
 with.  Training uses float32 by default; gradient-check tests run the same
@@ -174,13 +180,30 @@ def _records(inputs: Sequence[Tensor]) -> bool:
     return active_tape() is not None and any(t.requires_grad for t in inputs)
 
 
-def _check_out(name: str, out: Optional[np.ndarray], x: Tensor, inputs: Sequence[Tensor]) -> None:
-    """``out=`` overwrites an array the tape may still need, so an op that
-    would record refuses it; it must also match x in shape and dtype."""
+_OVERWRITABLE = frozenset({"batchnorm2d", "shake_combine", "add"})
+"""Record names of the ops whose vjps never read their output, so that a
+later op may write over it.  Not relu (its vjp reads its output), nor the
+pools or sigmoid."""
+
+
+def _check_out(name: str, out: Optional[np.ndarray], x: Tensor, inputs: Sequence[Tensor],
+               reads_x: bool = False) -> None:
+    """``out=`` must match x in shape and dtype.  When the op would record,
+    ``out`` must also be x's data, x the output of the tape's last record
+    (so no recorded op has read it) and that record an ``_OVERWRITABLE`` op;
+    an op whose own vjp reads x passes ``reads_x`` and refuses ``out=``
+    whenever it would record."""
     if out is None:
         return
     if _records(inputs):
-        raise ValueError(f"{name} cannot write in place (out=) while a tape records it")
+        last = active_tape().records[-1:]
+        if reads_x or not (last and x._record is last[0] and last[0].name in _OVERWRITABLE
+                           and x.data is out):
+            unless = "" if reads_x else (
+                f", except over x when x is the output of the tape's last record "
+                f"and that is one of {', '.join(sorted(_OVERWRITABLE))}")
+            raise ValueError(f"{name} cannot write in place (out=) while a tape records it"
+                             + unless)
     if out.shape != x.shape or out.dtype != x.dtype:
         raise ValueError(f"{name} out= must be a {x.dtype} array of shape {x.shape}, "
                          f"got {out.dtype} {out.shape}")
@@ -468,7 +491,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     statistics as constants in eval mode.
 
     ``out`` (x's data itself, say) receives the result in place; it is
-    refused when the op would record on a tape, whose vjp rebuilds from x.
+    refused when the op would record on a tape, since the vjp rebuilds from x.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -482,7 +505,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                          f"do not match {c} channels")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown batchnorm mode {mode!r}")
-    _check_out("batchnorm2d", out, x, [x, gamma, beta])
+    _check_out("batchnorm2d", out, x, [x, gamma, beta], reads_x=True)
 
     m = x.size // c  # values per channel
     if mode == "eval":
@@ -522,7 +545,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
     """max(x, 0).  Backward passes ``gout`` where the output is positive,
     which is exactly where x > 0 (NaN included), so no mask is kept.
-    ``out`` follows ``batchnorm2d``'s rule."""
+    ``out`` follows ``_check_out``: under a tape it may be the data of x
+    when x is the last record's output and that op is a batch norm, say."""
     _check_out("relu", out, x, [x])
     out = np.maximum(x.data, 0, out=out)
 
@@ -656,7 +680,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
-    """a + b; ``out`` follows ``batchnorm2d``'s rule."""
+    """a + b.  The vjp reads neither input nor output; ``out`` follows
+    ``_check_out`` with b as x."""
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     _check_out("add", out, b, [a, b])

@@ -28,12 +28,18 @@ block's branch and mixes the two with convex weights: in train mode alpha
 classifier head is global average pooling into a linear layer producing one
 logit per tag.  Sigmoid lives downstream in the loss / evaluation layers.
 
+Each activation is kept once: relu writes over its batch norm's output, a
+shake block mixes into its second branch's output and the residual add
+writes over the mix or the lone branch (``out=``).  None of those
+overwritten outputs is read by its op's vjp, so this holds under a tape
+too (``autodiff._check_out``), and a training step's tape keeps the conv
+and batch-norm outputs only.  With nothing recording, batch norm also
+writes over the fresh conv output, so an eval forward (or the SWA
+refresh's) holds about two activations and one column band at a time.
 Eval mode takes the coordinate channel inside the conv
-(``conv2d(freq_coord=True)``), and with no tape open its batch norm, relu
-and residual add write over the fresh conv and branch outputs (``out=``),
-so a forward holds about two activations and one column band at a time.
-Train mode appends the channel with ``fa_channel``, whose copy the
-benchmark still times under its own name.  Both give the same bits.
+(``conv2d(freq_coord=True)``); train mode appends it with ``fa_channel``,
+whose copy the benchmark still times under its own name.  Both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -99,15 +105,21 @@ def fa_channel(x: Tensor) -> Tensor:
     return ad.record("fa_channel", out, [x], vjp)
 
 
-def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float) -> Tensor:
+def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float,
+                  out: Optional[np.ndarray] = None) -> Tensor:
     """alpha*b1 + (1-alpha)*b2 forward; the gradient splits beta/(1-beta) backward.
 
     A shake block passes alpha and beta drawn uniform on [0, 1] in train
-    mode and 0.5, 0.5 in eval mode.
+    mode and 0.5, 0.5 in eval mode.  The mix is computed as
+    ``(1-alpha)*b2 + alpha*b1``, the same bits since IEEE addition commutes,
+    into ``out`` when given.  The vjp reads neither branch; ``out`` follows
+    ``autodiff._check_out`` with b2 as x.
     """
     if b1.shape != b2.shape:
         raise ValueError(f"shake branch shapes differ: {b1.shape} vs {b2.shape}")
-    out = alpha * b1.data + (1.0 - alpha) * b2.data
+    ad._check_out("shake_combine", out, b2, [b1, b2])
+    out = np.multiply(b2.data, 1.0 - alpha, out=out)
+    out += alpha * b1.data
 
     def vjp(gout):
         g1 = beta * gout if b1.requires_grad else None
@@ -147,10 +159,11 @@ class _Conv:
             x = fa_channel(x)
         x = ad.conv2d(x, self.weight, None, stride=self.stride, padding=self.padding,
                       freq_coord=self.fa and not train)
-        # The conv's output is fresh: with nothing recording, eval writes over it.
-        out = None if train or ad.active_tape() else x.data
-        x = ad.batchnorm2d(x, self.gamma, self.beta, self.state, mode=mode, out=out)
-        return ad.relu(x, out=out) if self.relu else x
+        # Batch norm's vjp reads the conv output, so only with nothing
+        # recording does it write over it; relu writes over batch norm's.
+        x = ad.batchnorm2d(x, self.gamma, self.beta, self.state, mode=mode,
+                           out=None if ad.active_tape() else x.data)
+        return ad.relu(x, out=x.data) if self.relu else x
 
 
 class _Pool:
@@ -201,12 +214,13 @@ class _Block:
         train = mode == "train"
         residual = x if self.proj is None else self.proj(x, mode)
         out = [_run(steps, x, mode) for steps in self.branches]
+        # The branches end in batch norm, the second one last: the mix goes
+        # into its output and the residual add into the mix (or the branch).
         if len(out) == 2:
             alpha = float(self.rng.uniform()) if train else 0.5
             beta = float(self.rng.uniform()) if train else 0.5
-            out = [shake_combine(out[0], out[1], alpha, beta)]
-        # The branch's output is fresh: with nothing recording, eval adds into it.
-        return ad.add(residual, out[0], out=None if train or ad.active_tape() else out[0].data)
+            out = [shake_combine(out[0], out[1], alpha, beta, out=out[1].data)]
+        return ad.add(residual, out[0], out=out[0].data)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward, bce_with_logits
 from .evaluation import LabelSet, PredictionSet, macro_pr_auc
 from .inference import clip_problem, crop_window, normalized_batch, predict_scores
-from .models import Model, build_model, save_checkpoint
+from .models import Model, save_checkpoint
 
 METRICS_HEADER = "epoch,lr,train_loss,val_pr_auc,is_best,swa_saved"
 
@@ -341,7 +341,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
         if (epoch >= config.warmup_epochs
                 and (epoch - config.warmup_epochs) % config.swa_every == config.swa_every - 1):
             swa_update(swa, model.state_arrays())
-            swa_model = build_model(model.config)
+            swa_model = Model._unfilled(model.config)  # the average fills every parameter
             swa_model.load_state_arrays(swa.average)
             refresh_bn_statistics(swa_model, train_clips, config.crop_frames,
                                   norm, config.batch_size, seed=config.seed + epoch)

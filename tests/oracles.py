@@ -6,11 +6,12 @@ they check.  The receptive-field probes (``connectivity_rf``,
 ``empirical_rf``, ``measure_model_rf``) realize an arch with the engine and
 size their input from ``rf.compute_rf``, so only their verdict, the span of
 nonzero input gradient, is independent of the calculus they check.
-``reference_eval_forward`` and ``oneshot_logmel`` are references of a third
+``reference_forward`` and ``oneshot_logmel`` are references of a third
 kind: they compose the package's own ops the plain, allocating way, so that
 a leaner composition of the same ops can be pinned to them bit for bit.
 """
 
+import copy
 import math
 from dataclasses import replace
 from functools import partial
@@ -282,19 +283,23 @@ def measure_model_rf(config):
         ad.pool2d = pool2d
 
 
-def reference_eval_forward(model, x):
-    """Eval logits of ``model`` on ``x``, walking ``model.trunk`` with the
-    allocating ops: ``fa_channel`` before each conv of a frequency-aware
-    model, then ``conv2d``, ``batchnorm2d`` and ``relu``, each into a fresh
-    array; blocks add the residual to the branch, or to ``shake_combine`` of
-    the two branches at 0.5 and 0.5; then global average pool and the head.
+def reference_forward(model, x, mode="eval"):
+    """Logits of ``model`` on ``x`` in ``mode``, walking ``model.trunk`` with
+    the allocating ops: ``fa_channel`` before each conv of a
+    frequency-aware model, then ``conv2d``, ``batchnorm2d`` in ``mode`` and
+    ``relu``, each into a fresh array; blocks add the residual to the
+    branch, or to ``shake_combine`` of the two branches.  Eval mixes at 0.5
+    and 0.5; train draws alpha then beta per block, in block order, from a
+    copy of ``model.rng_shake``, so the model's own draws are left alone.
+    Then global average pool and the head.
     """
+    rng = copy.deepcopy(model.rng_shake)
 
     def conv(step, h):
         if step.fa:
             h = fa_channel(h)
         h = ad.conv2d(h, step.weight, None, stride=step.stride, padding=step.padding)
-        h = ad.batchnorm2d(h, step.gamma, step.beta, step.state, mode="eval")
+        h = ad.batchnorm2d(h, step.gamma, step.beta, step.state, mode=mode)
         return ad.relu(h) if step.relu else h
 
     def run(steps, h):
@@ -303,7 +308,9 @@ def reference_eval_forward(model, x):
                 residual = h if step.proj is None else conv(step.proj, h)
                 out = [run(branch, h) for branch in step.branches]
                 if len(out) == 2:
-                    out = [shake_combine(out[0], out[1], 0.5, 0.5)]
+                    alpha = float(rng.uniform()) if mode == "train" else 0.5
+                    beta = float(rng.uniform()) if mode == "train" else 0.5
+                    out = [shake_combine(out[0], out[1], alpha, beta)]
                 h = ad.add(residual, out[0])
             elif hasattr(step, "weight"):
                 h = conv(step, h)

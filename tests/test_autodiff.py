@@ -210,7 +210,9 @@ class TestConvBands:
 
 
 class TestInPlace:
-    """``out=`` on batchnorm2d, relu and add: the allocating bits, refused on a tape."""
+    """``out=`` on batchnorm2d, relu and add: the allocating bits; under a
+    tape, only over the output of the last record, an op whose vjp never
+    reads its output."""
 
     @staticmethod
     def ops(rng):
@@ -242,6 +244,59 @@ class TestInPlace:
         with Tape(), pytest.raises(ValueError, match=f"{op} cannot write in place"):
             run(x.data)
         assert np.array_equal(x.data, before)
+
+    @staticmethod
+    def taped_batchnorm(rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 2.0, 3).astype(np.float32), requires_grad=True)
+        beta = Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+        return lambda: batchnorm2d(x, gamma, beta, BatchNormState()), [x, gamma, beta]
+
+    @pytest.mark.parametrize("consumer", ["relu", "add"])
+    @pytest.mark.parametrize("over", ["relu", "max_pool", "consumed_batchnorm2d"])
+    def test_refused_over_an_output_a_recorded_vjp_may_read(self, over, consumer):
+        # relu's and max pool's vjps read their output; a batch-norm output
+        # that a later record took as input may be read by that record's vjp
+        bn, _ = self.taped_batchnorm(np.random.default_rng(6))
+        with Tape():
+            h = bn()
+            if over == "relu":
+                h = relu(h)
+            elif over == "max_pool":
+                h = pool2d(h, "max", kernel=(2, 2))
+            else:
+                relu(h)
+            before = h.data.copy()
+            with pytest.raises(ValueError, match=f"{consumer} cannot write in place"):
+                if consumer == "relu":
+                    relu(h, out=h.data)
+                else:
+                    add(Tensor(np.ones_like(h.data)), h, out=h.data)
+        assert np.array_equal(h.data, before)
+
+    def test_batchnorm_refuses_out_over_the_last_record(self):
+        # its own vjp reads x, so even an overwritable producer is refused
+        bn, params = self.taped_batchnorm(np.random.default_rng(6))
+        with Tape():
+            h = bn()
+            before = h.data.copy()
+            with pytest.raises(ValueError, match="batchnorm2d cannot write in place"):
+                batchnorm2d(h, params[1], params[2], BatchNormState(), out=h.data)
+        assert np.array_equal(h.data, before)
+
+    def test_taped_relu_over_batchnorm_gives_the_allocating_gradients(self):
+        grads = []
+        for in_place in (False, True):
+            bn, params = self.taped_batchnorm(np.random.default_rng(6))
+            with Tape():
+                h = bn()
+                r = relu(h, out=h.data if in_place else None)
+                loss = sum_all(mul(r, r))
+            assert (r.data is h.data) == in_place
+            backward(loss)
+            grads.append([p.grad for p in params])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
 
     def test_out_must_match_the_input(self):
         x = Tensor(np.ones((2, 3), dtype=np.float32))

@@ -90,6 +90,12 @@ class TestLoadWav:
         # half-step quantization plus the 32767-write/32768-read scale skew
         np.testing.assert_allclose(clip.samples, x, atol=2.0 / 32768)
 
+    def test_writer_riff_size_is_the_file_length_less_8(self, tmp_path):
+        p = tmp_path / "size.wav"
+        write_wav(p, np.zeros(37))
+        raw = p.read_bytes()
+        assert raw[:4] == b"RIFF" and struct.unpack_from("<I", raw, 4)[0] == len(raw) - 8
+
     @staticmethod
     def write_raw(path, data, channels, bits, code=1, fmt_size=16):
         block = channels * bits // 8

@@ -225,6 +225,7 @@ class TestTuneThresholds:
         ([0.1, 0.7, 0.4, 0.9], [0, 0, 1, 0]),          # a single positive
         ([0.9, 0.7, 0.5, 0.3, 0.1], [1, 0, 0, 1, 0]),  # F1 2/3 at both 0.2 and 0.8
         ([0.5, 0.5, 0.6, 0.4], [1, 1, 0, 0]),          # a candidate equal to the 0.5 fallback
+        ([0.9, 0.6, 0.3, 0.1], [0, 0, 0, 1]),          # the one positive has the lowest score
     ])
     def test_edge_cases_match_quadratic_sweep(self, scores, labels):
         scores = np.array(scores)[:, None]

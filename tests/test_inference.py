@@ -21,7 +21,7 @@ from rftag.autodiff import Tensor
 from rftag.models import ModelConfig, TemplateConfig, build_model, save_checkpoint
 from rftag.training import TaggedClip
 
-from oracles import first_nonfinite_cell, reference_eval_forward
+from oracles import first_nonfinite_cell, reference_forward
 
 # deterministic examples and no example database on disk, so the suite is reproducible
 CHECKS = settings(max_examples=100)
@@ -91,7 +91,7 @@ class TestWindows:
 
 
 def reference_scores(model, values, mode, mean=-40.0, std=1.0):
-    """Mean over ``values``' windows of the sigmoid of ``reference_eval_forward``,
+    """Mean over ``values``' windows of the sigmoid of ``reference_forward``,
     one window at a time."""
     if mode == "center":
         windows = [crop_window(values, CROP)]
@@ -101,7 +101,7 @@ def reference_scores(model, values, mode, mean=-40.0, std=1.0):
     rows = []
     for window in windows:
         x = ((window - np.float32(mean)) / np.float32(std)).astype(np.float32)
-        logits = reference_eval_forward(model, Tensor(x[None, None])).data[0]
+        logits = reference_forward(model, Tensor(x[None, None])).data[0]
         rows.append(1.0 / (1.0 + np.exp(-logits.astype(np.float64))))
     return np.mean(rows, axis=0)
 

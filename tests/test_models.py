@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from rftag.models import (
 )
 from rftag.rf import compute_rf, min_input
 
-from oracles import measure_model_rf, reference_eval_forward
+from oracles import measure_model_rf, reference_forward
 
 
 def tiny_config(**kw):
@@ -124,9 +125,9 @@ class TestShake:
     def test_model_draws_alpha_then_beta_per_block_in_train_only(self, monkeypatch):
         mixes = []
 
-        def spy(b1, b2, alpha, beta):
+        def spy(b1, b2, alpha, beta, out=None):
             mixes.append((alpha, beta))
-            return shake_combine(b1, b2, alpha, beta)
+            return shake_combine(b1, b2, alpha, beta, out=out)
 
         monkeypatch.setattr(models, "shake_combine", spy)
         cfg = tiny_config(shake_shake=True, seed=4)
@@ -241,7 +242,7 @@ class TestForward:
 
 class TestEvalReference:
     """The eval forward (coordinate channel inside conv2d, batch norm, relu
-    and the residual add in place) against ``reference_eval_forward``."""
+    and the residual add in place) against ``reference_forward``."""
 
     @pytest.mark.parametrize("band_bytes", [None, 4 << 10], ids=["default_bands", "4KiB_bands"])
     @pytest.mark.parametrize("frames", [16, 17, 23])
@@ -254,7 +255,7 @@ class TestEvalReference:
         m = with_statistics(build_model(tiny_config(frequency_aware=fa, shake_shake=shake)))
         x = batch(n=3, frames=frames)
         got = m.forward(x, mode="eval").data
-        assert np.array_equal(got, reference_eval_forward(m, x).data)
+        assert np.array_equal(got, reference_forward(m, x).data)
         assert np.array_equal(m.forward(x, mode="eval").data, got)
 
     @pytest.mark.parametrize("shake", [False, True], ids=["plain", "shake"])
@@ -262,7 +263,7 @@ class TestEvalReference:
     def test_eval_under_a_tape_gives_the_reference_gradients(self, fa, shake):
         targets = Tensor((np.random.default_rng(1).uniform(size=(2, 3)) < 0.5).astype(np.float32))
         grads = []
-        for forward in (lambda m, x: m.forward(x, mode="eval"), reference_eval_forward):
+        for forward in (lambda m, x: m.forward(x, mode="eval"), reference_forward):
             m = with_statistics(build_model(tiny_config(frequency_aware=fa, shake_shake=shake)))
             x = batch(frames=17)
             x.requires_grad = True
@@ -273,6 +274,70 @@ class TestEvalReference:
         assert grads[0].keys() == grads[1].keys()
         for name, g in grads[0].items():
             assert g is not None and np.array_equal(g, grads[1][name]), name
+
+
+class TestTrainReference:
+    """A taped train step (relu, shake-shake and the residual add writing
+    over their producers' outputs) against ``reference_forward``."""
+
+    @staticmethod
+    def step(forward, fa, shake, frames):
+        """Loss, parameter gradients and batch-norm statistics of one taped
+        train step of a fresh model with drawn statistics."""
+        m = with_statistics(build_model(tiny_config(frequency_aware=fa, shake_shake=shake)))
+        targets = Tensor((np.random.default_rng(1).uniform(size=(3, 3)) < 0.5).astype(np.float32))
+        with Tape():
+            loss = bce_with_logits(forward(m, batch(n=3, frames=frames)), targets)
+        backward(loss)
+        return loss.data, {k: p.grad for k, p in m.params.items()}, m.bn_arrays()
+
+    @pytest.mark.parametrize("frames", [16, 17])
+    @pytest.mark.parametrize("shake", [False, True], ids=["plain", "shake"])
+    @pytest.mark.parametrize("fa", [False, True], ids=["no_fa", "fa"])
+    def test_train_step_is_the_reference_bit_for_bit(self, fa, shake, frames):
+        got = self.step(lambda m, x: m.forward(x, mode="train"), fa, shake, frames)
+        want = self.step(lambda m, x: reference_forward(m, x, mode="train"), fa, shake, frames)
+        assert np.array_equal(got[0], want[0])
+        for name, g in got[1].items():
+            assert g is not None and np.array_equal(g, want[1][name]), name
+        assert got[2].keys() == want[2].keys()
+        for name, stat in got[2].items():
+            assert np.array_equal(stat, want[2][name]), name
+
+    def test_tape_keeps_each_activation_once(self):
+        # relu, the shake mix and the residual add write over their producer's
+        # output, so the tape retains about the distinct buffers and no more
+        model = build_model(ModelConfig(
+            template=TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(8, 16),
+                                    pool_stages=1),
+            frequency_aware=True, shake_shake=True, n_tags=3, input_bins=64))
+        x = Tensor(np.random.default_rng(7).standard_normal((8, 1, 64, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                model.forward(x, mode="train")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        names = [rec.name for rec in tape.records]
+        assert {"relu", "shake_combine", "add"} <= set(names)
+        for rec in tape.records:
+            if rec.name in ("relu", "shake_combine", "add"):
+                producer = rec.inputs[-1]._record
+                assert producer.name in ("batchnorm2d", "shake_combine"), rec.name
+                assert np.shares_memory(rec.output.data, producer.output.data), rec.name
+        # every array the tape holds, as an output or an input (the input's
+        # fa copy feeds in1's conv unrecorded), less the input and parameters
+        buffers = {}
+        for rec in tape.records:
+            for t in (rec.output, *rec.inputs):
+                root = t.data if t.data.base is None else t.data.base
+                buffers[id(root)] = root.nbytes
+        for t in (x, *model.params.values()):
+            buffers.pop(id(t.data), None)
+        distinct = sum(buffers.values())
+        assert retained <= 1.05 * distinct, f"retained {retained} bytes for {distinct} of buffers"
 
 
 class TestFaSanity:

@@ -7,9 +7,9 @@ import pytest
 
 from rftag import autodiff as ad
 from rftag.autodiff import AdamState, Tape, Tensor, adam_step, backward, bce_with_logits
-from rftag.evaluation import snapshot_ensemble
+from rftag.evaluation import LabelSet, PredictionSet, macro_pr_auc, snapshot_ensemble
 from rftag.inference import crop_window
-from rftag.models import ModelConfig, TemplateConfig, build_model
+from rftag.models import Model, ModelConfig, TemplateConfig, build_model, load_model
 from rftag.training import (
     METRICS_HEADER,
     SWAState,
@@ -22,6 +22,8 @@ from rftag.training import (
     swa_update,
     train,
 )
+
+from oracles import reference_forward
 
 
 class TestSchedule:
@@ -245,6 +247,47 @@ class TestTrainLoop:
         # warmup 1, swa_every 1: absorption at epoch 1
         assert [p.name for p in art.swa_paths] == ["swa_epoch1.ckpt"]
         assert art.swa_paths[0].exists()
+
+    def test_val_pr_auc_is_macro_pr_auc_of_the_reference_on_center_crops(self, tmp_path):
+        # the last epoch's row and the best checkpoint's echo, each against
+        # sigmoid(reference_forward) of that model on (center crop - mean) / std
+        cfg, tc = tiny_train_setup(seed=2)
+        clips, val = make_band_clips(6, seed=2), make_band_clips(8, seed=3)
+        model = build_model(cfg)
+        art = train(model, clips, val, list("abc"), tc, tmp_path / "run")
+        mean, std = normalization_stats(clips)
+        labels = LabelSet(ids=[c.track_id for c in val], tags=list("abc"),
+                          labels=np.stack([c.labels for c in val]))
+
+        def val_pr_auc(m):
+            scores = []
+            for c in val:
+                off = (c.values.shape[1] - tc.crop_frames) // 2
+                window = c.values[:, off:off + tc.crop_frames]
+                x = (window - np.float32(mean)) / np.float32(std)
+                logits = reference_forward(m, Tensor(x[None, None])).data[0]
+                scores.append(1.0 / (1.0 + np.exp(-logits.astype(np.float64))))
+            preds = PredictionSet(ids=labels.ids, tags=labels.tags, scores=np.array(scores))
+            return macro_pr_auc(preds, labels).macro_pr_auc
+
+        last = art.metrics_path.read_text().splitlines()[-1].split(",")
+        assert float(last[3]) == pytest.approx(val_pr_auc(model), abs=5e-7)
+        best, echo = load_model(art.best_path)
+        assert float(echo["val_pr_auc"]) == pytest.approx(val_pr_auc(best), abs=1e-12)
+
+    def test_swa_model_draws_no_init(self, tmp_path, monkeypatch):
+        cfg, tc = tiny_train_setup()
+        model = build_model(cfg)
+        draws = []
+        he_init = Model._he_init
+
+        def spy(self, shape, fan_in):
+            draws.append(self._rng_init is not None)
+            return he_init(self, shape, fan_in)
+
+        monkeypatch.setattr(Model, "_he_init", spy)
+        art = train(model, make_band_clips(4), make_band_clips(2), list("abc"), tc, tmp_path / "run")
+        assert len(art.swa_paths) == 1 and draws and not any(draws)
 
     def test_empty_split_rejected(self, tmp_path):
         cfg, tc = tiny_train_setup()
