@@ -32,10 +32,13 @@ Each activation is kept once: relu writes over its batch norm's output, a
 shake block mixes into its second branch's output and the residual add
 writes over the mix or the lone branch (``out=``).  None of those
 overwritten outputs is read by its op's vjp, so this holds under a tape
-too (``autodiff._check_out``), and a training step's tape keeps the conv
-and batch-norm outputs only.  With nothing recording, batch norm also
-writes over the fresh conv output, so an eval forward (or the SWA
-refresh's) holds about two activations and one column band at a time.
+too (``autodiff._check_out``).  A training step's tape then holds the conv
+outputs, the batch-norm outputs (relu, the mix and the add written over
+them), the pool outputs and, with ``frequency_aware``, the ``fa_channel``
+copies; CHANGES.md lists its bytes per record name.  With nothing
+recording, batch norm also writes over the fresh conv output, so an eval
+forward (or the SWA refresh's) holds about two activations and one column
+band at a time.
 Eval mode takes the coordinate channel inside the conv
 (``conv2d(freq_coord=True)``); train mode appends it with ``fa_channel``,
 whose copy the benchmark still times under its own name.  Both give the

@@ -18,7 +18,8 @@ The checkout's ``src``, ``tests``, ``bench`` and ``pyproject.toml`` are
 copied into a temporary directory; each mutant is written there as the
 unparsed tree (comments and layout are lost, behaviour is not) and tier-1
 runs against it with ``-x``.  A mutant is killed when pytest fails or runs
-past ``--timeout``.  The unmutated copy runs first and must pass.
+past ``TIMEOUT``.  The unmutated copy runs first and must pass.  Every
+module under ``src/rftag`` is sampled.
 
 The report gives killed/total per module and the file, line and change of
 every survivor.  Equivalent mutants are reported like any other survivor:
@@ -52,6 +53,9 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.In: "in",
            ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
            ast.And: "and", ast.Or: "or"}
+# Seconds one tier-1 run may take: a mutated loop bound may never end, and
+# such a mutant counts as killed.
+TIMEOUT = 300.0
 
 
 def sites(tree: ast.AST) -> list:
@@ -85,7 +89,7 @@ def mutate(node: ast.AST, slot) -> str:
     return f"{SYMBOLS[old]} -> {SYMBOLS[swaps[old]]}"
 
 
-def tier1(work: Path, timeout: float) -> tuple[bool, float]:
+def tier1(work: Path) -> tuple[bool, float]:
     """(passed, seconds) of tier-1 with -x in ``work``; a timeout fails."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
@@ -93,7 +97,7 @@ def tier1(work: Path, timeout: float) -> tuple[bool, float]:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                                "--continue-on-collection-errors"],
                               cwd=work, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout)
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
         passed = proc.returncode == 0
     except subprocess.TimeoutExpired:
         passed = False
@@ -104,13 +108,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--per-module", type=int, default=25)
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds one tier-1 run may take before the mutant counts as killed")
-    parser.add_argument("modules", nargs="*",
-                        help="module names under src/rftag (default: every module)")
     args = parser.parse_args(argv)
-    names = args.modules or sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py")
-                                   if p.stem != "__init__")
+    names = sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py") if p.stem != "__init__")
 
     work = Path(tempfile.mkdtemp(prefix="rftag-mutants-"))
     try:
@@ -118,7 +117,7 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".rftag_bench"))
         shutil.copy(ROOT / "pyproject.toml", work)
-        passed, seconds = tier1(work, args.timeout)
+        passed, seconds = tier1(work)
         if not passed:
             print("tier-1 fails on the unmutated checkout", file=sys.stderr)
             return 2
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
                     node, slot = sites(tree)[index]
                     change = mutate(node, slot)
                     path.write_text(ast.unparse(tree) + "\n")
-                    passed, _ = tier1(work, args.timeout)
+                    passed, _ = tier1(work)
                     killed += not passed
                     if passed:
                         survivors.append(f"{PACKAGE / name}.py:{node.lineno}: {change}")
