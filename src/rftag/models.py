@@ -20,13 +20,16 @@ named ``<block>c<i>`` and its parameters ``<block>.br<k>.c<i>.*``.
 refuses ``input_bins`` below its bins, and ``Model.min_input`` holds it,
 computed once, for the frames of a forward and a run's ``crop_frames``.
 
-Variant flags thread through every block: ``frequency_aware`` appends a
-per-bin coordinate channel to every conv input, ``shake_shake`` doubles each
-block's branch and mixes the two with convex weights: in train mode alpha
-(forward) then beta (backward), each drawn uniform on [0, 1] from
-``Model.rng_shake`` per block per forward; in eval mode 0.5 and 0.5.  The
-classifier head is global average pooling into a linear layer producing one
-logit per tag.  Sigmoid lives downstream in the loss / evaluation layers.
+Variant flags thread through every block: ``frequency_aware`` gives every
+conv one more input channel holding the bin's coordinate (``fa_channel``),
+which the conv reads inside its column bands (``conv2d(freq_coord=True)``)
+in train and eval mode alike, so no widened copy of its input is made.
+``shake_shake`` doubles each block's branch and mixes the two with convex
+weights: in train mode alpha (forward) then beta (backward), each drawn
+uniform on [0, 1] from ``Model.rng_shake`` per block per forward; in eval
+mode 0.5 and 0.5.  The classifier head is global average pooling into a
+linear layer producing one logit per tag.  Sigmoid lives downstream in the
+loss / evaluation layers.
 
 Each activation is kept once: relu writes over its batch norm's output, a
 shake block mixes into its second branch's output and the residual add
@@ -34,15 +37,10 @@ writes over the mix or the lone branch (``out=``).  None of those
 overwritten outputs is read by its op's vjp, so this holds under a tape
 too (``autodiff._check_out``).  A training step's tape then holds the conv
 outputs, the batch-norm outputs (relu, the mix and the add written over
-them), the pool outputs and, with ``frequency_aware``, the ``fa_channel``
-copies; CHANGES.md lists its bytes per record name.  With nothing
-recording, batch norm also writes over the fresh conv output, so an eval
-forward (or the SWA refresh's) holds about two activations and one column
-band at a time.
-Eval mode takes the coordinate channel inside the conv
-(``conv2d(freq_coord=True)``); train mode appends it with ``fa_channel``,
-whose copy the benchmark still times under its own name.  Both give the
-same bits.
+them) and the pool outputs; CHANGES.md lists its bytes per record name.
+With nothing recording, batch norm also writes over the fresh conv output,
+so an eval forward (or the SWA refresh's) holds about two activations and
+one column band at a time.
 """
 
 from __future__ import annotations
@@ -94,7 +92,10 @@ class ModelConfig:
 def fa_channel(x: Tensor) -> Tensor:
     """Append a frequency-coordinate channel: value f/(F-1) at bin f.
 
-    Constant along batch and time; zero everywhere when F == 1.
+    Constant along batch and time; zero everywhere when F == 1.  This is the
+    definition of the plane that ``conv2d(freq_coord=True)`` reads inside
+    its bands; no model path calls it.  The test oracle composes it before
+    each conv, and the benchmark's tracer wraps it by name.
     """
     n, c, f, t = x.shape
     coord_col = (np.arange(f, dtype=x.dtype) / (f - 1) if f > 1
@@ -157,11 +158,8 @@ class _Conv:
         self.state = model.add_bn_state(f"{name}.bn", c_out)
 
     def __call__(self, x: Tensor, mode: str) -> Tensor:
-        train = mode == "train"
-        if self.fa and train:
-            x = fa_channel(x)
         x = ad.conv2d(x, self.weight, None, stride=self.stride, padding=self.padding,
-                      freq_coord=self.fa and not train)
+                      freq_coord=self.fa)
         # Batch norm's vjp reads the conv output, so only with nothing
         # recording does it write over it; relu writes over batch norm's.
         x = ad.batchnorm2d(x, self.gamma, self.beta, self.state, mode=mode,

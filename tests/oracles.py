@@ -283,6 +283,34 @@ def measure_model_rf(config):
         ad.pool2d = pool2d
 
 
+def reference_mel_filterbank(n_fft, n_mels, sr):
+    """Triangular mel filters from 0 Hz to sr/2, one band and one bin at a time.
+
+    The band edges are n_mels + 2 points equally spaced on the mel scale
+    2595*log10(1 + f/700); bin k sits at k*sr/n_fft Hz.  A bin strictly
+    inside a band's edges takes the rising slope up to the band's center and
+    the falling slope past it.  A band with no bin strictly inside its edges
+    puts unit weight on the bin nearest its center (the first, on a tie).
+    """
+    top = 2595.0 * math.log10(1.0 + (sr / 2.0) / 700.0)
+    edges = [700.0 * (10.0 ** (i * top / (n_mels + 1) / 2595.0) - 1.0)
+             for i in range(n_mels + 2)]
+    n_bins = n_fft // 2 + 1
+    matrix = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
+        left, center, right = edges[m], edges[m + 1], edges[m + 2]
+        for k in range(n_bins):
+            f = k * sr / n_fft
+            if left < f <= center:
+                matrix[m, k] = (f - left) / (center - left)
+            elif center < f < right:
+                matrix[m, k] = (right - f) / (right - center)
+        if not matrix[m].any():
+            nearest = min(range(n_bins), key=lambda k: abs(k * sr / n_fft - center))
+            matrix[m, nearest] = 1.0
+    return matrix
+
+
 def reference_forward(model, x, mode="eval"):
     """Logits of ``model`` on ``x`` in ``mode``, walking ``model.trunk`` with
     the allocating ops: ``fa_channel`` before each conv of a

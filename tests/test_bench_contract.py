@@ -65,11 +65,10 @@ def test_one_tape_alive_at_each_backward(traced):
     assert traced["autodiff.tapes_alive_max"] == 1
 
 
-@pytest.mark.parametrize("key", ["models.shake_combine_s", "models.fa_channel.fwd_s",
-                                 "autodiff.pool2d.bwd_s"])
+@pytest.mark.parametrize("key", ["models.shake_combine_s", "autodiff.pool2d.bwd_s"])
 def test_block_and_pool_go_through_traced_names(traced, key):
-    # _Block mixes through models.shake_combine, _Conv through models.fa_channel,
-    # and the pool vjps are recorded as max_pool / avg_pool / global_avg_pool
+    # _Block mixes through models.shake_combine, and the pool vjps are
+    # recorded as max_pool / avg_pool / global_avg_pool
     assert traced[key] > 0
 
 
@@ -81,5 +80,5 @@ def test_train_tape_ops_have_a_traced_family():
     with ad.Tape() as tape:
         model.forward(x, mode="train")
     names = {rec.name for rec in tape.records}
-    assert {"fa_channel", "max_pool", "shake_combine"} <= names
+    assert {"max_pool", "shake_combine"} <= names
     assert names - {"linear", "reshape"} <= set(_VJP_FAMILY) | set(_VJP_KEY)

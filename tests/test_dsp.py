@@ -23,7 +23,7 @@ from rftag.dsp import (
     write_wav,
 )
 
-from oracles import oneshot_logmel
+from oracles import oneshot_logmel, reference_mel_filterbank
 
 
 def write_pcm16(path, samples_i16, rate=44100, channels=1):
@@ -169,6 +169,11 @@ class TestStft:
             power = stft_power(clip, window=window, hop=hop)
             assert power.shape == (window // 2 + 1, (n - window) // hop + 1)
 
+    def test_default_window_and_hop(self):
+        # (3584 - 2048) // 512 + 1 frames of 2048 // 2 + 1 bins
+        power = stft_power(AudioClip(np.random.default_rng(4).standard_normal(3584)))
+        assert power.shape == (1025, 4)
+
     def test_too_short_errors(self):
         with pytest.raises(ValueError, match="shorter than one window"):
             stft_power(AudioClip(np.zeros(100)), window=2048, hop=512)
@@ -231,6 +236,14 @@ class TestMelFilterbank:
                 for m in range(1, n_mels + 1)]
         np.testing.assert_allclose(mel_filterbank(n_mels=n_mels, sr=sr).centers_hz, want,
                                    rtol=1e-12)
+
+    # the default (2048, 256, 44100) has one band that falls back to its nearest bin
+    @pytest.mark.parametrize("n_fft,n_mels,sr", [(2048, 64, 44100), (2048, 256, 22050),
+                                                 (2048, 256, 44100)])
+    def test_matrix_is_the_reference(self, n_fft, n_mels, sr):
+        got = mel_filterbank(n_fft=n_fft, n_mels=n_mels, sr=sr).matrix
+        np.testing.assert_allclose(got, reference_mel_filterbank(n_fft, n_mels, sr),
+                                   rtol=0, atol=1e-12)
 
     def test_too_many_bands_rejected(self):
         with pytest.raises(ValueError, match="too many bands"):

@@ -280,6 +280,11 @@ class TestEnsemble:
         assert np.array_equal(a.scores, b.scores)
         assert np.array_equal(a.scores, (scores + other) / 2)
 
+    def test_keeps_each_members_provenance_in_member_order(self):
+        members = [PredictionSet(ids=["a"], tags=["x"], scores=np.array([[0.5]]),
+                                 provenance=prov) for prov in (["m1"], ["m2", "m3"], [], ["m4"])]
+        assert ensemble_average(members).provenance == ["m1", "m2", "m3", "m4"]
+
     def test_rejects_id_mismatch(self):
         a = PredictionSet(ids=["a", "b"], tags=["x"], scores=np.array([[0.1], [0.2]]))
         b = PredictionSet(ids=["a", "c"], tags=["x"], scores=np.array([[0.1], [0.2]]))

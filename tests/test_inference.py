@@ -143,6 +143,7 @@ class TestAgainstTheReference:
         want = np.mean([[reference_scores(member, c.values, "windows") for c in clips]
                         for member in members], axis=0)
         assert got.ids == [c.track_id for c in clips]
+        assert got.provenance == [str(p) for p in paths]  # best, then the SWA paths
         np.testing.assert_allclose(got.scores, want, rtol=1e-5)
 
 

@@ -64,6 +64,10 @@ class TestFaChannel:
         np.testing.assert_allclose(out.data[0, 2, :, 0], [0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.all(out.data[0, 2] == out.data[0, 2, :, :1])  # constant in time
 
+    def test_two_bins_are_the_ends(self):
+        out = fa_channel(Tensor(np.zeros((1, 1, 2, 3), dtype=np.float32)))
+        np.testing.assert_array_equal(out.data[0, 1], [[0.0] * 3, [1.0] * 3])
+
     def test_single_bin_zero(self):
         out = fa_channel(Tensor(np.ones((2, 1, 1, 4), dtype=np.float32)))
         np.testing.assert_array_equal(out.data[:, 1], 0.0)
@@ -291,10 +295,16 @@ class TestTrainReference:
         backward(loss)
         return loss.data, {k: p.grad for k, p in m.params.items()}, m.bn_arrays()
 
-    @pytest.mark.parametrize("frames", [16, 17])
+    @pytest.mark.parametrize("frames,band_bytes", [(16, None), (17, None), (16, 4 << 10),
+                                                   (17, 4 << 10)],
+                             ids=["16", "17", "16-4KiB_bands", "17-4KiB_bands"])
     @pytest.mark.parametrize("shake", [False, True], ids=["plain", "shake"])
     @pytest.mark.parametrize("fa", [False, True], ids=["no_fa", "fa"])
-    def test_train_step_is_the_reference_bit_for_bit(self, fa, shake, frames):
+    def test_train_step_is_the_reference_bit_for_bit(self, fa, shake, frames, band_bytes,
+                                                     monkeypatch):
+        # the reference appends the plane with fa_channel; train reads it in conv2d's bands
+        if band_bytes:
+            monkeypatch.setattr(ad, "_BAND_BYTES", band_bytes)
         got = self.step(lambda m, x: m.forward(x, mode="train"), fa, shake, frames)
         want = self.step(lambda m, x: reference_forward(m, x, mode="train"), fa, shake, frames)
         assert np.array_equal(got[0], want[0])
@@ -322,20 +332,28 @@ class TestTrainReference:
             tracemalloc.stop()
         names = [rec.name for rec in tape.records]
         assert {"relu", "shake_combine", "add"} <= set(names)
+        # conv2d reads the coordinate plane in its bands: no widened input copy
+        assert "fa_channel" not in names
         for rec in tape.records:
             if rec.name in ("relu", "shake_combine", "add"):
                 producer = rec.inputs[-1]._record
                 assert producer.name in ("batchnorm2d", "shake_combine"), rec.name
                 assert np.shares_memory(rec.output.data, producer.output.data), rec.name
-        # every array the tape holds, as an output or an input (the input's
-        # fa copy feeds in1's conv unrecorded), less the input and parameters
-        buffers = {}
+        # every array the tape holds, as an output or an input, less the
+        # input and parameters: the conv, batch-norm and pool outputs and the head
+        def root(t):
+            return t.data if t.data.base is None else t.data.base
+
+        buffers, owners = {}, {}
         for rec in tape.records:
+            owners.setdefault(id(root(rec.output)), rec.name)
             for t in (rec.output, *rec.inputs):
-                root = t.data if t.data.base is None else t.data.base
-                buffers[id(root)] = root.nbytes
+                buffers[id(root(t))] = root(t).nbytes
         for t in (x, *model.params.values()):
             buffers.pop(id(t.data), None)
+        assert set(buffers) <= set(owners)
+        assert {owners[b] for b in buffers} == {"conv2d", "batchnorm2d", "max_pool",
+                                                 "global_avg_pool", "linear"}
         distinct = sum(buffers.values())
         assert retained <= 1.05 * distinct, f"retained {retained} bytes for {distinct} of buffers"
 
@@ -536,6 +554,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{p}: batchnorm entry 'in1.bn.var' "
                                                        "holds a negative variance")):
             load_model(p)
+
+    def test_zero_variance_is_accepted(self, tmp_path):
+        # a channel that never varied has variance 0, which batch norm's eps covers
+        p = self.damaged(tmp_path, b"in1.bn.var", value=0.0)
+        model, _ = load_model(p)
+        assert model.bn_states["in1.bn"].var[0] == 0.0
 
     def test_nan_variance_names_path_and_entry(self, tmp_path):
         p = self.damaged(tmp_path, b"in1.bn.var", value=float("nan"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rftag import autodiff as ad
+from rftag import training
 from rftag.autodiff import AdamState, Tape, Tensor, adam_step, backward, bce_with_logits
 from rftag.evaluation import LabelSet, PredictionSet, macro_pr_auc, snapshot_ensemble
 from rftag.inference import crop_window
@@ -46,6 +47,8 @@ class TestSchedule:
         assert lr_at(0, cfg) == pytest.approx(1e-6, rel=1e-12)  # peak/100
         ramp = [lr_at(e, cfg) for e in range(10)]
         assert ramp == sorted(ramp)
+        start, peak = cfg.lr_peak * cfg.warmup_start_factor, cfg.lr_peak
+        assert lr_at(5, cfg) == start + (peak - start) * 0.5
 
     def test_continuity_at_segment_joints(self):
         cfg = TrainConfig()
@@ -289,6 +292,20 @@ class TestTrainLoop:
         art = train(model, make_band_clips(4), make_band_clips(2), list("abc"), tc, tmp_path / "run")
         assert len(art.swa_paths) == 1 and draws and not any(draws)
 
+    def test_batches_of_two_are_mixed(self, tmp_path, monkeypatch):
+        cfg, tc = tiny_train_setup()
+        rows = []
+
+        def spy(x, y, alpha, rng):
+            rows.append(x.shape[0])
+            return mixup_batch(x, y, alpha, rng)
+
+        monkeypatch.setattr(training, "mixup_batch", spy)
+        train(build_model(cfg), make_band_clips(4), make_band_clips(2), list("abc"), tc,
+              tmp_path / "run")
+        # 4 clips in batches of 2 for 2 epochs: every batch is mixed
+        assert tc.batch_size == 2 and rows == [2] * 4
+
     def test_empty_split_rejected(self, tmp_path):
         cfg, tc = tiny_train_setup()
         with pytest.raises(ValueError, match="non-empty"):
@@ -340,8 +357,10 @@ class TestTrainConfig:
         (dict(mixup_alpha=float("nan")), "mixup_alpha must be > 0, got nan"),
         (dict(warmup_start_factor=0.0), r"warmup_start_factor must lie in \(0, 1\], got 0.0"),
         (dict(warmup_start_factor=1.5), r"warmup_start_factor must lie in \(0, 1\], got 1.5"),
+        (dict(lr_final=1e-4), "need lr_peak > lr_final > 0, got 0.0001, 0.0001"),
+        (dict(lr_final=0.0), "need lr_peak > lr_final > 0, got 0.0001, 0.0"),
     ], ids=["warmup", "constant", "decay", "tail", "alpha", "alpha-nan", "factor-0",
-            "factor-1.5"])
+            "factor-1.5", "final-equals-peak", "final-zero"])
     def test_value_train_would_trip_on_names_the_field(self, kw, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kw)
