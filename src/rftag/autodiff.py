@@ -1,14 +1,14 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Every model in this package is built from the small op set below: conv2d,
-batchnorm2d, relu/sigmoid, pooling, linear, and a numerically stable
-binary-cross-entropy-with-logits loss.  Ops execute eagerly on numpy arrays;
-while a ``Tape`` is active, each op appends a record (inputs, output,
-backward rule) in execution order, which is a topological order by
-construction.  ``backward`` replays the tape in reverse,
-accumulates gradients into leaf tensors and consumes the tape: each record
-is dropped once its backward rule has run, so a training step's
-activations are freed by reference counting before the step ends.
+batchnorm2d, relu/sigmoid, pooling, linear, add, the shake-shake mix
+(``shake_combine``) and a numerically stable binary-cross-entropy-with-logits
+loss.  Ops execute eagerly on numpy arrays; while a ``Tape`` is active, each
+op appends a record (inputs, output, backward rule) in execution order,
+which is a topological order by construction.  ``backward`` replays the
+tape in reverse, accumulates gradients into leaf tensors and consumes the
+tape: each record is dropped once its backward rule has run, so a training
+step's activations are freed by reference counting before the step ends.
 
 Forward ops do only forward work, on one code path for training and
 eval: what backward needs beyond the op's inputs and output is rebuilt by
@@ -26,16 +26,17 @@ mask.  Batchnorm is one per-channel scale and shift in both modes; only the
 source of its statistics differs, and backward rebuilds the normalized
 input from x.
 
-``batchnorm2d``, ``relu`` and ``add`` take ``out=``, an array to write the
-result into, so a forward need not allocate a copy per op.  With nothing
-recording, any array of x's shape and dtype will do (a fresh conv output,
-say).  A tape keeps every record's output until backward, so under one
-``out=`` must be the output of the tape's last record, which no recorded op
-has read yet, and that record must be an op whose vjp never reads its
-output (``_OVERWRITABLE``).  Batch norm's vjp reads its input, so it refuses
-``out=`` whenever it would record.  This keeps an activation once on the
-tape: relu writes over its batch norm's output, as In-Place Activated
-BatchNorm does (Rota Bulò et al., arXiv:1712.02616).
+``batchnorm2d``, ``relu``, ``add`` and ``shake_combine`` take ``out=``, an
+array to write the result into, so a forward need not allocate a copy per
+op.  With nothing recording, any array of x's shape and dtype will do (a
+fresh conv output, say).  A tape keeps every record's output until
+backward, so under one ``out=`` must be the output of the tape's last
+record, which no recorded op has read yet, and that record must be an op
+whose vjp never reads its output (``_OVERWRITABLE``).  Batch norm's vjp
+reads its input, so it refuses ``out=`` whenever it would record.  This
+keeps an activation once on the tape: relu writes over its batch norm's
+output, as In-Place Activated BatchNorm does (Rota Bulò et al.,
+arXiv:1712.02616).
 
 Precision is parametric: arrays keep whatever float dtype they were created
 with.  Training uses float32 by default; gradient-check tests run the same
@@ -181,9 +182,9 @@ def _records(inputs: Sequence[Tensor]) -> bool:
 
 
 _OVERWRITABLE = frozenset({"batchnorm2d", "shake_combine", "add"})
-"""Record names of the ops whose vjps never read their output, so that a
-later op may write over it.  Not relu (its vjp reads its output), nor the
-pools or sigmoid."""
+"""Record names of the ops of this module whose vjps never read their
+output, so that a later op may write over it.  Not relu (its vjp reads its
+output), nor the pools or sigmoid."""
 
 
 def _check_out(name: str, out: Optional[np.ndarray], x: Tensor, inputs: Sequence[Tensor],
@@ -576,12 +577,12 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
-    """Window pooling: max / avg over (kh, kw) windows, or global average.
+    """Window pooling: max over (kh, kw) windows, or global average.
 
-    ``global_avg`` reduces H, W to 1, 1 and ignores kernel/stride.  Max and
-    avg combine the kh*kw strided tap views of the input elementwise, one
-    view per window offset (i, j); backward scatters one gradient per tap
-    back through the same views.  Max pool sends each window's gradient to
+    ``global_avg`` reduces H, W to 1, 1 and ignores kernel/stride.  Max
+    combines the kh*kw strided tap views of the input elementwise, one view
+    per window offset (i, j); backward scatters one gradient per tap back
+    through the same views.  Max pool sends each window's gradient to
     its first tap, in row-major order, that equals the window's max, which
     is ``np.argmax``'s rule: the window [[1, 1], [1, 0]] sends all of it to
     the top-left cell.
@@ -599,10 +600,10 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
 
         return record("global_avg_pool", out, [x], vjp_g)
 
-    if kind not in ("max", "avg"):
+    if kind != "max":
         raise ValueError(f"unknown pool kind {kind!r}")
     if kernel is None:
-        raise ValueError("max/avg pooling requires a kernel")
+        raise ValueError("max pooling requires a kernel")
     kh, kw = _as_pair(kernel)
     sh, sw = _as_pair(stride if stride is not None else kernel)
     if kh < 1 or kw < 1:
@@ -615,40 +616,23 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
     ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
     spans = [tap[3:] for tap in _taps((kh, kw), (sh, sw), (0, 0), (h, w), (ho, wo))]
     views = [x.data[:, :, rows, cols] for rows, cols in spans]
-    combine = np.maximum if kind == "max" else np.add
     out = views[0].copy()
     for v in views[1:]:
-        combine(out, v, out=out)
-
-    def scatter(taps):
-        """Input gradient from one [n, c, ho, wo] gradient per tap, row-major."""
-        gx = np.zeros_like(x.data)
-        for (rows, cols), g in zip(spans, taps):
-            gx[:, :, rows, cols] += g
-        return gx
-
-    if kind == "avg":
-        out /= kh * kw
-
-        def vjp_a(gout):
-            return (scatter([gout / (kh * kw)] * (kh * kw)),) if x.requires_grad else (None,)
-
-        return record("avg_pool", out, [x], vjp_a)
+        np.maximum(out, v, out=out)
 
     def vjp_m(gout):
-        """Each tap takes ``gout`` where it is its window's first max."""
+        """Each tap, in row-major order, takes ``gout`` where it is its
+        window's first max, scattered back through its view."""
         if not x.requires_grad:
             return (None,)
-
-        def routed():
-            unrouted = np.ones(out.shape, dtype=bool)
-            for v in views:
-                first = v == out
-                first &= unrouted
-                unrouted ^= first
-                yield np.where(first, gout, 0)
-
-        return (scatter(routed()),)
+        gx = np.zeros_like(x.data)
+        unrouted = np.ones(out.shape, dtype=bool)
+        for (rows, cols), v in zip(spans, views):
+            first = v == out
+            first &= unrouted
+            unrouted ^= first
+            gx[:, :, rows, cols] += np.where(first, gout, 0)
+        return (gx,)
 
     return record("max_pool", out, [x], vjp_m)
 
@@ -692,6 +676,31 @@ def add(a: Tensor, b: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
                 gout if b.requires_grad else None)
 
     return record("add", out, [a, b], vjp)
+
+
+def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float,
+                  out: Optional[np.ndarray] = None) -> Tensor:
+    """alpha*b1 + (1-alpha)*b2 forward; the gradient splits beta/(1-beta) backward.
+
+    The shake-shake mix of two branches (Gastaldi, arXiv:1705.07485): a
+    shake block passes alpha and beta drawn uniform on [0, 1] in train mode
+    and 0.5, 0.5 in eval mode.  The mix is computed as
+    ``(1-alpha)*b2 + alpha*b1``, the same bits since IEEE addition commutes,
+    into ``out`` when given.  The vjp reads neither branch; ``out`` follows
+    ``_check_out`` with b2 as x.
+    """
+    if b1.shape != b2.shape:
+        raise ValueError(f"shake branch shapes differ: {b1.shape} vs {b2.shape}")
+    _check_out("shake_combine", out, b2, [b1, b2])
+    out = np.multiply(b2.data, 1.0 - alpha, out=out)
+    out += alpha * b1.data
+
+    def vjp(gout):
+        g1 = beta * gout if b1.requires_grad else None
+        g2 = (1.0 - beta) * gout if b2.requires_grad else None
+        return g1, g2
+
+    return record("shake_combine", out, [b1, b2], vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,6 +1,6 @@
 """CP-ResNet variants: RF-regularized, frequency-aware, and shake-shake.
 
-``build_model`` realizes the ``ArchSpec`` of a config (``rf.TemplateConfig.make``
+``Model`` realizes the ``ArchSpec`` of a config (``rf.TemplateConfig.make``
 sized by ``rf.apply_rho``) as named parameter tensors plus a forward recipe,
 walking the arch's layers and skips once:
 
@@ -12,6 +12,9 @@ walking the arch's layers and skips once:
   ``src`` (through a 1x1 conv + bn projection where the width changes).
   The block returns residual + branch, or, with shake-shake, residual +
   ``shake_combine`` of its two branches.
+
+``Model(config)`` holds zero weights and draws nothing; ``build_model``
+draws the He init into it, and ``load_model`` fills it from a checkpoint.
 
 Block widths split ``arch.channel_plan`` evenly over the blocks; a conv
 outside a block takes the width of the next block.  A block's layers are
@@ -25,22 +28,24 @@ conv one more input channel holding the bin's coordinate (``fa_channel``),
 which the conv reads inside its column bands (``conv2d(freq_coord=True)``)
 in train and eval mode alike, so no widened copy of its input is made.
 ``shake_shake`` doubles each block's branch and mixes the two with convex
-weights: in train mode alpha (forward) then beta (backward), each drawn
-uniform on [0, 1] from ``Model.rng_shake`` per block per forward; in eval
-mode 0.5 and 0.5.  The classifier head is global average pooling into a
-linear layer producing one logit per tag.  Sigmoid lives downstream in the
-loss / evaluation layers.
+weights (the engine op ``autodiff.shake_combine``): in train mode alpha
+(forward) then beta (backward), each drawn uniform on [0, 1] from
+``Model.rng_shake`` per block per forward; in eval mode 0.5 and 0.5.  The
+classifier head is global average pooling into a linear layer producing
+one logit per tag.  Sigmoid lives downstream in the loss / evaluation
+layers.
 
 Each activation is kept once: relu writes over its batch norm's output, a
 shake block mixes into its second branch's output and the residual add
-writes over the mix or the lone branch (``out=``).  None of those
-overwritten outputs is read by its op's vjp, so this holds under a tape
-too (``autodiff._check_out``).  A training step's tape then holds the conv
-outputs, the batch-norm outputs (relu, the mix and the add written over
-them) and the pool outputs; CHANGES.md lists its bytes per record name.
-With nothing recording, batch norm also writes over the fresh conv output,
-so an eval forward (or the SWA refresh's) holds about two activations and
-one column band at a time.
+writes over the mix or the lone branch (``out=``, which ``batchnorm2d``,
+``relu``, ``add`` and ``shake_combine`` take).  None of those overwritten
+outputs is read by its op's vjp, so the engine allows this under a tape
+too.  A training step's tape then holds the conv outputs, the batch-norm
+outputs (relu, the mix and the add written over them) and the pool
+outputs; CHANGES.md lists its bytes per record name.  With nothing
+recording, batch norm also writes over the fresh conv output, so an eval
+forward (or the SWA refresh's) holds about two activations and one column
+band at a time.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Tensor
+from .autodiff import BatchNormState, Tensor, shake_combine
 from .rf import ArchSpec, LayerSpec, TemplateConfig, apply_rho, min_input
 
 CKPT_MAGIC = b"RFCKPT01"
@@ -109,30 +114,6 @@ def fa_channel(x: Tensor) -> Tensor:
     return ad.record("fa_channel", out, [x], vjp)
 
 
-def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float,
-                  out: Optional[np.ndarray] = None) -> Tensor:
-    """alpha*b1 + (1-alpha)*b2 forward; the gradient splits beta/(1-beta) backward.
-
-    A shake block passes alpha and beta drawn uniform on [0, 1] in train
-    mode and 0.5, 0.5 in eval mode.  The mix is computed as
-    ``(1-alpha)*b2 + alpha*b1``, the same bits since IEEE addition commutes,
-    into ``out`` when given.  The vjp reads neither branch; ``out`` follows
-    ``autodiff._check_out`` with b2 as x.
-    """
-    if b1.shape != b2.shape:
-        raise ValueError(f"shake branch shapes differ: {b1.shape} vs {b2.shape}")
-    ad._check_out("shake_combine", out, b2, [b1, b2])
-    out = np.multiply(b2.data, 1.0 - alpha, out=out)
-    out += alpha * b1.data
-
-    def vjp(gout):
-        g1 = beta * gout if b1.requires_grad else None
-        g2 = (1.0 - beta) * gout if b2.requires_grad else None
-        return g1, g2
-
-    return ad.record("shake_combine", out, [b1, b2], vjp)
-
-
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
@@ -151,8 +132,8 @@ class _Conv:
         self.stride, self.padding, self.relu = layer.stride, layer.padding, relu
         self.fa = model.config.frequency_aware
         c_eff = c_in + (1 if self.fa else 0)
-        self.weight = model.add_param(f"{name}.weight",
-                                      model._he_init((c_out, c_eff, kf, kt), c_eff * kf * kt))
+        self.weight = model.add_param(f"{name}.weight", np.zeros((c_out, c_eff, kf, kt),
+                                                                 dtype=ad.DEFAULT_DTYPE))
         self.gamma = model.add_param(f"{name}.bn.gamma", np.ones(c_out))
         self.beta = model.add_param(f"{name}.bn.beta", np.zeros(c_out))
         self.state = model.add_bn_state(f"{name}.bn", c_out)
@@ -230,48 +211,21 @@ class _Block:
 
 
 class Model:
-    """Named parameters plus the forward recipe for one architecture."""
+    """Named parameters plus the forward recipe for one architecture.
+
+    ``Model(config)`` draws nothing: its weights and biases are zero, its
+    batch-norm scales one and shifts zero, and its batch-norm statistics the
+    identity.  ``build_model`` fills the weights with the He init;
+    ``load_model`` and the SWA step of ``training.train`` fill every
+    parameter with ``load_state_arrays``.
+    """
 
     def __init__(self, config: ModelConfig):
-        self._build(config, np.random.default_rng(config.seed))
-
-    @classmethod
-    def _unfilled(cls, config: ModelConfig) -> "Model":
-        """The model of ``config`` with zero weights, for a checkpoint to fill:
-        no He init is drawn only to be overwritten."""
-        model = cls.__new__(cls)
-        model._build(config, None)
-        return model
-
-    # -- construction ------------------------------------------------------
-
-    def _he_init(self, shape: tuple, fan_in: int) -> np.ndarray:
-        """He-normal weights, or zeros while an unfilled model is built."""
-        if self._rng_init is None:
-            return np.zeros(shape)
-        return self._rng_init.standard_normal(shape) * np.sqrt(2.0 / fan_in)
-
-    def add_param(self, name: str, values: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name}")
-        t = Tensor(np.asarray(values, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def add_bn_state(self, name: str, channels: int) -> BatchNormState:
-        if name in self.bn_states:
-            raise ValueError(f"duplicate batchnorm state name {name}")
-        state = BatchNormState.identity(channels)
-        self.bn_states[name] = state
-        return state
-
-    def _build(self, config: ModelConfig, rng_init: Optional[np.random.Generator]):
         """Parameters and statistics of ``config`` in one walk over the arch:
         plain layers and one block per skip."""
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.bn_states: dict[str, BatchNormState] = {}
-        self._rng_init = rng_init
         self.rng_shake = np.random.default_rng(config.seed + 1)
         self._arch = config.arch()
         self.min_input = min_input(self._arch)
@@ -292,9 +246,25 @@ class Model:
                 step, c = _layer(self, layers[i].name, layers[i], c, width, relu=True)
                 self.trunk.append(step)
                 i += 1
-        self.head_w = self.add_param("head.weight", self._he_init((c, self.config.n_tags), c))
-        self.head_b = self.add_param("head.bias", np.zeros(self.config.n_tags))
-        del self._rng_init
+        self.head_w = self.add_param("head.weight",
+                                     np.zeros((c, config.n_tags), dtype=ad.DEFAULT_DTYPE))
+        self.head_b = self.add_param("head.bias", np.zeros(config.n_tags))
+
+    # -- construction ------------------------------------------------------
+
+    def add_param(self, name: str, values: np.ndarray) -> Tensor:
+        if name in self.params:
+            raise ValueError(f"duplicate parameter name {name}")
+        t = Tensor(np.asarray(values, dtype=ad.DEFAULT_DTYPE), requires_grad=True)
+        self.params[name] = t
+        return t
+
+    def add_bn_state(self, name: str, channels: int) -> BatchNormState:
+        if name in self.bn_states:
+            raise ValueError(f"duplicate batchnorm state name {name}")
+        state = BatchNormState.identity(channels)
+        self.bn_states[name] = state
+        return state
 
     # -- forward -----------------------------------------------------------
 
@@ -332,7 +302,7 @@ class Model:
     def load_state_arrays(self, arrays: dict) -> None:
         _check_entries("parameter", arrays, {k: p.shape for k, p in self.params.items()})
         for k, p in self.params.items():
-            p.data = arrays[k].astype(p.data.dtype).copy()
+            p.data = arrays[k].astype(p.data.dtype)
 
     def bn_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -346,8 +316,8 @@ class Model:
                                              for name, st in self.bn_states.items()
                                              for stat in ("mean", "var")})
         for name, st in self.bn_states.items():
-            st.mean = arrays[f"{name}.mean"].astype(ad.DEFAULT_DTYPE).copy()
-            st.var = arrays[f"{name}.var"].astype(ad.DEFAULT_DTYPE).copy()
+            st.mean = arrays[f"{name}.mean"].astype(ad.DEFAULT_DTYPE)
+            st.var = arrays[f"{name}.var"].astype(ad.DEFAULT_DTYPE)
 
 
 def _check_entries(section: str, arrays: dict, shapes: dict) -> None:
@@ -364,8 +334,20 @@ def _check_entries(section: str, arrays: dict, shapes: dict) -> None:
 
 
 def build_model(config: ModelConfig) -> Model:
-    """Deterministic He-initialized model for a config (same seed, same bits)."""
-    return Model(config)
+    """The model of ``config`` with He-normal weights (same seed, same bits).
+
+    One generator seeded with ``config.seed`` draws every weight in
+    parameter order, scaled by sqrt(2 / fan-in): ``in*kf*kt`` for a conv
+    kernel ``(out, in, kf, kt)``, the rows for the head's ``(in, out)``.
+    Biases, batch-norm parameters and statistics stay as ``Model`` made them.
+    """
+    model = Model(config)
+    rng = np.random.default_rng(config.seed)
+    for p in model.params.values():
+        if p.ndim > 1:
+            fan_in = int(np.prod(p.shape[1:])) if p.ndim == 4 else p.shape[0]
+            p.data[...] = rng.standard_normal(p.shape) * np.sqrt(2.0 / fan_in)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +506,7 @@ def load_model(path) -> tuple[Model, dict]:
     """
     params, bn, echo = read_checkpoint(path)
     try:
-        model = Model._unfilled(config_from_echo(echo))
+        model = Model(config_from_echo(echo))
         model.load_state_arrays(params)
         model.load_bn_arrays(bn)
         for section, arrays in (("parameter", params), ("batchnorm", bn)):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -110,27 +109,24 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mixup_batch(x: Tensor, y: Tensor, alpha: float, rng: np.random.Generator,
-                lam: Optional[float] = None):
+def mixup_batch(x: Tensor, y: Tensor, alpha: float, rng: np.random.Generator):
     """Convex-combine a batch with a permuted copy of itself.
 
-    One lambda per batch mixes inputs and labels identically.  Returns
-    (x', y', lambda).  ``lam`` overrides the Beta draw (used by tests); the
-    draw is still made, then the permutation, so the rng advances alike.
+    One lambda per batch, drawn from Beta(alpha, alpha) before the
+    permutation, mixes inputs and labels identically.  Returns
+    (x', y', lambda).
     """
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"mixup needs a batch of at least 2, got {n}")
     if alpha <= 0:
         raise ValueError(f"mixup alpha must be positive, got {alpha}")
-    lam_ = float(rng.beta(alpha, alpha))
+    lam = float(rng.beta(alpha, alpha))
     perm = rng.permutation(n)
-    if lam is not None:
-        lam_ = float(lam)
     xd, yd = x.data, y.data
-    x_mixed = lam_ * xd + (1.0 - lam_) * xd[perm]
-    y_mixed = lam_ * yd + (1.0 - lam_) * yd[perm]
-    return Tensor(x_mixed), Tensor(y_mixed), lam_
+    x_mixed = lam * xd + (1.0 - lam) * xd[perm]
+    y_mixed = lam * yd + (1.0 - lam) * yd[perm]
+    return Tensor(x_mixed), Tensor(y_mixed), lam
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +337,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
         if (epoch >= config.warmup_epochs
                 and (epoch - config.warmup_epochs) % config.swa_every == config.swa_every - 1):
             swa_update(swa, model.state_arrays())
-            swa_model = Model._unfilled(model.config)  # the average fills every parameter
+            swa_model = Model(model.config)  # the average fills every parameter
             swa_model.load_state_arrays(swa.average)
             refresh_bn_statistics(swa_model, train_clips, config.crop_frames,
                                   norm, config.batch_size, seed=config.seed + epoch)

@@ -3,9 +3,11 @@
 Everything here is deliberately naive (loops, enumeration, finite
 differences).  The numeric oracles share no code with the implementations
 they check.  The receptive-field probes (``connectivity_rf``,
-``empirical_rf``, ``measure_model_rf``) realize an arch with the engine and
-size their input from ``rf.compute_rf``, so only their verdict, the span of
-nonzero input gradient, is independent of the calculus they check.
+``empirical_rf``, ``measure_model_rf``) realize an arch with the engine,
+pooling with ``avg_pool2d`` (a loop-built average pool the engine does not
+offer), and size their input from ``rf.compute_rf``, so only their verdict,
+the span of nonzero input gradient, is independent of the calculus they
+check.
 ``reference_forward`` and ``oneshot_logmel`` are references of a third
 kind: they compose the package's own ops the plain, allocating way, so that
 a leaner composition of the same ops can be pinned to them bit for bit.
@@ -222,6 +224,36 @@ def connectivity_rf(arch, forward):
         fext, text = fext + fext // 2, text + text // 2
 
 
+def avg_pool2d(x, kernel, stride):
+    """Average over (kh, kw) windows at ``stride``, recorded on the tape.
+
+    The receptive-field probes' pool: a max window's influence set is its
+    whole window, which the average's gradient reaches.  Forward and
+    backward loop over the window offsets.
+    """
+    (kh, kw), (sh, sw) = kernel, stride
+    n, c, h, w = x.shape
+    ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
+
+    def tap(i, j):
+        return np.s_[:, :, i:i + sh * (ho - 1) + 1:sh, j:j + sw * (wo - 1) + 1:sw]
+
+    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out += x.data[tap(i, j)]
+    out /= kh * kw
+
+    def vjp(gout):
+        gx = np.zeros_like(x.data)
+        for i in range(kh):
+            for j in range(kw):
+                gx[tap(i, j)] += gout / (kh * kw)
+        return (gx if x.requires_grad else None,)
+
+    return ad.record("avg_pool", out, [x], vjp)
+
+
 def empirical_rf(arch):
     """(freq, time) receptive field of a unit instantiation of ``arch``.
 
@@ -247,7 +279,7 @@ def _unit_forward(arch, x):
             w = ad.Tensor(np.ones((1, 1, kf, kt), dtype=np.float64))
             cur = ad.conv2d(cur, w, stride=layer.stride, padding=layer.padding)
         else:
-            cur = ad.pool2d(cur, "avg", kernel=layer.kernel, stride=layer.stride)
+            cur = avg_pool2d(cur, layer.kernel, layer.stride)
         for src in skips_into.get(layer.name, ()):
             cur = ad.add(cur, outputs[src])
         outputs[layer.name] = cur
@@ -276,7 +308,7 @@ def measure_model_rf(config):
         return model.forward_features(x, mode="eval")
 
     pool2d = ad.pool2d
-    ad.pool2d = lambda x, kind, **window: pool2d(x, "avg", **window)
+    ad.pool2d = lambda x, kind, kernel, stride: avg_pool2d(x, kernel, stride)
     try:
         return connectivity_rf(config.arch(), probe)
     finally:

@@ -28,6 +28,7 @@ from rftag.autodiff import (
 from rftag.models import ModelConfig, TemplateConfig, build_model, fa_channel
 
 from oracles import (
+    avg_pool2d,
     finite_difference_grads,
     max_relative_error,
     naive_conv2d,
@@ -118,6 +119,13 @@ class TestConv2d:
     def test_kernel_exceeds_padded_extent(self):
         with pytest.raises(ValueError, match="exceeds"):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+        # one tap past the padded extent is refused, the padded extent itself is not
+        x = Tensor(np.zeros((1, 1, 2, 2)))
+        for over, fits, padding, shape in (((5, 1), (4, 1), (1, 0), (1, 1, 1, 2)),
+                                           ((1, 5), (1, 4), (0, 1), (1, 1, 2, 1))):
+            with pytest.raises(ValueError, match="exceeds padded input extents"):
+                conv2d(x, Tensor(np.zeros((1, 1) + over)), padding=padding)
+            assert conv2d(x, Tensor(np.ones((1, 1) + fits)), padding=padding).shape == shape
 
     def test_negative_padding_rejected(self):
         # a negative pad would read as a crop
@@ -410,17 +418,22 @@ class TestPool:
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         out = pool2d(x, "max", kernel=(2, 2), stride=(2, 2))
         assert out.data.reshape(-1)[0] == 4.0
+        # a kernel of one along an axis pools along the other only
+        np.testing.assert_array_equal(pool2d(x, "max", kernel=(1, 2)).data[0, 0], [[2.0], [4.0]])
+        np.testing.assert_array_equal(pool2d(x, "max", kernel=(2, 1)).data[0, 0], [[3.0, 4.0]])
 
     def test_avg_pool(self):
+        # the average pool is the receptive-field probes' oracle, not an engine kind
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        out = pool2d(x, "avg", kernel=(2, 2), stride=(2, 2))
-        assert out.data.reshape(-1)[0] == 2.5
+        with pytest.raises(ValueError, match="unknown pool kind 'avg'"):
+            pool2d(x, "avg", kernel=(2, 2), stride=(2, 2))
+        assert avg_pool2d(x, (2, 2), (2, 2)).data.reshape(-1)[0] == 2.5
 
     def test_kernel_too_large_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             pool2d(Tensor(np.zeros((1, 1, 2, 2))), "max", kernel=(3, 3))
 
-    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("kind", ["max"])
     @pytest.mark.parametrize("kernel,stride,message", [
         ((0, 2), None, r"pool kernel must be >= 1, got \(0, 2\)"),
         ((2, 2), (0, 1), r"pool strides must be >= 1, got \(0, 1\)"),
@@ -754,9 +767,10 @@ class TestGradcheck:
     def test_pool_grads(self):
         rng = np.random.default_rng(12)
         x = t64(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
-        for kind in ("max", "avg"):
-            def loss(kind=kind):
-                out = pool2d(x, kind, kernel=(2, 2), stride=(2, 2))
+        for pool in (lambda x: pool2d(x, "max", kernel=(2, 2), stride=(2, 2)),
+                     lambda x: avg_pool2d(x, (2, 2), (2, 2))):
+            def loss(pool=pool):
+                out = pool(x)
                 return sum_all(mul(out, out))
             self.check(loss, [x])
 
@@ -765,9 +779,10 @@ class TestGradcheck:
         # an input cell in several windows sums one gradient per window that holds it
         rng = np.random.default_rng(16)
         x = t64(rng.standard_normal((2, 2, 7, 6)), requires_grad=True)
-        for kind in ("max", "avg"):
-            def loss(kind=kind):
-                out = pool2d(x, kind, kernel=kernel, stride=stride)
+        for pool in (lambda x: pool2d(x, "max", kernel=kernel, stride=stride),
+                     lambda x: avg_pool2d(x, kernel, stride)):
+            def loss(pool=pool):
+                out = pool(x)
                 return sum_all(mul(out, out))
             self.check(loss, [x])
 
@@ -814,7 +829,7 @@ class TestGradcheck:
                 h = conv2d(x, w1, b1, padding=(1, 1))
                 h = batchnorm2d(h, gamma, beta, BatchNormState(), eps=1e-3)
                 h = relu(h)
-                h = pool2d(h, "avg", kernel=(2, 2), stride=(2, 2))
+                h = avg_pool2d(h, (2, 2), (2, 2))
                 h = pool2d(h, "global_avg")
                 h = reshape(h, (2, 2))
                 z = linear(h, w2, b2)

@@ -365,6 +365,10 @@ class TestLogmel:
 
 
 class TestResample:
+    def test_one_sample_holds_its_value(self):
+        np.testing.assert_array_equal(resample_linear(np.array([0.7]), 22050, 44100), [0.7, 0.7])
+        np.testing.assert_array_equal(resample_linear(np.array([0.7]), 44100, 44100), [0.7])
+
     def test_preserves_sine_shape(self):
         t = np.arange(2000) / 22050.0
         x = np.sin(2 * np.pi * 220.0 * t)

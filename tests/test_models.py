@@ -178,6 +178,24 @@ class TestBuildModel:
         assert count(on, ".br") == 2 * count(off, ".br")
         assert count(on, ".proj") == count(off, ".proj")
 
+    def test_model_holds_zero_weights_and_identity_statistics(self):
+        cfg = tiny_config(frequency_aware=True, shake_shake=True)
+        m, built = models.Model(cfg), build_model(cfg)
+        assert m.params.keys() == built.params.keys()
+        for name, p in m.params.items():
+            assert p.dtype == np.float32 and p.shape == built.params[name].shape, name
+            assert np.array_equal(p.data, np.full(p.shape, 1.0 if name.endswith(".gamma") else 0.0))
+            # build_model draws the weights and leaves every vector as Model made it
+            assert (p.ndim > 1) != np.array_equal(p.data, built.params[name].data), name
+        for state in m.bn_states.values():
+            assert state.mean.dtype == state.var.dtype == np.float32
+            assert not state.mean.any() and (state.var == 1).all()
+        fresh = np.random.default_rng(cfg.seed + 1).bit_generator.state
+        assert m.rng_shake.bit_generator.state == built.rng_shake.bit_generator.state == fresh
+
+    def test_default_seed_is_zero(self):
+        assert ModelConfig().seed == 0
+
     def test_unique_param_names(self):
         m = build_model(tiny_config())
         assert len(m.params) == len(set(m.params))
@@ -489,6 +507,9 @@ class TestCheckpoint:
                  (60, "parameter entry 'in1.weight'"),
                  (bn_at + 20, "batchnorm entry 'in1.bn.mean'"),
                  (len(raw) - 3, "config echo")]
+        # 1-3 bytes into the echo's length field, just before its first key
+        echo_at = raw.rindex(b"frequency_aware=") - 4
+        cases += [(echo_at + k, "config echo") for k in (1, 2, 3)]
         for keep, where in cases:
             p.write_bytes(raw[:keep])
             with pytest.raises(ValueError) as err:

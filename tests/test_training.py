@@ -1,16 +1,17 @@
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rftag import autodiff as ad
-from rftag import training
+from rftag import models, training
 from rftag.autodiff import AdamState, Tape, Tensor, adam_step, backward, bce_with_logits
 from rftag.evaluation import LabelSet, PredictionSet, macro_pr_auc, snapshot_ensemble
 from rftag.inference import crop_window
-from rftag.models import Model, ModelConfig, TemplateConfig, build_model, load_model
+from rftag.models import ModelConfig, TemplateConfig, build_model, load_model
 from rftag.training import (
     METRICS_HEADER,
     SWAState,
@@ -31,6 +32,8 @@ class TestSchedule:
     def test_paper_boundaries_exact(self):
         cfg = TrainConfig()
         assert lr_at(10, cfg) == 1e-4
+        # exactly lr_peak, where the ramp's formula would round to 2.999...e-4
+        assert lr_at(10, replace(cfg, lr_peak=3e-4, warmup_start_factor=0.1)) == 3e-4
         assert lr_at(69, cfg) == 1e-4
         assert lr_at(70, cfg) == 1e-4
         for epoch in range(120, 200):
@@ -78,6 +81,19 @@ class TestSchedule:
         assert total == 30
         assert lr_at(cfg.warmup_epochs, cfg) == cfg.lr_peak
 
+        def segments(c):
+            return c.warmup_epochs, c.constant_epochs, c.decay_epochs, c.tail_epochs
+
+        assert segments(cfg) == (2, 9, 8, 11)
+        # every segment but the tail keeps at least one epoch
+        assert segments(TrainConfig().scaled(4)) == (1, 1, 1, 1)
+        assert segments(TrainConfig().scaled(3)) == (1, 1, 1, 0)
+        short = TrainConfig(total_epochs=100, warmup_epochs=1, constant_epochs=1,
+                            decay_epochs=1, tail_epochs=97)
+        assert segments(short.scaled(10)) == (1, 1, 1, 7)
+        with pytest.raises(ValueError, match="cannot scale schedule down to 2 epochs"):
+            TrainConfig().scaled(2)
+
 
 class TestMixup:
     def batch(self, n=4, seed=0):
@@ -88,24 +104,30 @@ class TestMixup:
 
     def test_lambda_one_identity(self):
         x, y = self.batch()
-        rng = np.random.default_rng(1)
-        xm, ym, lam = mixup_batch(x, y, 0.3, rng, lam=1.0)
-        assert lam == 1.0
-        np.testing.assert_array_equal(xm.data, x.data)
-        np.testing.assert_array_equal(ym.data, y.data)
+        # Beta(0.01, 0.01) often rounds to exactly 1.0: find a seed whose
+        # same-seeded draw does so and whose permutation moves a row
+        for seed in range(100):
+            check = np.random.default_rng(seed)
+            if check.beta(0.01, 0.01) == 1.0 and (check.permutation(4) != np.arange(4)).any():
+                xm, ym, lam = mixup_batch(x, y, 0.01, np.random.default_rng(seed))
+                assert lam == 1.0
+                np.testing.assert_array_equal(xm.data, x.data)
+                np.testing.assert_array_equal(ym.data, y.data)
+                return
+        pytest.fail("no seed drew lambda 1 with a moving permutation")
 
-    def test_half_lambda_two_rows(self):
+    def test_two_rows_swapped(self):
         x = Tensor(np.array([[0.0], [2.0]], dtype=np.float32))
         y = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32))
-        # force the swap permutation by drawing until it appears
+        # the swap permutation, found by drawing until it appears
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            draw_rng = np.random.default_rng(seed)
-            _ = draw_rng.beta(0.3, 0.3)
-            if list(draw_rng.permutation(2)) == [1, 0]:
-                xm, ym, _ = mixup_batch(x, y, 0.3, rng, lam=0.5)
-                np.testing.assert_allclose(xm.data, [[1.0], [1.0]])
-                np.testing.assert_allclose(ym.data, [[0.5, 0.5], [0.5, 0.5]])
+            check = np.random.default_rng(seed)
+            lam = float(check.beta(0.3, 0.3))
+            if list(check.permutation(2)) == [1, 0]:
+                xm, ym, lam_got = mixup_batch(x, y, 0.3, np.random.default_rng(seed))
+                assert lam_got == lam
+                np.testing.assert_allclose(xm.data, [[2 * (1 - lam)], [2 * lam]], rtol=1e-6)
+                np.testing.assert_allclose(ym.data, [[lam, 1 - lam], [1 - lam, lam]], rtol=1e-6)
                 return
         pytest.fail("no seed produced the swap permutation")
 
@@ -278,19 +300,32 @@ class TestTrainLoop:
         best, echo = load_model(art.best_path)
         assert float(echo["val_pr_auc"]) == pytest.approx(val_pr_auc(best), abs=1e-12)
 
+    def test_tied_validation_keeps_the_earlier_best(self, tmp_path, monkeypatch):
+        cfg, tc = tiny_train_setup()
+        monkeypatch.setattr(training, "_validation_pr_auc", lambda *args: 0.5)
+        art = train(build_model(cfg), make_band_clips(4), make_band_clips(2), list("abc"), tc,
+                    tmp_path / "run")
+        assert [row[4] for row in art.metrics] == [1, 0]
+        assert load_model(art.best_path)[1]["epoch"] == "0"
+
     def test_swa_model_draws_no_init(self, tmp_path, monkeypatch):
         cfg, tc = tiny_train_setup()
         model = build_model(cfg)
-        draws = []
-        he_init = Model._he_init
+        calls = []
 
-        def spy(self, shape, fan_in):
-            draws.append(self._rng_init is not None)
-            return he_init(self, shape, fan_in)
+        def spy(config):
+            calls.append(config)
+            return build_model(config)
 
-        monkeypatch.setattr(Model, "_he_init", spy)
-        art = train(model, make_band_clips(4), make_band_clips(2), list("abc"), tc, tmp_path / "run")
-        assert len(art.swa_paths) == 1 and draws and not any(draws)
+        bound = [(module, name) for module_name, module in list(sys.modules.items())
+                 if module_name == "rftag" or module_name.startswith("rftag.")
+                 for name, value in vars(module).items() if value is build_model]
+        assert (models, "build_model") in bound
+        for module, name in bound:
+            monkeypatch.setattr(module, name, spy)
+        art = train(model, make_band_clips(4), make_band_clips(2), list("abc"), tc,
+                    tmp_path / "run")
+        assert len(art.swa_paths) == 1 and not calls
 
     def test_batches_of_two_are_mixed(self, tmp_path, monkeypatch):
         cfg, tc = tiny_train_setup()
@@ -310,6 +345,9 @@ class TestTrainLoop:
         cfg, tc = tiny_train_setup()
         with pytest.raises(ValueError, match="non-empty"):
             train(build_model(cfg), [], [], ["a"], tc, tmp_path / "run")
+        for train_clips, val_clips in (([], make_band_clips(2)), (make_band_clips(4), [])):
+            with pytest.raises(ValueError, match="non-empty"):
+                train(build_model(cfg), train_clips, val_clips, list("abc"), tc, tmp_path / "run")
 
     def test_loss_decreases_first_10_steps(self):
         for seed in range(5):
@@ -417,6 +455,10 @@ class TestTrainClipChecks:
             train(build_model(cfg), make_band_clips(4), make_band_clips(2), list("abc"),
                   short, tmp_path / "run")
         assert not (tmp_path / "run").exists()
+        # the stride plan's own 3 frames are enough
+        art = train(build_model(cfg), make_band_clips(4), make_band_clips(2), list("abc"),
+                    replace(tc, crop_frames=3), tmp_path / "run")
+        assert len(art.metrics) == 2
 
     def test_tag_count_must_match_the_model(self, tmp_path):
         cfg, tc = tiny_train_setup()
