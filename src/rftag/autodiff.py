@@ -299,12 +299,15 @@ _BAND_BYTES = 8 << 20
 A whole column matrix is kh*kw*C times the input plane: 39 MB per sample
 for the 3x3 conv at 32 (+1) channels on 128 x 256 cells, the widest of a
 512-frame window.  8 MiB splits that one into five bands and keeps the 1x3
-convs of the last stages (6.3 MB at 257 channels on 32 x 64) in one; on a
-5-member tagging job, budgets of 1-6 MiB, which split those too, read 12 MB
-more peak RSS.  The bands of a split matrix hold at least half the budget
-each, so each product stays above the size (about a million multiply-adds) below which OpenBLAS
-takes a small-matrix kernel that rounds differently; on OpenBLAS 0.3.31
-(Skylake-X kernels) banded and whole-matrix outputs are bit-identical."""
+convs of the last stages (6.3 MB at 257 channels on 32 x 64) in one.  With
+one window per forward, a 5-member tagging job (a 30 s track and two short
+clips) peaks at 30.3 MiB traced at budgets of 4 and 8 MiB, set by
+``dsp.logmel``, and at 30.9 MiB at 16 MiB, set by the bands; a smaller
+budget would only split more convs.  The bands of a split matrix hold at
+least half the budget each, so each product stays above the size (about a
+million multiply-adds) below which OpenBLAS takes a small-matrix kernel
+that rounds differently; on OpenBLAS 0.3.31 (Skylake-X kernels) banded and
+whole-matrix outputs are bit-identical."""
 
 
 def _bands(rows: int, row_bytes: int) -> list:

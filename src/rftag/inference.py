@@ -1,8 +1,10 @@
-"""Batched model inference over spectrogram clips.
+"""Model inference over spectrogram clips, one window per forward.
 
 Track-level scores come from sliding eval windows (window = crop_frames,
 hop = crop_frames/2): per window, sigmoid over the logits; per track, the
 mean of its window scores.  Clips shorter than one window are repeat-tiled.
+Each window is a forward of its own: eval conv and batch norm give a window
+the same trunk features in any batch, and a batch would only hold more.
 ``crop_window`` cuts one window, random given an rng and central otherwise.
 ``clip_problem`` is the one clip rule: every entry point that takes clips
 applies it with the model's ``input_bins`` before any forward runs.
@@ -82,39 +84,33 @@ def normalized_batch(windows: list, mean: float, std: float) -> np.ndarray:
 
 
 def predict_scores(model: Model, values_list: list, crop_frames: int,
-                   norm_mean: float, norm_std: float,
-                   mode: str = "windows", batch_size: int = 8) -> np.ndarray:
-    """Per-clip, per-tag sigmoid scores in [0, 1].
+                   norm_mean: float, norm_std: float, mode: str = "windows") -> np.ndarray:
+    """Per-clip, per-tag sigmoid scores in [0, 1], as float64.
 
     mode "windows": mean of sliding-window scores; mode "center": one central
     crop per clip (the fast path used for per-epoch validation).  A clip
     that breaks ``clip_problem`` for the model's ``input_bins`` raises a
-    ValueError naming its index before any forward runs.
+    ValueError naming its index before any forward runs.  Each window is
+    one forward of shape (1, 1, bins, crop_frames); a clip's sigmoid rows
+    are summed in float64 in window order and divided by its window count,
+    so a clip scores the same alone or among others.
     """
     if mode not in ("windows", "center"):
         raise ValueError(f"unknown inference mode {mode!r}")
-    hop = max(1, crop_frames // 2)
-    crops = []
-    owners = []
     for i, values in enumerate(values_list):
         problem = clip_problem(values, model.config.input_bins)
         if problem:
             raise ValueError(f"clip {i} {problem}")
+    hop = max(1, crop_frames // 2)
+    scores = np.zeros((len(values_list), model.config.n_tags), dtype=np.float64)
+    for i, values in enumerate(values_list):
         if mode == "center":
             windows = [crop_window(values, crop_frames)]
         else:
             v = tile_to_length(values, crop_frames)
             windows = [v[:, s:s + crop_frames] for s in window_starts(v.shape[1], crop_frames, hop)]
-        crops += windows
-        owners += [i] * len(windows)
-
-    scores_sum = np.zeros((len(values_list), model.config.n_tags), dtype=np.float64)
-    counts = np.zeros(len(values_list), dtype=np.int64)
-    for lo in range(0, len(crops), batch_size):
-        x = normalized_batch(crops[lo:lo + batch_size], norm_mean, norm_std)
-        logits = model.forward(Tensor(x), mode="eval")
-        probs = ad.sigmoid(logits).data
-        for row, owner in zip(probs, owners[lo:lo + batch_size]):
-            scores_sum[owner] += row
-            counts[owner] += 1
-    return scores_sum / counts[:, None]
+        for window in windows:
+            x = Tensor(normalized_batch([window], norm_mean, norm_std))
+            scores[i] += ad.sigmoid(model.forward(x, mode="eval")).data[0]
+        scores[i] /= len(windows)
+    return scores

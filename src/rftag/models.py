@@ -43,9 +43,10 @@ outputs is read by its op's vjp, so the engine allows this under a tape
 too.  A training step's tape then holds the conv outputs, the batch-norm
 outputs (relu, the mix and the add written over them) and the pool
 outputs; CHANGES.md lists its bytes per record name.  With nothing
-recording, batch norm also writes over the fresh conv output, so an eval
-forward (or the SWA refresh's) holds about two activations and one column
-band at a time.
+recording, batch norm also writes over the fresh conv output, so a forward
+without a tape (eval, or the SWA refresh's) holds about two activations of
+its batch and one column band at a time; ``inference.predict_scores`` runs
+one window per forward, so scoring holds two activations of one window.
 """
 
 from __future__ import annotations

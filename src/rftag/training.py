@@ -233,9 +233,9 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
 
 
 def _validation_pr_auc(model: Model, clips: list, labels: LabelSet, crop_frames: int,
-                       norm: tuple, batch_size: int) -> float:
+                       norm: tuple) -> float:
     scores = predict_scores(model, [c.values for c in clips], crop_frames,
-                            norm[0], norm[1], mode="center", batch_size=batch_size)
+                            norm[0], norm[1], mode="center")
     preds = PredictionSet(ids=list(labels.ids), tags=list(labels.tags), scores=scores)
     return macro_pr_auc(preds, labels).macro_pr_auc
 
@@ -300,6 +300,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     metrics = []
 
     n = len(train_clips)
+    model.zero_grads()
     for epoch in range(config.total_epochs):
         lr = lr_at(epoch, config)
         order = rng.permutation(n)
@@ -312,7 +313,6 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
             xb, yb = Tensor(normalized_batch(windows, *norm)), Tensor(y)
             if len(idx) >= 2:
                 xb, yb, _ = mixup_batch(xb, yb, config.mixup_alpha, rng)
-            model.zero_grads()
             with ad.Tape():
                 logits = model.forward(xb, mode="train")
                 loss = bce_with_logits(logits, yb)
@@ -321,12 +321,11 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {bstart // config.batch_size}")
             backward(loss)
-            grads = {k: p.grad for k, p in model.params.items()}
-            adam_step(model.params, grads, adam, lr)
+            adam_step(model.params, {k: p.grad for k, p in model.params.items()}, adam, lr)
+            model.zero_grads()  # no step's gradients outlive it
             losses.append(loss_val)
 
-        val_auc = _validation_pr_auc(model, val_clips, val_labels, config.crop_frames,
-                                     norm, config.batch_size)
+        val_auc = _validation_pr_auc(model, val_clips, val_labels, config.crop_frames, norm)
         is_best = val_auc > best_val
         if is_best:
             best_val = val_auc

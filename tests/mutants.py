@@ -21,11 +21,14 @@ runs against it with ``-x``.  A mutant is killed when pytest fails or runs
 past ``TIMEOUT``.  The unmutated copy runs first and must pass.  Every
 module under ``src/rftag`` is sampled.
 
-The report gives killed/total per module and the file, line and change of
-every survivor.  Equivalent mutants are reported like any other survivor:
-telling them apart is left to the reader.  This file is not collected by
-pytest (its name does not start with ``test_``) and uses the standard
-library only.
+The report gives killed/total per module, then the file, line and change of
+every killed mutant with why it died: the first failing test id as pytest
+prints it, ``timeout``, or ``exit N`` when pytest fails without naming a
+test.  Then it counts the kills by reason and lists every survivor.  A
+kill by ``timeout`` may come from a loaded host rather than a check.
+Equivalent mutants are reported like any other survivor: telling them
+apart is left to the reader.  This file is not collected by pytest (its
+name does not start with ``test_``) and uses the standard library only.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,19 +93,27 @@ def mutate(node: ast.AST, slot) -> str:
     return f"{SYMBOLS[old]} -> {SYMBOLS[swaps[old]]}"
 
 
-def tier1(work: Path) -> tuple[bool, float]:
-    """(passed, seconds) of tier-1 with -x in ``work``; a timeout fails."""
+def tier1(work: Path) -> tuple:
+    """(why tier-1 with -x failed in ``work``, or None if it passed; seconds).
+
+    The reason is the first test id in pytest's FAILED/ERROR summary lines,
+    ``timeout`` past ``TIMEOUT``, or ``exit N`` when no test is named."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               "--continue-on-collection-errors"],
-                              cwd=work, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT)
-        passed = proc.returncode == 0
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
+                               "-p", "no:cacheprovider", "--continue-on-collection-errors"],
+                              cwd=work, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        passed = False
-    return passed, time.perf_counter() - start
+        return "timeout", time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    if proc.returncode == 0:
+        return None, seconds
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" ", 1)[1].split(" - ", 1)[0], seconds
+    return f"exit {proc.returncode}", seconds
 
 
 def main(argv=None) -> int:
@@ -117,13 +129,14 @@ def main(argv=None) -> int:
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".rftag_bench"))
         shutil.copy(ROOT / "pyproject.toml", work)
-        passed, seconds = tier1(work)
-        if not passed:
-            print("tier-1 fails on the unmutated checkout", file=sys.stderr)
+        reason, seconds = tier1(work)
+        if reason:
+            print(f"tier-1 fails on the unmutated checkout: {reason}", file=sys.stderr)
             return 2
         print(f"unmutated tier-1 passed in {seconds:.1f} s", flush=True)
 
         killed_total = total = 0
+        kills = []
         survivors = []
         for name in names:
             path = work / PACKAGE / f"{name}.py"
@@ -138,10 +151,13 @@ def main(argv=None) -> int:
                     node, slot = sites(tree)[index]
                     change = mutate(node, slot)
                     path.write_text(ast.unparse(tree) + "\n")
-                    passed, _ = tier1(work)
-                    killed += not passed
-                    if passed:
-                        survivors.append(f"{PACKAGE / name}.py:{node.lineno}: {change}")
+                    reason, _ = tier1(work)
+                    site = f"{PACKAGE / name}.py:{node.lineno}: {change}"
+                    if reason:
+                        killed += 1
+                        kills.append((site, reason))
+                    else:
+                        survivors.append(site)
             finally:
                 path.write_text(source)
             print(f"{name:12s} {killed}/{len(picks)} killed", flush=True)
@@ -149,6 +165,10 @@ def main(argv=None) -> int:
             total += len(picks)
         share = f" ({100 * killed_total / total:.0f} %)" if total else ""
         print(f"{'total':12s} {killed_total}/{total} killed{share}")
+        for site, reason in kills:
+            print(f"killed {site} by {reason}")
+        for reason, count in Counter(reason for _, reason in kills).most_common():
+            print(f"reason {count:4d} {reason}")
         for line in survivors:
             print(f"survivor {line}")
     finally:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
+from rftag import autodiff as ad
 from rftag import evaluation
 from rftag.evaluation import snapshot_ensemble
 from rftag.inference import (
@@ -86,24 +88,30 @@ class TestWindows:
         long = clip(3 * CROP + 5, seed=1)
         starts = window_starts(long.shape[1], CROP, CROP // 2)
         per_window = [predict(model, [long[:, s:s + CROP]], "center")[0] for s in starts]
-        np.testing.assert_allclose(predict(model, [long], "windows")[0],
-                                   np.mean(per_window, axis=0), rtol=1e-5)
+        np.testing.assert_array_equal(predict(model, [long], "windows")[0],
+                                      np.mean(per_window, axis=0))
+
+    @pytest.mark.parametrize("mode", ["windows", "center"])
+    def test_a_clip_scores_the_same_alone_or_among_others(self, model, mode):
+        clips = [clip(frames, seed=k) for k, frames in enumerate(CLIP_FRAMES)]
+        alone = [predict(model, [values], mode)[0] for values in clips]
+        np.testing.assert_array_equal(predict(model, clips, mode), alone)
 
 
 def reference_scores(model, values, mode, mean=-40.0, std=1.0):
     """Mean over ``values``' windows of the sigmoid of ``reference_forward``,
-    one window at a time."""
+    one window at a time: the float32 sigmoid rows summed in float64 in
+    window order, then divided by the window count."""
     if mode == "center":
         windows = [crop_window(values, CROP)]
     else:
         tiled = tile_to_length(values, CROP)
         windows = [tiled[:, s:s + CROP] for s in window_starts(tiled.shape[1], CROP, CROP // 2)]
-    rows = []
+    total = np.zeros(model.config.n_tags, dtype=np.float64)
     for window in windows:
         x = ((window - np.float32(mean)) / np.float32(std)).astype(np.float32)
-        logits = reference_forward(model, Tensor(x[None, None])).data[0]
-        rows.append(1.0 / (1.0 + np.exp(-logits.astype(np.float64))))
-    return np.mean(rows, axis=0)
+        total += ad.sigmoid(reference_forward(model, Tensor(x[None, None]))).data[0]
+    return total / len(windows)
 
 
 def fa_member(seed):
@@ -129,7 +137,7 @@ class TestAgainstTheReference:
         model = fa_member(21)
         clips = [clip(frames, seed=k) for k, frames in enumerate(CLIP_FRAMES)]
         want = [reference_scores(model, values, mode) for values in clips]
-        np.testing.assert_allclose(predict(model, clips, mode), want, rtol=1e-5)
+        np.testing.assert_array_equal(predict(model, clips, mode), want)
 
     def test_snapshot_ensemble_is_the_member_mean(self, tmp_path):
         members = [fa_member(seed) for seed in (22, 23)]
@@ -145,6 +153,33 @@ class TestAgainstTheReference:
         assert got.ids == [c.track_id for c in clips]
         assert got.provenance == [str(p) for p in paths]  # best, then the SWA paths
         np.testing.assert_allclose(got.scores, want, rtol=1e-5)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("mode,frames", [("windows", (384, 320, 192)),
+                                             ("center", (128,) * 10)])
+    def test_peak_is_one_window_forward(self, monkeypatch, mode, frames):
+        # the model and band of autodiff's single-forward peak test on
+        # 64-bin x 128-frame windows: in1 and in2 give 8 x 32 x 64 float32
+        # per window; the clips give 5 + 4 + 2 sliding windows, or 10
+        # central crops
+        model = build_model(ModelConfig(
+            template=TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(8, 16),
+                                    pool_stages=1),
+            frequency_aware=True, n_tags=3, input_bins=64))
+        monkeypatch.setattr(ad, "_BAND_BYTES", 32 << 10)
+        rng = np.random.default_rng(6)
+        clips = [rng.standard_normal((64, f)).astype(np.float32) for f in frames]
+        window = 64 * 128 * 4
+        activation = 8 * 32 * 64 * 4
+        tracemalloc.start()
+        try:
+            predict_scores(model, clips, 128, norm_mean=0.0, norm_std=1.0, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1.05 * (window + 2 * activation + ad._BAND_BYTES)
+        assert peak <= bound, f"traced peak {peak} bytes, bound {bound:.0f}"
 
 
 class TestNormalizedBatch:
