@@ -30,6 +30,18 @@ reads it as a float64 (ASCII decimal or exponent notation, nan or inf,
 surrounding whitespace ignored); ``1_0``, non-ASCII digits and an empty cell
 are not.  ``_numbers`` applies the rule to a whole file at once and, on a
 failure, to one line and one cell at a time to name the culprit.
+
+Writer rule: each score cell is the correctly rounded text ``"%.6f"`` gives,
+and each decision cell the text of ``"%d"``.  ``_block_text`` builds the cells
+of ``_BLOCK_ROWS`` rows at a time as ASCII digits.  A score x in [0, 1] is
+written as the integer ``rint(x * 1e6)``, split into ``d.dddddd``.  That is the
+correctly rounded text unless the fractional part of the float64 product
+``x * 1e6`` lies within 1e-6 of .5, where the product's own rounding can move
+it across the half-way point (exact ties such as 1/128 occur too).  A
+decision is written as its digit when it is 0 or 1.  A row is formatted by the
+per-row ``%`` expression instead when any of its cells is outside [0, 1],
+non-finite, has its sign bit set (``-0.0``) or is near such a tie, or, for
+decisions, is a value other than 0 or 1.
 """
 
 from __future__ import annotations
@@ -56,7 +68,11 @@ def _unique(kind: str, names: list) -> list:
 
 
 def _check_table(ids: list, tags: list, matrix: np.ndarray, what: str) -> None:
-    """Unique track ids, unique tag names and a ``len(ids) x len(tags)`` matrix."""
+    """Track ids and tag names that are unique ``str``s, and a ``len(ids) x len(tags)`` matrix."""
+    for kind, names in (("track id", ids), ("tag", tags)):
+        for name in names:
+            if not isinstance(name, str):
+                raise ValueError(f"{kind} {name!r} is not a str")
     _unique("track ids", ids)
     _unique("tag names", tags)
     if np.shape(matrix) != (len(ids), len(tags)):
@@ -324,7 +340,9 @@ def apply_thresholds(preds: PredictionSet, thresholds: ThresholdSet) -> Predicti
 def save_predictions(path, preds: PredictionSet, decisions: bool = False) -> None:
     """TSV: header ``track_id<TAB>tag...``, scores to 6 decimals (or 0/1).
 
-    An id or tag holding a tab or a newline is refused before anything is
+    Each cell is the text ``"%.6f"`` (``"%d"`` for decisions) gives; see the
+    module's writer rule for which rows ``_block_text`` formats in bulk.  An
+    id or tag holding a tab or a newline is refused before anything is
     written.
     """
     if decisions and preds.decisions is None:
@@ -335,13 +353,63 @@ def save_predictions(path, preds: PredictionSet, decisions: bool = False) -> Non
                 raise ValueError(f"{path}: {kind} {name!r} holds a tab or a newline")
     matrix = preds.decisions if decisions else preds.scores
     row = "\t".join(["%s"] + ["%d" if decisions else "%.6f"] * len(preds.tags)) + "\n"
-    lines = ["\t".join(["track_id"] + list(preds.tags)) + "\n"]
-    lines += [row % (tid, *values.tolist()) for tid, values in zip(preds.ids, matrix)]
+
+    def texts():
+        yield "\t".join(["track_id"] + list(preds.tags)) + "\n"
+        for i in range(0, len(preds.ids), _BLOCK_ROWS):
+            yield _block_text(preds.ids[i:i + _BLOCK_ROWS], matrix[i:i + _BLOCK_ROWS],
+                              row, decisions)
+
     try:
-        data = "".join(lines).encode("utf-8")
-    except UnicodeEncodeError as err:
-        raise ValueError(f"{path}: not writable as UTF-8: {err}") from None
-    Path(path).write_bytes(data)
+        data = [text.encode("utf-8") for text in texts()]
+    except UnicodeEncodeError:
+        try:   # one encode of the whole text names the character by its place in the file
+            "".join(texts()).encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise ValueError(f"{path}: not writable as UTF-8: {err}") from None
+        raise
+    with Path(path).open("wb") as f:
+        f.writelines(data)
+
+
+# Rows per block of ``_block_text``: its float64 and digit temporaries stay
+# within a few hundred KiB at 56 tags.
+_BLOCK_ROWS = 512
+
+
+def _block_text(ids, block, row: str, decisions: bool) -> str:
+    """The TSV lines of ``ids`` and their ``block`` rows, as ``row % values`` writes them.
+
+    Each line is the id, then ``<TAB>cell`` per column, then ``"\\n"``, with
+    the cells built as ASCII digits by the module's writer rule; a row the
+    rule cannot decide is formatted with ``row`` instead.
+    """
+    n, width = np.shape(block)
+    cell = 2 if decisions else 9                 # "\t" + "d" or "\t" + "d.dddddd"
+    text = np.full((n, cell * width + 1), ord("\t"), dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    cells = text[:, :-1].reshape(n, width, cell)
+    if decisions:
+        bad = (block != 0) & (block != 1)
+        cells[..., 1] = np.add(block == 1, ord("0"), dtype=np.uint8)
+    else:
+        x = np.array(block, dtype=np.float64)
+        bad = ~((x >= 0) & (x <= 1)) | np.signbit(x)
+        x[bad] = 0.0
+        x *= 1e6
+        bad |= np.abs(x - np.floor(x) - 0.5) <= 1e-6
+        q = np.rint(x, out=x).astype(np.int32)
+        for k in range(8, 2, -1):
+            cells[..., k] = q % 10 + ord("0")
+            q //= 10
+        cells[..., 1] = q + ord("0")
+        cells[..., 2] = ord(".")
+    line = text.shape[1]
+    text = text.tobytes().decode("ascii")
+    lines = [tid + text[i * line:(i + 1) * line] for i, tid in enumerate(ids)]
+    for i in np.flatnonzero(bad.any(axis=1)):
+        lines[i] = row % (ids[i], *block[i].tolist())
+    return "".join(lines)
 
 
 def load_predictions(path) -> PredictionSet:

@@ -1,6 +1,7 @@
 """Mutation sampling: how many first-order mutants of ``src/rftag`` tier-1 kills.
 
     python tests/mutants.py --seed 7 --per-module 25
+    python tests/mutants.py --seed 7 --module evaluation --per-module 40
 
 Each mutant changes one node of one module's syntax tree:
 
@@ -19,7 +20,8 @@ copied into a temporary directory; each mutant is written there as the
 unparsed tree (comments and layout are lost, behaviour is not) and tier-1
 runs against it with ``-x``.  A mutant is killed when pytest fails or runs
 past ``TIMEOUT``.  The unmutated copy runs first and must pass.  Every
-module under ``src/rftag`` is sampled.
+module under ``src/rftag`` is sampled, or only those named by ``--module``
+(repeatable); a module's sample does not depend on which others are named.
 
 The report gives killed/total per module, then the file, line and change of
 every killed mutant with why it died: the first failing test id as pytest
@@ -120,8 +122,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--per-module", type=int, default=25)
-    args = parser.parse_args(argv)
     names = sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py") if p.stem != "__init__")
+    parser.add_argument("--module", action="append", choices=names, metavar="NAME",
+                        help="sample only this module (repeatable); default every module")
+    args = parser.parse_args(argv)
+    if args.module:
+        names = [name for name in names if name in args.module]
 
     work = Path(tempfile.mkdtemp(prefix="rftag-mutants-"))
     try:

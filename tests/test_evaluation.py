@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ def named_tables(draw, max_tracks=6, max_tags=3):
     tags = draw(st.lists(NAMES, unique=True, max_size=max_tags))
     scores = draw(arrays(np.float64, (len(ids), len(tags)), elements=st.floats(0.0, 1.0)))
     return ids, tags, scores
+
+
+def tall_table():
+    """(ids, tags, scores): a seeded 1 100 x 56 table, taller than one block of
+    the writer, with cells the bulk rule leaves to per-row formatting on rows
+    at and next to the block edges."""
+    rng = np.random.default_rng(1100)
+    scores = rng.random((1100, 56))
+    scores[[0, 511, 512, 1023, 1024, 1099], [0, 55, 7, 30, 1, 55]] = [
+        -0.0, 0.0078125, 2.5e-6, 5e-7, 0.9999995, 1.35e-5]
+    return [f"t{i:04d}" for i in range(1100)], [f"g{j}" for j in range(56)], scores
+
+
+def near_half_way(ks):
+    """Scores at and next to (k + 0.5) / 1e6, one row per k."""
+    half = (np.asarray(ks) + 0.5) / 1e6
+    scores = np.stack([half, np.nextafter(half, 0.0), np.nextafter(half, 1.0)], axis=1)
+    return [f"k{k}" for k in ks], ["at", "below", "above"], scores
 
 
 # cells the bulk parse must reject, some of which float() accepts
@@ -198,6 +217,14 @@ class TestLabelSet:
         with pytest.raises(ValueError, match="0 or 1"):
             LabelSet(ids=["a", "b"], tags=["x"], labels=np.array([[1], [2]]))
 
+    @pytest.mark.parametrize("ids, tags, name", [
+        (["a", 2, 3], ["x"], "track id 2"),
+        (["a", "b", "c"], ["x", None], "tag None"),
+    ])
+    def test_id_or_tag_not_a_str_named(self, ids, tags, name):
+        with pytest.raises(ValueError, match=f"^{name} is not a str$"):
+            LabelSet(ids=ids, tags=tags, labels=np.zeros((3, len(tags))))
+
 
 class TestPredictionSet:
     def test_nan_names_track_and_tag(self):
@@ -208,6 +235,14 @@ class TestPredictionSet:
     def test_infinity_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             PredictionSet(ids=["a"], tags=["x"], scores=np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("ids, tags, name", [
+        ([1, 2], ["x"], "track id 1"),
+        (["a", "b"], ["x", 7], "tag 7"),
+    ])
+    def test_id_or_tag_not_a_str_named(self, ids, tags, name):
+        with pytest.raises(ValueError, match=f"^{name} is not a str$"):
+            PredictionSet(ids=ids, tags=tags, scores=np.zeros((2, len(tags))))
 
 
 class TestTuneThresholds:
@@ -393,6 +428,11 @@ class TestFiles:
     @example((["a", "b"], ["x", "y"], np.array([[0.0, 1.0], [5e-7, 0.9999995]])), False)
     @example(([], ["x", "y"], np.zeros((0, 2))), False)   # the 0-track table
     @example(([], ["x", "y"], np.zeros((0, 2))), True)
+    @example((["a", "b"], ["x", "y"], np.array([[0.0, 1.0], [-0.0, 5e-324]])), False)
+    @example((["a"], ["x", "y"], np.array([[0.0078125, 0.9921875]])), False)   # exact ties
+    @example(near_half_way([2, 3, 12, 13, 499_999, 999_999]), False)
+    @example(tall_table(), False)
+    @example(tall_table(), True)
     def test_writer_bytes_match_per_cell_oracle(self, tmp_path_factory, table, decisions):
         ids, tags, scores = table
         preds = PredictionSet(ids=ids, tags=tags, scores=scores,
@@ -401,6 +441,48 @@ class TestFiles:
         save_predictions(path, preds, decisions=decisions)
         matrix = preds.decisions if decisions else preds.scores
         assert path.read_bytes() == per_cell_tsv(ids, tags, matrix, decisions)
+
+    def test_decisions_other_than_0_or_1_match_per_cell_oracle(self, tmp_path):
+        decisions = np.array([[2, -1], [1, 0]], dtype=np.int8)
+        preds = PredictionSet(ids=["a", "b"], tags=["x", "y"], scores=np.zeros((2, 2)),
+                              decisions=decisions)
+        save_predictions(tmp_path / "p.tsv", preds, decisions=True)
+        assert (tmp_path / "p.tsv").read_bytes() == per_cell_tsv(["a", "b"], ["x", "y"],
+                                                                  decisions, decisions=True)
+
+    def test_scores_outside_the_set_rules_match_per_cell_oracle(self, tmp_path):
+        # a PredictionSet checks its scores once; the writer formats whatever it holds then
+        preds = PredictionSet(ids=["a", "b", "c"], tags=["x", "y"], scores=np.zeros((3, 2)))
+        preds.scores = np.array([[1.5, 0.25], [np.nan, np.inf], [-1e-9, -np.inf]])
+        save_predictions(tmp_path / "p.tsv", preds)
+        assert (tmp_path / "p.tsv").read_bytes() == per_cell_tsv(preds.ids, preds.tags,
+                                                                  preds.scores)
+
+    def test_unencodable_id_is_named_by_its_place_in_the_file(self, tmp_path):
+        ids, tags, scores = tall_table()
+        ids[700] = "bad\ud800"
+        with pytest.raises(UnicodeEncodeError) as whole:
+            per_cell_tsv(ids, tags, scores)
+        path = tmp_path / "p.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not writable as UTF-8: {whole.value}")):
+            save_predictions(path, PredictionSet(ids=ids, tags=tags, scores=scores))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("decisions", [False, True])
+    def test_writer_peak_is_at_most_three_times_its_output(self, tmp_path, decisions):
+        rng = np.random.default_rng(4000)
+        scores = rng.random((4000, 56))
+        preds = PredictionSet(ids=[f"trk{i:05d}" for i in range(4000)],
+                              tags=[f"tag{j:02d}" for j in range(56)], scores=scores,
+                              decisions=(scores >= 0.5).astype(np.int8))
+        path = tmp_path / "p.tsv"
+        tracemalloc.start()
+        try:
+            save_predictions(path, preds, decisions=decisions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
 
     @settings(CHECKS, max_examples=300)
     @given(tables(max_tracks=6), st.lists(EDITS, min_size=1, max_size=3))
