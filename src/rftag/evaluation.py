@@ -42,6 +42,19 @@ decision is written as its digit when it is 0 or 1.  A row is formatted by the
 per-row ``%`` expression instead when any of its cells is outside [0, 1],
 non-finite, has its sign bit set (``-0.0``) or is near such a tie, or, for
 decisions, is a value other than 0 or 1.
+
+Reader rule: a file whose every body line is in the writer's score layout,
+an id holding no tab followed by ``<TAB>d.dddddd`` per tag, is read in bulk.
+``_fixed_layout`` takes the last ``9 x width`` characters of each line,
+``_BLOCK_ROWS`` lines at a time, checks their bytes as tabs, ASCII digits and
+points, and reads a cell's seven digits as the integer q and its value as the
+float64 ``q / 1e6``.  That is the cell rule's value: q and 1e6 are exact
+doubles and IEEE division rounds correctly, so ``q / 1e6`` is the double
+nearest the decimal, which is what ``np.loadtxt``'s correctly rounded parse
+gives.  Any other file (an exponent, ``nan``, a short or a long line, a
+``"\\r\\n"`` line end, a non-ASCII cell, a decisions file, no tags) is read
+line by line by the cell rule, so its values and its errors do not depend on
+the bulk path.
 """
 
 from __future__ import annotations
@@ -372,8 +385,8 @@ def save_predictions(path, preds: PredictionSet, decisions: bool = False) -> Non
         f.writelines(data)
 
 
-# Rows per block of ``_block_text``: its float64 and digit temporaries stay
-# within a few hundred KiB at 56 tags.
+# Rows per block of ``_block_text`` and ``_fixed_layout``: their float64 and
+# digit temporaries stay within a few hundred KiB at 56 tags.
 _BLOCK_ROWS = 512
 
 
@@ -413,6 +426,10 @@ def _block_text(ids, block, row: str, decisions: bool) -> str:
 
 
 def load_predictions(path) -> PredictionSet:
+    """The prediction set a TSV holds, read by the module's reader rule: in
+    bulk when every line is in the writer's score layout, else line by line
+    by the cell rule.  A file that breaks the module's TSV rules or
+    ``PredictionSet``'s checks is refused with a ``ValueError`` naming it."""
     try:
         lines = Path(path).read_bytes().decode("utf-8").split("\n")
     except UnicodeDecodeError as err:
@@ -425,22 +442,63 @@ def load_predictions(path) -> PredictionSet:
     if header[0] != "track_id":
         raise ValueError(f"{path}: first column must be track_id, got {header[0]!r}")
     tags = header[1:]
-    ids = []
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        tabs = line.count("\t")
-        if tabs != len(tags):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {tabs + 1}")
-        tid, _, row = line.partition("\t")
-        ids.append(tid)
-        rows.append(row)
-    scores = _numbers(rows, len(tags))
-    if scores is None:
-        raise _cell_error(path, rows, tags)
+    body = lines[1:]
+    table = _fixed_layout(body, len(tags))
+    if table is None:
+        ids = []
+        rows = []
+        for lineno, line in enumerate(body, start=2):
+            tabs = line.count("\t")
+            if tabs != len(tags):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {tabs + 1}")
+            tid, _, row = line.partition("\t")
+            ids.append(tid)
+            rows.append(row)
+        scores = _numbers(rows, len(tags))
+        if scores is None:
+            raise _cell_error(path, rows, tags)
+    else:
+        ids, scores = table
     try:
         return PredictionSet(ids=ids, tags=tags, scores=scores)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+# One score cell of the writer's layout, ``"\td.dddddd"``: its lowest bytes,
+# and how far above them each byte may go (9 for a digit, 0 for the tab and
+# the point).
+_CELL_LOW = np.frombuffer(b"\t0.000000", dtype=np.uint8)
+_CELL_SPAN = np.where(_CELL_LOW == ord("0"), 9, 0).astype(np.uint8)
+
+
+def _fixed_layout(lines: list, width: int) -> Optional[tuple]:
+    """(ids, scores) of ``lines`` by the module's reader rule; None unless
+    each line is an id holding no tab followed by ``width`` cells
+    ``"\\td.dddddd"``."""
+    if not width:
+        return None
+    tail = len(_CELL_LOW) * width
+    low, span = np.tile(_CELL_LOW, width), np.tile(_CELL_SPAN, width)
+    ids = []
+    scores = np.empty((len(lines), width))
+    for i in range(0, len(lines), _BLOCK_ROWS):
+        block = lines[i:i + _BLOCK_ROWS]
+        names = [line[:-tail] for line in block]
+        text = "".join([line[-tail:] for line in block])
+        if "\t" in "".join(names) or len(text) != len(block) * tail or not text.isascii():
+            return None
+        digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(len(block), tail) - low
+        if not (digits <= span).all():
+            return None
+        digits = digits.reshape(-1, len(_CELL_LOW))
+        q = digits[:, 1].astype(np.int32)
+        for k in range(3, len(_CELL_LOW)):
+            q *= 10
+            q += digits[:, k]
+        np.divide(q, 1e6, out=scores[i:i + len(block)].reshape(-1))
+        ids += names
+    return ids, scores
 
 
 def _numbers(rows: list, width: int) -> Optional[np.ndarray]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import brute_force_average_precision, brute_force_thresholds, per_cell_tsv
+from rftag import evaluation
 from rftag.evaluation import (
     LabelSet,
     PredictionSet,
@@ -499,3 +500,120 @@ class TestFiles:
             load_predictions(path)
         except ValueError as err:   # any other exception type fails the test
             assert str(err).startswith(str(path))
+
+
+def read_outcome(path):
+    """What ``load_predictions`` gives for ``path``: its ids, tags and score
+    bits, or its error message."""
+    try:
+        got = load_predictions(path)
+    except ValueError as err:
+        return str(err)
+    return got.ids, got.tags, got.scores.tobytes()
+
+
+def spy_fixed_layout(monkeypatch) -> list:
+    """Record what each call of ``evaluation._fixed_layout`` returns."""
+    fixed_layout = evaluation._fixed_layout
+    seen = []
+
+    def record(lines, width):
+        seen.append(fixed_layout(lines, width))
+        return seen[-1]
+
+    monkeypatch.setattr(evaluation, "_fixed_layout", record)
+    return seen
+
+
+def cell_rule_outcome(path):
+    """``read_outcome`` with the bulk path turned off: every line read by the cell rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_fixed_layout", lambda lines, width: None)
+        return read_outcome(path)
+
+
+HEADER = "track_id\tx\ty\n"
+
+# (file text, the reader that takes it, the error after the path or None)
+READER_FILES = [
+    pytest.param(HEADER + "a\t1e-01\t0.200000\n", "cells", None, id="exponent"),
+    pytest.param(HEADER + "a\tnan\t0.200000\n", "cells",
+                 ": non-finite score nan for track 'a', tag 'x'", id="nan"),
+    pytest.param(HEADER + "a\t1.5\t0.200000\n", "cells", ": scores must lie in [0, 1]",
+                 id="1.5"),
+    pytest.param(HEADER + "a\t0.1234567\t0.200000\n", "cells", None, id="seven-digits"),
+    pytest.param(HEADER + "a\t0.100000\t0.200000\nb\t0.300000\n", "cells",
+                 ":3: expected 3 columns, got 2", id="short-line"),
+    pytest.param(HEADER + "a\tb\t0.100000\t0.200000\n", "cells",
+                 ":2: expected 3 columns, got 4", id="id-with-tab"),
+    pytest.param(HEADER + "caf\u00e9\t0.100000\t0.200000\n", "bulk", None, id="non-ascii-id"),
+    pytest.param(HEADER + "a\t0.100000\t0.2000\u00e9\n", "cells",
+                 ":2: column 'y': not a number: '0.2000\u00e9'", id="non-ascii-cell"),
+    pytest.param(HEADER + "\t0.100000\t0.200000\n", "bulk", None, id="empty-id"),
+    pytest.param("track_id\tx\ty\r\na\t0.100000\t0.200000\r\n", "cells", None, id="crlf"),
+    pytest.param("track_id\tx\na\t0.100000\nb\t1.000000\n", "bulk", None, id="one-tag"),
+    pytest.param(HEADER, "bulk", None, id="header-only"),
+    pytest.param(HEADER + "a\t0\t1\nb\t1\t0\n", "cells", None, id="decisions"),
+    pytest.param(HEADER + "a\t0.100000\t1.000000\nb\t0.000000\t0.999999\n", "bulk", None,
+                 id="writer-layout"),
+]
+
+
+class TestReader:
+    @pytest.mark.parametrize("text, reader, error", READER_FILES)
+    def test_bulk_path_gives_the_cell_rules_result(self, tmp_path, monkeypatch, text, reader,
+                                                   error):
+        path = tmp_path / "p.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        bulk = spy_fixed_layout(monkeypatch)
+        got = read_outcome(path)
+        assert ["cells" if table is None else "bulk" for table in bulk] == [reader]
+        assert got == cell_rule_outcome(path)
+        if error is not None:
+            assert got == f"{path}{error}"
+        else:
+            assert not isinstance(got, str)
+
+    def test_writer_cells_load_bit_equal_to_loadtxt(self, tmp_path, monkeypatch):
+        # two blocks of 1 000 x 20 cells: a seeded sample of k / 1e6, the ends
+        # of [0, 1], the exact tie 1/128 and a value next to the rounding of 1
+        rng = np.random.default_rng(26)
+        values = np.append(rng.choice(1_000_001, 19_996, replace=False) / 1e6,
+                           [0.0, 1.0, 1 / 128, 0.9999995])
+        scores = rng.permutation(values).reshape(1000, 20)
+        path = tmp_path / "p.tsv"
+        save_predictions(path, PredictionSet(ids=[f"t{i}" for i in range(1000)],
+                                             tags=[f"g{j}" for j in range(20)], scores=scores))
+        bulk = spy_fixed_layout(monkeypatch)
+        got = load_predictions(path)
+        assert bulk[0] is not None
+        rows = [line.partition("\t")[2] for line in path.read_text().splitlines()[1:]]
+        want = np.loadtxt(rows, delimiter="\t", dtype=np.float64)
+        assert got.scores.tobytes() == want.tobytes()
+
+    @CHECKS
+    @given(named_tables(max_tracks=6), st.lists(EDITS, max_size=3))
+    @example((["a", "b"], ["x"], np.array([[0.5], [0.25]])), [("cell", 2, 1, "1e-1")])
+    def test_any_file_reads_as_the_cell_rule_reads_it(self, tmp_path_factory, table, edits):
+        ids, tags, scores = table
+        path = tmp_path_factory.mktemp("tsv") / "p.tsv"
+        save_predictions(path, PredictionSet(ids=ids, tags=tags, scores=scores))
+        data = path.read_bytes()
+        for edit in edits:
+            data = corrupt(data, edit)
+        path.write_bytes(data)
+        assert read_outcome(path) == cell_rule_outcome(path)
+
+    def test_reader_peak_is_at_most_three_times_its_input(self, tmp_path):
+        rng = np.random.default_rng(4000)
+        path = tmp_path / "p.tsv"
+        save_predictions(path, PredictionSet(ids=[f"trk{i:05d}" for i in range(4000)],
+                                             tags=[f"tag{j:02d}" for j in range(56)],
+                                             scores=rng.random((4000, 56))))
+        tracemalloc.start()
+        try:
+            load_predictions(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size

@@ -316,6 +316,25 @@ class TestRunMetadata:
             snapshot_ensemble(SimpleNamespace(best_path=bad, swa_paths=[good]), clips)
         assert runs == []
 
+    def test_crop_of_the_models_minimum_frames_scores(self, model, tmp_path):
+        frames = model.min_input[1]
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, model, extra=dict(self.RUN, crop_frames=frames))
+        clips = [TaggedClip("t0", clip(2 * frames + 1), np.zeros(3))]
+        got = snapshot_ensemble(SimpleNamespace(best_path=path, swa_paths=[]), clips)
+        want = predict_scores(model, [clips[0].values], frames, norm_mean=-40.0, norm_std=1.0,
+                              mode="windows")
+        np.testing.assert_array_equal(got.scores, want)
+
+    def test_keeps_the_best_and_the_four_latest_swa_members(self, model, tmp_path):
+        paths = [tmp_path / name for name in
+                 ["best.ckpt"] + [f"swa_epoch{k}.ckpt" for k in range(1, 7)]]
+        for path in paths:
+            save_checkpoint(path, model, extra=self.RUN)
+        clips = [TaggedClip("t0", clip(CROP), np.zeros(3))]
+        got = snapshot_ensemble(SimpleNamespace(best_path=paths[0], swa_paths=paths[1:]), clips)
+        assert got.provenance == [str(p) for p in [paths[0]] + paths[3:]]
+
     def test_bad_clip_fails_before_any_model_runs(self, model, tmp_path, monkeypatch):
         path = tmp_path / "best.ckpt"
         save_checkpoint(path, model, extra=self.RUN)
