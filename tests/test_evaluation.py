@@ -200,6 +200,14 @@ class TestMacroPrAuc:
         with pytest.raises(ValueError, match="tag mismatch"):
             macro_pr_auc(preds, other)
 
+    def test_id_mismatch_names_the_first_five(self):
+        preds, _ = sets(list("abcd"), np.zeros((4, 1)), np.ones((4, 1), dtype=np.int8))
+        other = LabelSet(ids=list("wxyz"), tags=preds.tags, labels=np.ones((4, 1), dtype=np.int8))
+        with pytest.raises(ValueError) as err:
+            macro_pr_auc(preds, other)
+        assert str(err.value) == ("track id mismatch: 8 ids in only one set, "
+                                  "first ['a', 'b', 'c', 'd', 'w']")
+
 
 class TestLabelSet:
     def test_duplicate_id_rejected(self):
@@ -549,6 +557,10 @@ READER_FILES = [
     pytest.param(HEADER + "caf\u00e9\t0.100000\t0.200000\n", "bulk", None, id="non-ascii-id"),
     pytest.param(HEADER + "a\t0.100000\t0.2000\u00e9\n", "cells",
                  ":2: column 'y': not a number: '0.2000\u00e9'", id="non-ascii-cell"),
+    pytest.param(HEADER + "a\t0/100000\t0.200000\n", "cells",
+                 ":2: column 'x': not a number: '0/100000'", id="slash-for-point"),
+    pytest.param(HEADER + "a\t0.100000\t0.2:0000\n", "cells",
+                 ":2: column 'y': not a number: '0.2:0000'", id="colon-for-digit"),
     pytest.param(HEADER + "\t0.100000\t0.200000\n", "bulk", None, id="empty-id"),
     pytest.param("track_id\tx\ty\r\na\t0.100000\t0.200000\r\n", "cells", None, id="crlf"),
     pytest.param("track_id\tx\na\t0.100000\nb\t1.000000\n", "bulk", None, id="one-tag"),
