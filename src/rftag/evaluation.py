@@ -4,7 +4,12 @@ Ranking rule: per tag, tracks are ranked by descending score, ties broken by
 ascending track id.  ``_ranking`` is the only place a tag's tracks are
 ranked, and non-finite scores are rejected there.  The ids are sorted once
 per table by ``_id_order``, an integer order shared by every tag, so no tag
-compares id strings.
+compares id strings.  A tag's scores are taken in that order and sorted by
+numpy's default sort, which need not keep ties in place; each run of equal
+scores is then re-sorted by its tracks' positions in id order.  That makes
+the order the unique one the rule names, whichever sort numpy runs, and the
+ranked scores are read back from the tracks, so a run holding ``0.0`` and
+``-0.0`` keeps each track's sign.
 
 PR-AUC here is macro-averaged average precision: per tag, the precision at
 each positive of the ranking, summed in rank order and divided by the
@@ -17,7 +22,11 @@ consecutive distinct scores plus the 0.5 fallback, a track is positive when
 score >= threshold, and the candidate with the highest F1 wins, ties going
 to the higher threshold.  ``score >= t`` holds for exactly the first k
 ranks, so each candidate's F1 is 2 tp / (k + positives), where tp is the
-number of positives among those k.
+number of positives among those k.  k is read from the runs of equal scores
+without a search: the midpoint of distinct a < b lies in [a, b], so the
+scores below it are those up to the end of a's run, or up to its start when
+``(a + b) / 2`` rounds down onto a (adjacent doubles, subnormals).  Only the
+0.5 fallback is searched for, once per tag.
 
 Track ids are matched across sets by ``_rows``, which raises unless both
 sets list the same ids and the same tags.
@@ -166,15 +175,25 @@ def _id_order(ids) -> np.ndarray:
 def _ranking(scores, labels, id_order) -> tuple:
     """One tag's tracks by descending score, ties by ascending id.
 
-    ``id_order`` is ``_id_order`` of the tracks' ids: a stable sort by
-    descending score of the tracks taken in that order keeps tied tracks in
-    id order.  Returns the ranked scores and ``positives``, where
-    ``positives[k]`` is the number of positive labels among the first k ranks.
+    ``id_order`` is ``_id_order`` of the tracks' ids, so a track's position
+    in ``-scores[id_order]`` is its rank by id.  That array is sorted with
+    numpy's default (unstable) sort, and then each run of equal keys is
+    re-sorted by position, which leaves tied tracks in id order.  Returns the
+    ranked scores and ``positives``, where ``positives[k]`` is the number of
+    positive labels among the first k ranks.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    order = id_order[np.argsort(-scores[id_order], kind="stable")]
+    keys = -scores[id_order]
+    rank = np.argsort(keys)
+    ranked_keys = keys[rank]
+    tied = ranked_keys[1:] == ranked_keys[:-1]
+    if tied.any():
+        in_run = np.flatnonzero(np.append(tied, False) | np.append(False, tied))
+        run = rank[in_run]
+        rank[in_run] = run[np.lexsort((run, ranked_keys[in_run]))]
+    order = id_order[rank]
     positives = np.concatenate(([0], np.cumsum(np.asarray(labels, dtype=bool)[order])))
     return scores[order], positives
 
@@ -323,11 +342,15 @@ def tune_thresholds(preds: PredictionSet, labels: LabelSet) -> ThresholdSet:
             flagged[tag] = "no positive labels"
             continue
         ascending = ranked[::-1]
-        distinct = ascending[np.append(True, ascending[1:] != ascending[:-1])]
+        starts = np.flatnonzero(np.append(True, ascending[1:] != ascending[:-1]))
+        distinct = ascending[starts]
         if len(distinct) == 1:
             flagged[tag] = "all scores equal"
-        candidates = np.sort(np.append((distinct[:-1] + distinct[1:]) / 2.0, 0.5))
-        k = len(ranked) - np.searchsorted(ascending, candidates)   # tracks with score >= t
+        mid = (distinct[:-1] + distinct[1:]) / 2.0
+        below = np.where(mid > distinct[:-1], starts[1:], starts[:-1])   # scores < mid
+        at = np.searchsorted(mid, 0.5)
+        candidates = np.insert(mid, at, 0.5)
+        k = len(ranked) - np.insert(below, at, np.searchsorted(ascending, 0.5))   # score >= t
         f1 = 2 * positives[k] / (k + positives[-1])
         best = len(f1) - 1 - np.argmax(f1[::-1])   # the last maximum: the higher threshold
         thresholds[j] = candidates[best]

@@ -2,6 +2,7 @@
 
     python tests/mutants.py --seed 7 --per-module 25
     python tests/mutants.py --seed 7 --module evaluation --per-module 40
+    python tests/mutants.py --seed 7 --module evaluation --lines 160-190 --per-module 99
 
 Each mutant changes one node of one module's syntax tree:
 
@@ -22,6 +23,9 @@ runs against it with ``-x``.  A mutant is killed when pytest fails or runs
 past ``TIMEOUT``.  The unmutated copy runs first and must pass.  Every
 module under ``src/rftag`` is sampled, or only those named by ``--module``
 (repeatable); a module's sample does not depend on which others are named.
+``--lines START-END`` keeps only the sites whose node starts on a line of
+that span (inclusive) of each named module, and draws the sample from them
+by the same seed rule.
 
 The report gives killed/total per module, then the file, line and change of
 every killed mutant with why it died: the first failing test id as pytest
@@ -95,6 +99,18 @@ def mutate(node: ast.AST, slot) -> str:
     return f"{SYMBOLS[old]} -> {SYMBOLS[swaps[old]]}"
 
 
+def line_span(text: str) -> tuple:
+    """``"START-END"`` as the pair (START, END), with 1 <= START <= END."""
+    start, _, end = text.partition("-")
+    try:
+        span = int(start), int(end)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected START-END, got {text!r}") from None
+    if not 1 <= span[0] <= span[1]:
+        raise argparse.ArgumentTypeError(f"expected 1 <= START <= END, got {text!r}")
+    return span
+
+
 def tier1(work: Path) -> tuple:
     """(why tier-1 with -x failed in ``work``, or None if it passed; seconds).
 
@@ -125,7 +141,11 @@ def main(argv=None) -> int:
     names = sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py") if p.stem != "__init__")
     parser.add_argument("--module", action="append", choices=names, metavar="NAME",
                         help="sample only this module (repeatable); default every module")
+    parser.add_argument("--lines", type=line_span, metavar="START-END",
+                        help="sample only sites on these lines of the named modules")
     args = parser.parse_args(argv)
+    if args.lines and not args.module:
+        parser.error("--lines needs --module")
     if args.module:
         names = [name for name in names if name in args.module]
 
@@ -147,9 +167,11 @@ def main(argv=None) -> int:
         for name in names:
             path = work / PACKAGE / f"{name}.py"
             source = path.read_text()
-            count = len(sites(ast.parse(source)))
+            found = sites(ast.parse(source))
+            span = [i for i, (node, _) in enumerate(found)
+                    if not args.lines or args.lines[0] <= node.lineno <= args.lines[1]]
             picks = sorted(random.Random(f"{args.seed}:{name}").sample(
-                range(count), min(args.per_module, count)))
+                span, min(args.per_module, len(span))))
             killed = 0
             try:
                 for index in picks:

@@ -8,9 +8,10 @@ pooling with ``avg_pool2d`` (a loop-built average pool the engine does not
 offer), and size their input from ``rf.compute_rf``, so only their verdict,
 the span of nonzero input gradient, is independent of the calculus they
 check.
-``reference_forward`` and ``oneshot_logmel`` are references of a third
-kind: they compose the package's own ops the plain, allocating way, so that
-a leaner composition of the same ops can be pinned to them bit for bit.
+``reference_forward``, ``oneshot_logmel`` and ``stable_ranking`` are
+references of a third kind: they compose the package's own ops (or numpy's
+stable sort) the plain, allocating way, so that a leaner composition of the
+same ops can be pinned to them bit for bit.
 """
 
 import copy
@@ -131,6 +132,22 @@ def brute_force_average_precision(scores, labels, ids=None):
     for rank in sorted(precision_at_rank):
         total += precision_at_rank[rank]
     return total / len(precision_at_rank)
+
+
+def stable_ranking(scores, labels, id_order):
+    """One tag's (ranked scores, positives) as ``evaluation._ranking`` gives
+    them, by one stable sort: descending score, ties by ascending id.
+
+    ``id_order`` is ``evaluation._id_order`` of the tracks' ids; a stable
+    sort by descending score of the tracks taken in that order keeps tied
+    tracks in id order.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    order = id_order[np.argsort(-scores[id_order], kind="stable")]
+    positives = np.concatenate(([0], np.cumsum(np.asarray(labels, dtype=bool)[order])))
+    return scores[order], positives
 
 
 def per_cell_tsv(ids, tags, matrix, decisions=False):

@@ -7,7 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import brute_force_average_precision, brute_force_thresholds, per_cell_tsv
+from oracles import (
+    brute_force_average_precision,
+    brute_force_thresholds,
+    per_cell_tsv,
+    stable_ranking,
+)
 from rftag import evaluation
 from rftag.evaluation import (
     LabelSet,
@@ -30,9 +35,9 @@ LEVELS = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
 
 
 @st.composite
-def tables(draw, max_tracks=20, max_tags=3):
+def tables(draw, max_tracks=20, max_tags=3, min_tracks=1):
     """(ids, scores, labels): tie-heavy scores in [0, 1] and 0/1 labels."""
-    n = draw(st.integers(1, max_tracks))
+    n = draw(st.integers(min_tracks, max_tracks))
     n_tags = draw(st.integers(1, max_tags))
     levels = draw(st.sampled_from([LEVELS[:1], LEVELS[:2], LEVELS[:4], LEVELS]))
     cell = st.one_of(st.sampled_from(levels), st.floats(0.0, 1.0))
@@ -41,6 +46,34 @@ def tables(draw, max_tracks=20, max_tags=3):
     order = draw(st.permutations(range(n)))
     ids = [f"t{i:02d}" for i in order]
     return ids, scores, labels
+
+
+def one_tag(column):
+    """(ids, scores, labels) of one tag: ids in the reverse of row order and
+    alternating labels, so a tie broken the wrong way moves ``positives``."""
+    column = np.asarray(column, dtype=np.float64)
+    n = len(column)
+    return ([f"t{i:03d}" for i in reversed(range(n))], column[:, None],
+            (np.arange(n) % 2).astype(np.int8)[:, None])
+
+
+def tied_ends():
+    """Three tracks tied at the first rank and three at the last, rows shuffled."""
+    column = np.concatenate([np.full(3, 0.9), np.linspace(0.8, 0.2, 60), np.full(3, 0.1)])
+    return one_tag(np.random.default_rng(66).permutation(column))
+
+
+def long_run():
+    """A run of 40 of 70 tracks, longer than half the table, rows shuffled."""
+    column = np.concatenate([np.full(40, 0.25), np.random.default_rng(70).random(30)])
+    return one_tag(np.random.default_rng(71).permutation(column))
+
+
+def split(low, high):
+    """Two tracks at ``low`` then two positives at ``high``: the best threshold
+    is the midpoint of the two, wherever it rounds."""
+    ids, scores, _ = one_tag([low, low, high, high])
+    return ids, scores, np.array([[0], [0], [1], [1]], dtype=np.int8)
 
 
 # what the TSV rules allow in an id or tag: any text without a tab or a newline
@@ -144,6 +177,39 @@ class TestAveragePrecision:
     def test_no_positive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             average_precision([0.1, 0.2], [0, 0])
+
+
+class TestRanking:
+    @CHECKS
+    @given(tables(min_tracks=60, max_tracks=120))
+    @example(one_tag(np.full(70, 0.5)))                  # all scores tied
+    @example(one_tag([0.3]))                             # one track
+    @example(tied_ends())
+    @example(one_tag([0.5, 0.0, -0.0, 0.7, -0.0, 0.0, 0.0, -0.0, 0.2]))   # 0.0 and -0.0 tie
+    @example(long_run())
+    def test_matches_one_stable_sort(self, table):
+        ids, scores, labels = table
+        id_order = evaluation._id_order(ids)
+        for j in range(scores.shape[1]):
+            ranked, positives = evaluation._ranking(scores[:, j], labels[:, j], id_order)
+            want_ranked, want_positives = stable_ranking(scores[:, j], labels[:, j], id_order)
+            assert np.array_equal(ranked.view(np.int64), want_ranked.view(np.int64))
+            assert np.array_equal(positives, want_positives)
+
+    @pytest.mark.parametrize("score", [macro_pr_auc, tune_thresholds])
+    def test_peak_is_at_most_one_mib_at_4000_tracks_by_56_tags(self, score):
+        rng = np.random.default_rng(4000)
+        labels = (rng.random((4000, 56)) < 0.08).astype(np.int8)
+        labels[0] = 1
+        preds, lab = sets([f"trk{i:05d}" for i in range(4000)], np.round(rng.random((4000, 56)), 6),
+                          labels)
+        tracemalloc.start()
+        try:
+            score(preds, lab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
 
 class TestMacroPrAuc:
@@ -257,6 +323,10 @@ class TestPredictionSet:
 class TestTuneThresholds:
     @CHECKS
     @given(tables())
+    @example(split(0.1, np.nextafter(0.1, 1.0)))     # the midpoint rounds down, onto 0.1
+    @example(split(0.3, np.nextafter(0.3, 1.0)))     # the midpoint rounds up, onto the higher
+    @example(split(0.0, 5e-324))                     # a subnormal: the midpoint rounds onto 0.0
+    @example(split(0.4, 0.6))                        # a midpoint equal to the 0.5 fallback
     def test_matches_quadratic_sweep(self, table):
         ids, scores, labels = table
         got = tune_thresholds(*sets(ids, scores, labels))

@@ -91,6 +91,20 @@ class TestWindows:
         np.testing.assert_array_equal(predict(model, [long], "windows")[0],
                                       np.mean(per_window, axis=0))
 
+    @pytest.mark.parametrize("crop", [1, 2, 3])
+    def test_a_crop_under_four_frames_hops_one_frame(self, crop):
+        # with no pool stage the model takes a one-frame input, and crop // 2 < 2
+        narrow = build_model(ModelConfig(template=TemplateConfig(n_stages=2, blocks_per_stage=1,
+                                                                 channel_plan=(4, 6), pool_stages=0),
+                                         rho=2, n_tags=3, input_bins=BINS, seed=5))
+        assert narrow.min_input[1] == 1
+        values = clip(crop + 3, seed=2)
+        per_window = [predict_scores(narrow, [values[:, s:s + crop]], crop, -40.0, 1.0, "center")[0]
+                      for s in range(4)]
+        np.testing.assert_array_equal(
+            predict_scores(narrow, [values], crop, -40.0, 1.0, "windows")[0],
+            np.mean(per_window, axis=0))
+
     @pytest.mark.parametrize("mode", ["windows", "center"])
     def test_a_clip_scores_the_same_alone_or_among_others(self, model, mode):
         clips = [clip(frames, seed=k) for k, frames in enumerate(CLIP_FRAMES)]
