@@ -43,25 +43,9 @@ class AudioClip:
 
 @dataclass
 class Spectrogram:
-    """dB-scaled log-mel matrix, ``bins x frames``, max entry 0 dB."""
+    """Holds ``values``: the dB-scaled log-mel matrix, ``(bins, frames)``, max entry 0 dB."""
 
     values: np.ndarray
-
-    @property
-    def bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class MelFilterbank:
-    """Triangular mel filters evaluated at FFT bin centers."""
-
-    matrix: np.ndarray  # n_mels x (n_fft//2 + 1)
-    centers_hz: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +183,8 @@ def mel_to_hz(m):
 
 def mel_filterbank(n_fft: int = DEFAULT_N_FFT, n_mels: int = DEFAULT_N_MELS,
                    sr: int = TARGET_SAMPLE_RATE, fmin: float = 0.0,
-                   fmax: float = None) -> MelFilterbank:
-    """Triangular filters with centers equally spaced on the mel scale.
+                   fmax: float = None) -> np.ndarray:
+    """The ``(n_mels, n_fft//2 + 1)`` float64 matrix of triangular filters on an equal-mel grid.
 
     Filters are evaluated at FFT bin center frequencies.  At 256 bands the
     lowest mel centers are closer together than one FFT bin; a triangle whose
@@ -229,7 +213,7 @@ def mel_filterbank(n_fft: int = DEFAULT_N_FFT, n_mels: int = DEFAULT_N_MELS,
         if not np.any(row > 0):
             row[int(np.argmin(np.abs(bin_hz - center)))] = 1.0
         matrix[m] = row
-    return MelFilterbank(matrix=matrix, centers_hz=pts[1:-1].copy())
+    return matrix
 
 
 def a_weighting_db(freq_hz: np.ndarray) -> np.ndarray:
@@ -303,7 +287,7 @@ def logmel(clip: AudioClip) -> Spectrogram:
     for lo, hi in _blocks(frames):
         block = samples[lo * DEFAULT_HOP:(hi - 1) * DEFAULT_HOP + DEFAULT_N_FFT]
         power = stft_power(AudioClip(block, clip.sample_rate))
-        np.matmul(filterbank.matrix, power * weights, out=db[:, lo:hi])
+        np.matmul(filterbank, power * weights, out=db[:, lo:hi])
     db += POWER_FLOOR
     np.log10(db, out=db)
     db *= 10.0

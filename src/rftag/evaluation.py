@@ -2,8 +2,9 @@
 
 Ranking rule: per tag, tracks are ranked by descending score, ties broken by
 ascending track id.  ``_ranking`` is the only place a tag's tracks are
-ranked, and non-finite scores are rejected there.  The ids are sorted once
-per table by ``_id_order``, an integer order shared by every tag, so no tag
+ranked, and non-finite scores are rejected there.  ``_tags`` is the only
+place a table is aligned and ranked, one tag at a time; it sorts the ids
+once by ``_id_order``, an integer order shared by every tag, so no tag
 compares id strings.  A tag's scores are taken in that order and sorted by
 numpy's default sort, which need not keep ties in place; each run of equal
 scores is then re-sorted by its tracks' positions in id order.  That makes
@@ -212,15 +213,16 @@ def _rows(source, target) -> np.ndarray:
     return np.array([row[tid] for tid in target.ids], dtype=np.intp)
 
 
-def average_precision(scores, labels, ids=None) -> float:
-    """Mean of precision at each positive, over the score-sorted list."""
-    if ids is None:
-        ids = [str(i) for i in range(len(labels))]
-    return _average_precision(scores, labels, _id_order(ids))
+def _tags(preds: PredictionSet, labels: LabelSet):
+    """``(tag, ranked, positives)`` per tag of ``preds``, one at a time, labels aligned by id."""
+    aligned = labels.labels[_rows(labels, preds)]
+    id_order = _id_order(preds.ids)
+    for j, tag in enumerate(preds.tags):
+        yield (tag, *_ranking(preds.scores[:, j], aligned[:, j], id_order))
 
 
-def _average_precision(scores, labels, id_order) -> float:
-    _, positives = _ranking(scores, labels, id_order)
+def _ap(positives) -> float:
+    """Average precision of the ranking whose ``positives`` ``_ranking`` counted."""
     if positives[-1] < 1:
         raise ValueError("average precision needs at least one positive label")
     hit_ranks = np.flatnonzero(np.diff(positives)) + 1
@@ -228,21 +230,19 @@ def _average_precision(scores, labels, id_order) -> float:
     return float(np.cumsum(positives[hit_ranks] / hit_ranks)[-1] / positives[-1])
 
 
+def average_precision(scores, labels, ids=None) -> float:
+    """Mean of precision at each positive, over the score-sorted list."""
+    ids = [str(i) for i in range(len(labels))] if ids is None else ids
+    return _ap(_ranking(scores, labels, _id_order(ids))[1])
+
+
 def macro_pr_auc(preds: PredictionSet, labels: LabelSet) -> EvalReport:
     """Mean AP over scoreable tags; per-tag detail in the report."""
-    aligned = labels.labels[_rows(labels, preds)]
-    id_order = _id_order(preds.ids)
-    aps = []
-    supports = []
-    skipped = []
-    for j, tag in enumerate(preds.tags):
-        sup = int(aligned[:, j].sum())
-        supports.append(sup)
-        if sup == 0:
-            aps.append(None)
-            skipped.append(tag)
-        else:
-            aps.append(_average_precision(preds.scores[:, j], aligned[:, j], id_order))
+    aps, supports = [], []
+    for _, _, positives in _tags(preds, labels):
+        supports.append(int(positives[-1]))
+        aps.append(_ap(positives) if positives[-1] else None)
+    skipped = [tag for tag, ap in zip(preds.tags, aps) if ap is None]
     scored = [a for a in aps if a is not None]
     if not scored:
         raise ValueError("no tag has a positive label; macro PR-AUC undefined")
@@ -312,6 +312,8 @@ def snapshot_ensemble(artifacts, clips) -> PredictionSet:
             if problem:
                 raise ValueError(f"track {clip.track_id!r}: clip {i} {problem}")
         crop_frames, norm_mean, norm_std, tags = _run_metadata(path, echo, model)
+        if members and tags != members[0].tags:
+            raise ValueError(f"{path}: run metadata field 'tags' {tags} differs from {paths[0]}'s")
         scores = predict_scores(model, [c.values for c in clips], crop_frames, norm_mean,
                                 norm_std, mode="windows")
         members.append(PredictionSet(ids=[c.track_id for c in clips], tags=tags,
@@ -330,14 +332,9 @@ def tune_thresholds(preds: PredictionSet, labels: LabelSet) -> ThresholdSet:
     See the module docstring for the candidates and the tie rule; tags with
     no positive label keep 0.5 and are flagged.
     """
-    aligned = labels.labels[_rows(labels, preds)]
-    id_order = _id_order(preds.ids)
-    n_tags = len(preds.tags)
-    thresholds = np.full(n_tags, 0.5)
-    f1s = np.zeros(n_tags)
+    thresholds, f1s = np.full(len(preds.tags), 0.5), np.zeros(len(preds.tags))
     flagged = {}
-    for j, tag in enumerate(preds.tags):
-        ranked, positives = _ranking(preds.scores[:, j], aligned[:, j], id_order)
+    for j, (tag, ranked, positives) in enumerate(_tags(preds, labels)):
         if positives[-1] == 0:
             flagged[tag] = "no positive labels"
             continue

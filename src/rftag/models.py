@@ -455,8 +455,12 @@ def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
     """RFCKPT01: magic, parameter entries, BN running stats, config echo.
 
     The echo is one ``key=value`` line per field, so a key holding ``=`` or
-    a newline, or a value holding a newline, is refused before writing.
+    a newline, or a value holding a newline, is refused before writing, and
+    so is an ``extra`` key that names a config field.
     """
+    clash = set(map(str, extra or ())) & set(config_echo(model.config))
+    if clash:
+        raise ValueError(f"{path}: extra field {min(clash)!r} would overwrite the config echo")
     echo = config_echo(model.config, extra)
     for key, value in echo.items():
         if "=" in key or "\n" in key or "\n" in value:

@@ -409,6 +409,6 @@ def oneshot_logmel(clip):
         samples = np.concatenate([samples, np.zeros(dsp.DEFAULT_N_FFT - len(samples))])
     clip = dsp.AudioClip(samples, clip.sample_rate)
     weighted = dsp.stft_power(clip) * dsp.a_weight_power_multipliers(sr=clip.sample_rate)[:, None]
-    mel_power = dsp.mel_filterbank(sr=clip.sample_rate).matrix @ weighted
+    mel_power = dsp.mel_filterbank(sr=clip.sample_rate) @ weighted
     db = 10.0 * np.log10(mel_power + dsp.POWER_FLOOR)
     return np.clip(db - db.max(), dsp.DB_CLIP, None).astype(np.float32)

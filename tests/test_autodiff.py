@@ -505,6 +505,12 @@ class TestBCE:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             bce_with_logits(Tensor([[0.0]]), Tensor([[1.5]]))
 
+    def test_out_of_range_message_names_the_bad_target(self):
+        # in-range targets, the bounds among them, come before the bad one
+        with pytest.raises(ValueError) as err:
+            bce_with_logits(Tensor(np.zeros((1, 4))), Tensor([[0.0, 0.5, 1.0, 1.5]]))
+        assert str(err.value) == "targets must lie in [0, 1], found 1.5"
+
     def test_nonnegative_and_converges_to_zero(self):
         rng = np.random.default_rng(6)
         for _ in range(50):

@@ -236,6 +236,13 @@ class TestMacroPrAuc:
         assert report.ap == [1.0, None] and report.support == [1, 0]
         assert report.macro_pr_auc == 1.0
 
+    def test_non_finite_score_in_a_tag_without_positives_is_refused(self):
+        preds, lab = sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
+                          np.array([[1, 0], [0, 0]]), ["x", "y"])
+        preds.scores[1, 1] = np.nan   # written after PredictionSet checked it
+        with pytest.raises(ValueError, match="^scores must be finite$"):
+            macro_pr_auc(preds, lab)
+
     def test_report_csv(self):
         # x: the positive ranks first (AP 1); y: no positive; z: the positive ranks second (AP 1/2)
         scores = np.array([[0.9, 0.1, 0.3], [0.2, 0.8, 0.6], [0.4, 0.5, 0.7]])

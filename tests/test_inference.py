@@ -330,6 +330,16 @@ class TestRunMetadata:
             snapshot_ensemble(SimpleNamespace(best_path=bad, swa_paths=[good]), clips)
         assert runs == []
 
+    def test_member_whose_tags_differ_from_the_best_is_named(self, model, tmp_path):
+        best, swa = tmp_path / "best.ckpt", tmp_path / "swa_epoch1.ckpt"
+        save_checkpoint(best, model, extra=self.RUN)
+        save_checkpoint(swa, model, extra=dict(self.RUN, tags="a,b,x"))
+        clips = [TaggedClip("t0", clip(CROP), np.zeros(3))]
+        with pytest.raises(ValueError) as err:
+            snapshot_ensemble(SimpleNamespace(best_path=best, swa_paths=[swa]), clips)
+        assert str(err.value) == (f"{swa}: run metadata field 'tags' ['a', 'b', 'x'] "
+                                  f"differs from {best}'s")
+
     def test_crop_of_the_models_minimum_frames_scores(self, model, tmp_path):
         frames = model.min_input[1]
         path = tmp_path / "best.ckpt"

@@ -599,6 +599,25 @@ class TestCheckpoint:
             save_checkpoint(p, build_model(tiny_config()), extra=extra)
         assert not p.exists()
 
+    @pytest.mark.parametrize("extra,key", [
+        ({"seed": "9", "input_bins": "40", "tags": "a"}, "input_bins"),
+        ({"template.n_stages": 1}, "template.n_stages"),
+    ], ids=["top-level", "template"])
+    def test_extra_naming_a_config_field_is_refused(self, tmp_path, extra, key):
+        p = tmp_path / "x.ckpt"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(p, build_model(tiny_config(seed=3)), extra=extra)
+        assert str(err.value) == f"{p}: extra field {key!r} would overwrite the config echo"
+        assert not p.exists()
+
+    def test_trailing_bytes_are_counted(self, tmp_path):
+        p = tmp_path / "t.ckpt"
+        save_checkpoint(p, build_model(tiny_config()))
+        p.write_bytes(p.read_bytes() + bytes(3))
+        with pytest.raises(ValueError) as err:
+            load_model(p)
+        assert str(err.value) == f"{p}: 3 bytes follow the config echo"
+
     def test_carriage_return_in_an_echo_value_round_trips(self, tmp_path):
         p = tmp_path / "cr.ckpt"
         save_checkpoint(p, build_model(tiny_config()), extra={"tags": "a,b,c\r", "z": "\r"})

@@ -65,6 +65,11 @@ class TestComputeRf:
         with pytest.raises(ValueError, match="cyclic"):
             ArchSpec(layers=[conv("a", 3), conv("b", 3)], skips=[("b", "a")])
 
+    def test_duplicate_pair_names_that_layer_only(self):
+        with pytest.raises(ValueError) as err:
+            chain(conv("a", 3), conv("b", 3), conv("a", 3), conv("c", 3))
+        assert str(err.value) == "duplicate layer names: ['a']"
+
     def test_unknown_skip_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ArchSpec(layers=[conv("a", 3)], skips=[("a", "zz")])
