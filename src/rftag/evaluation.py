@@ -3,10 +3,11 @@
 Ranking rule: per tag, tracks are ranked by descending score, ties broken by
 ascending track id.  ``_ranking`` is the only place a tag's tracks are
 ranked, and non-finite scores are rejected there.  ``_tags`` is the only
-place a table is aligned and ranked, one tag at a time; it sorts the ids
-once by ``_id_order``, an integer order shared by every tag, so no tag
-compares id strings.  A tag's scores are taken in that order and sorted by
-numpy's default sort, which need not keep ties in place; each run of equal
+place a table is aligned and ranked, one tag at a time; it first names a
+non-finite score by track and tag, as ``PredictionSet`` does, then sorts
+the ids once by ``_id_order``, an integer order shared by every tag, so no
+tag compares id strings.  A tag's scores are taken in that order and sorted
+by numpy's default sort, which need not keep ties in place; each run of equal
 scores is then re-sorted by its tracks' positions in id order.  That makes
 the order the unique one the rule names, whichever sort numpy runs, and the
 ranked scores are read back from the tracks, so a run holding ``0.0`` and
@@ -78,8 +79,8 @@ from typing import Optional
 
 import numpy as np
 
-from .inference import clip_problem, predict_scores
-from .models import Model, load_model
+from .inference import check_clip, predict_scores
+from .models import Model, check_echo_text, echo_field, load_model
 
 
 def _unique(kind: str, names: list) -> list:
@@ -139,11 +140,7 @@ class PredictionSet:
 
     def __post_init__(self):
         _check_table(self.ids, self.tags, self.scores, "scores")
-        bad = ~np.isfinite(self.scores)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(f"non-finite score {self.scores[i, j]} for track "
-                             f"{self.ids[i]!r}, tag {self.tags[j]!r}")
+        _check_finite(self)
         if np.any(self.scores < 0) or np.any(self.scores > 1):
             raise ValueError("scores must lie in [0, 1]")
 
@@ -166,6 +163,14 @@ class EvalReport:
             lines.append(f"{tag},{'' if ap is None else f'{ap:.6f}'},{sup}")
         lines.append(f"macro_pr_auc={self.macro_pr_auc:.6f}")
         return "\n".join(lines) + "\n"
+
+
+def _check_finite(preds: PredictionSet) -> None:
+    """Refuse a NaN or inf score, naming the first by track and tag."""
+    if not np.isfinite(preds.scores).all():
+        i, j = np.argwhere(~np.isfinite(preds.scores))[0]
+        raise ValueError(f"non-finite score {preds.scores[i, j]} for track "
+                         f"{preds.ids[i]!r}, tag {preds.tags[j]!r}")
 
 
 def _id_order(ids) -> np.ndarray:
@@ -214,7 +219,12 @@ def _rows(source, target) -> np.ndarray:
 
 
 def _tags(preds: PredictionSet, labels: LabelSet):
-    """``(tag, ranked, positives)`` per tag of ``preds``, one at a time, labels aligned by id."""
+    """``(tag, ranked, positives)`` per tag of ``preds``, one at a time, labels aligned by id.
+
+    A score made non-finite after ``preds`` was built is named as
+    ``PredictionSet`` names it, before any tag is ranked.
+    """
+    _check_finite(preds)
     aligned = labels.labels[_rows(labels, preds)]
     id_order = _id_order(preds.ids)
     for j, tag in enumerate(preds.tags):
@@ -270,17 +280,16 @@ def ensemble_average(members: list) -> PredictionSet:
 
 def _run_metadata(path, echo: dict, model: Model) -> tuple:
     """(crop_frames, norm_mean, norm_std, tags) that training wrote into a
-    checkpoint's echo; a missing or unusable field, or a repeated tag, is
-    named with the path."""
+    checkpoint's echo; a missing or unusable field, a repeated tag, or a
+    field whose text is not the written text of its value, is named with
+    the path."""
+    section = f"{path}: run metadata"
+
     def read(key, parse, usable, need):
-        if key not in echo:
-            raise ValueError(f"{path}: run metadata has no field {key!r}")
-        try:
-            value = parse(echo[key])
-        except ValueError as exc:
-            raise ValueError(f"{path}: run metadata field {key!r}: {exc}") from None
+        value = echo_field(echo, key, parse, section)
         if not usable(value):
-            raise ValueError(f"{path}: run metadata field {key!r} {need}, got {echo[key]!r}")
+            raise ValueError(f"{section} field {key!r} {need}, got {echo[key]!r}")
+        check_echo_text(echo, {key: value}, section)
         return value
 
     frames = model.min_input[1]
@@ -297,7 +306,7 @@ def snapshot_ensemble(artifacts, clips) -> PredictionSet:
     """Predictions averaged over best-val plus up to the 4 most recent SWA models.
 
     ``artifacts`` is a training RunArtifacts; ``clips`` a list of TaggedClip.
-    Once a member is loaded, every clip must pass ``clip_problem`` for its
+    Once a member is loaded, every clip must pass ``check_clip`` for its
     ``input_bins`` (a bad one is named by track and index) and its run
     metadata must be usable, before that member predicts with sliding
     windows.  Members' score sets are averaged; fewer than 4 SWA
@@ -308,9 +317,7 @@ def snapshot_ensemble(artifacts, clips) -> PredictionSet:
     for path in paths:
         model, echo = load_model(path)
         for i, clip in enumerate(clips):
-            problem = clip_problem(clip.values, model.config.input_bins)
-            if problem:
-                raise ValueError(f"track {clip.track_id!r}: clip {i} {problem}")
+            check_clip(clip.values, model.config.input_bins, f"track {clip.track_id!r}: clip {i}")
         crop_frames, norm_mean, norm_std, tags = _run_metadata(path, echo, model)
         if members and tags != members[0].tags:
             raise ValueError(f"{path}: run metadata field 'tags' {tags} differs from {paths[0]}'s")

@@ -6,8 +6,9 @@ mean of its window scores.  Clips shorter than one window are repeat-tiled.
 Each window is a forward of its own: eval conv and batch norm give a window
 the same trunk features in any batch, and a batch would only hold more.
 ``crop_window`` cuts one window, random given an rng and central otherwise.
-``clip_problem`` is the one clip rule: every entry point that takes clips
-applies it with the model's ``input_bins`` before any forward runs.
+``check_clip`` is the one clip rule: every entry point that takes clips
+calls it with the model's ``input_bins`` and its own name for the clip
+before any forward runs.
 """
 
 from __future__ import annotations
@@ -54,21 +55,21 @@ def window_starts(frames: int, window: int, hop: int) -> list[int]:
     return starts
 
 
-def clip_problem(values: np.ndarray, bins: int) -> Optional[str]:
-    """Why a clip cannot be scored or trained on by a model of ``bins`` bins, or None.
+def check_clip(values: np.ndarray, bins: int, name: str) -> None:
+    """Refuse a clip that a model of ``bins`` bins cannot score or train on.
 
     Checked in order: the model's bin count, at least one frame, and every
     value finite; the first NaN or inf is named with its (bin, frame) cell.
+    The ValueError starts with ``name``, the caller's name for the clip.
     """
     if values.shape[0] != bins:
-        return f"has {values.shape[0]} frequency bins, the model has {bins}"
+        raise ValueError(f"{name} has {values.shape[0]} frequency bins, the model has {bins}")
     if values.shape[1] == 0:
-        return "has 0 frames"
+        raise ValueError(f"{name} has 0 frames")
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         cell = tuple(int(k) for k in bad[0])
-        return f"holds a non-finite value {values[cell]} at (bin, frame) {cell}"
-    return None
+        raise ValueError(f"{name} holds a non-finite value {values[cell]} at (bin, frame) {cell}")
 
 
 def normalized_batch(windows: list, mean: float, std: float) -> np.ndarray:
@@ -88,19 +89,17 @@ def predict_scores(model: Model, values_list: list, crop_frames: int,
     """Per-clip, per-tag sigmoid scores in [0, 1], as float64.
 
     mode "windows": mean of sliding-window scores; mode "center": one central
-    crop per clip (the fast path used for per-epoch validation).  A clip
-    that breaks ``clip_problem`` for the model's ``input_bins`` raises a
-    ValueError naming its index before any forward runs.  Each window is
-    one forward of shape (1, 1, bins, crop_frames); a clip's sigmoid rows
-    are summed in float64 in window order and divided by its window count,
-    so a clip scores the same alone or among others.
+    crop per clip (the fast path used for per-epoch validation).  Every
+    clip passes ``check_clip`` for the model's ``input_bins`` as ``clip i``
+    before any forward runs.  Each window is one forward of shape (1, 1,
+    bins, crop_frames); a clip's sigmoid rows are summed in float64 in
+    window order and divided by its window count, so a clip scores the
+    same alone or among others.
     """
     if mode not in ("windows", "center"):
         raise ValueError(f"unknown inference mode {mode!r}")
     for i, values in enumerate(values_list):
-        problem = clip_problem(values, model.config.input_bins)
-        if problem:
-            raise ValueError(f"clip {i} {problem}")
+        check_clip(values, model.config.input_bins, f"clip {i}")
     hop = max(1, crop_frames // 2)
     scores = np.zeros((len(values_list), model.config.n_tags), dtype=np.float64)
     for i, values in enumerate(values_list):

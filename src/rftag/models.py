@@ -47,6 +47,15 @@ recording, batch norm also writes over the fresh conv output, so a forward
 without a tape (eval, or the SWA refresh's) holds about two activations of
 its batch and one column band at a time; ``inference.predict_scores`` runs
 one window per forward, so scoring holds two activations of one window.
+
+A checkpoint's config echo is one ``key=value`` line per field, in sorted
+key order.  Every value, a config field's or an ``extra`` one's, is written
+as ``_echo_text`` renders it: ``none`` for None, the items joined by commas
+for a tuple or list, and ``str`` of anything else.  ``echo_field`` is the
+one reader of a field: it names a missing field and a parse error.  An echo
+loads only as that text: ``read_checkpoint`` refuses lines that are not the
+ones written for the dict they read as, and ``check_echo_text`` a field
+whose text is not the written text of its parsed value.
 """
 
 from __future__ import annotations
@@ -434,21 +443,39 @@ def config_echo(config: ModelConfig, extra: Optional[dict] = None) -> dict:
         owner = config.template if key.startswith("template.") else config
         echo[key] = _echo_text(getattr(owner, f.name))
     if extra:
-        echo.update({str(k): str(v) for k, v in extra.items()})
+        echo.update({str(k): _echo_text(v) for k, v in extra.items()})
     return echo
+
+
+def echo_field(echo: dict, key: str, parse, section: str = "config echo"):
+    """``parse`` of the text of field ``key``; a missing field or a parse
+    error is refused with a ValueError naming ``section`` and the field."""
+    if key not in echo:
+        raise ValueError(f"{section} has no field {key!r}")
+    try:
+        return parse(echo[key])
+    except ValueError as exc:
+        raise ValueError(f"{section} field {key!r}: {exc}") from None
+
+
+def check_echo_text(echo: dict, values: dict, section: str = "config echo") -> None:
+    """Refuse an echo in which the text of a field of ``values`` is not the
+    text the writer gives that field's value, naming ``section`` and the
+    field.  A value that is already text is its own written text."""
+    for key, value in values.items():
+        if echo[key] != _echo_text(value):
+            raise ValueError(f"{section} field {key!r}: {echo[key]!r} is not the written "
+                             f"text {_echo_text(value)!r} of its value")
 
 
 def config_from_echo(echo: dict) -> ModelConfig:
     template, top = {}, {}
     for key, f in _echo_fields():
-        if key not in echo:
-            raise ValueError(f"config echo has no field {key!r}")
         owner = template if key.startswith("template.") else top
-        try:
-            owner[f.name] = _ECHO_PARSERS[f.type](echo[key])
-        except ValueError as exc:
-            raise ValueError(f"config echo field {key!r}: {exc}") from None
-    return ModelConfig(template=TemplateConfig(**template), **top)
+        owner[f.name] = echo_field(echo, key, _ECHO_PARSERS[f.type])
+    config = ModelConfig(template=TemplateConfig(**template), **top)
+    check_echo_text(echo, config_echo(config))
+    return config
 
 
 def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
@@ -478,7 +505,10 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
     """Returns (parameter arrays, BN stat arrays, config echo dict).
 
     A file that is short, corrupt or runs on past the config echo is
-    refused with a ValueError naming the path and where it broke.
+    refused with a ValueError naming the path and where it broke, and so is
+    an echo that is not the lines ``save_checkpoint`` writes for the dict it
+    reads as: the first line without ``=``, or whose key does not sort
+    after the key before it, is named.
     """
     raw = Path(path).read_bytes()
     if raw[:8] != CKPT_MAGIC:
@@ -495,10 +525,12 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     echo = {}
-    for line in text.split("\n"):
-        if line:
-            k, _, v = line.partition("=")
-            echo[k] = v
+    for n, line in enumerate(text.split("\n") if text else [], start=1):
+        k, eq, v = line.partition("=")
+        if not eq or (echo and k <= last):
+            raise ValueError(f"{path}: config echo line {n} {line!r} is not as written: one "
+                             f"key=value line per field, in sorted key order")
+        echo[k], last = v, k
     return params, bn, echo
 
 

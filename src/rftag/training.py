@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor, adam_step, backward, bce_with_logits
 from .evaluation import LabelSet, PredictionSet, macro_pr_auc
-from .inference import clip_problem, crop_window, normalized_batch, predict_scores
+from .inference import check_clip, crop_window, normalized_batch, predict_scores
 from .models import Model, save_checkpoint
 
 METRICS_HEADER = "epoch,lr,train_loss,val_pr_auc,is_best,swa_saved"
@@ -208,7 +208,7 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
                           norm: tuple, batch_size: int, seed: int) -> None:
     """Recompute BN running stats as the plain mean over one sweep of the data.
 
-    Every clip must pass ``clip_problem`` for the model's ``input_bins``;
+    Every clip must pass ``check_clip`` for the model's ``input_bins``;
     the first that does not is named with its track before any batch runs.
     Each state is reset before each batch's train-mode forward, so that it
     holds the batch's statistics, and ``swa_update`` averages them in sweep
@@ -217,9 +217,7 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
     if not clips:
         raise ValueError("refreshing batch-norm statistics needs at least one clip")
     for clip in clips:
-        problem = clip_problem(clip.values, model.config.input_bins)
-        if problem:
-            raise ValueError(f"track {clip.track_id!r} {problem}")
+        check_clip(clip.values, model.config.input_bins, f"track {clip.track_id!r}")
     rng = np.random.default_rng(seed)
     sweep = SWAState()
     for lo in range(0, len(clips), batch_size):
@@ -249,8 +247,9 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     The best-val checkpoint is kept up to date, and each SWA absorption
     persists the refreshed averaged model.  Before anything is trained or
     written, the tag count and every clip's label row must match the
-    model's ``n_tags``, ``crop_frames`` must reach the model's
-    ``min_input`` frames, every clip must pass ``clip_problem`` for its
+    model's ``n_tags``, every label must be 0 or 1 (a label that is not is
+    named by split, track and tag), ``crop_frames`` must reach the model's
+    ``min_input`` frames, every clip must pass ``check_clip`` for its
     ``input_bins``, and the validation split must form a ``LabelSet``.  A
     tag may not hold a comma, a tab or a newline.  A non-finite loss aborts
     with the epoch and batch index.
@@ -270,12 +269,14 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
                          f"got {config.crop_frames}")
     for split, clips in (("training", train_clips), ("validation", val_clips)):
         for clip in clips:
-            problem = clip_problem(clip.values, bins)
-            if problem:
-                raise ValueError(f"{split} track {clip.track_id!r} {problem}")
+            check_clip(clip.values, bins, f"{split} track {clip.track_id!r}")
             if np.shape(clip.labels) != (n_tags,):
                 raise ValueError(f"{split} track {clip.track_id!r} has labels of shape "
                                  f"{np.shape(clip.labels)}, the model has {n_tags} tags")
+            off = np.flatnonzero(~np.isin(clip.labels, (0, 1)))
+            if len(off):
+                raise ValueError(f"{split} track {clip.track_id!r} has label "
+                                 f"{clip.labels[off[0]]} for tag {tags[off[0]]!r}, not 0 or 1")
     try:
         val_labels = LabelSet(ids=[c.track_id for c in val_clips], tags=list(tags),
                               labels=np.stack([c.labels for c in val_clips]))
@@ -285,12 +286,8 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     run_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     norm = normalization_stats(train_clips)
-    echo_extra = {
-        "norm_mean": repr(norm[0]),
-        "norm_std": repr(norm[1]),
-        "crop_frames": str(config.crop_frames),
-        "tags": ",".join(tags),
-    }
+    echo_extra = dict(norm_mean=norm[0], norm_std=norm[1], crop_frames=config.crop_frames,
+                      tags=list(tags))
 
     adam = AdamState()
     swa = SWAState()
@@ -330,7 +327,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
         if is_best:
             best_val = val_auc
             save_checkpoint(best_path, model,
-                            extra=dict(echo_extra, val_pr_auc=repr(val_auc), epoch=str(epoch)))
+                            extra=dict(echo_extra, val_pr_auc=val_auc, epoch=epoch))
 
         swa_saved = ""
         if (epoch >= config.warmup_epochs
@@ -341,7 +338,7 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
             refresh_bn_statistics(swa_model, train_clips, config.crop_frames,
                                   norm, config.batch_size, seed=config.seed + epoch)
             path = run_dir / f"swa_epoch{epoch}.ckpt"
-            save_checkpoint(path, swa_model, extra=dict(echo_extra, epoch=str(epoch)))
+            save_checkpoint(path, swa_model, extra=dict(echo_extra, epoch=epoch))
             swa_paths.append(path)
             swa_saved = path.name
 

@@ -240,8 +240,9 @@ class TestMacroPrAuc:
         preds, lab = sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
                           np.array([[1, 0], [0, 0]]), ["x", "y"])
         preds.scores[1, 1] = np.nan   # written after PredictionSet checked it
-        with pytest.raises(ValueError, match="^scores must be finite$"):
+        with pytest.raises(ValueError) as err:
             macro_pr_auc(preds, lab)
+        assert str(err.value) == "non-finite score nan for track 'b', tag 'y'"
 
     def test_report_csv(self):
         # x: the positive ranks first (AP 1); y: no positive; z: the positive ranks second (AP 1/2)
@@ -382,6 +383,14 @@ class TestTuneThresholds:
         other = LabelSet(ids=["a"], tags=["other"], labels=np.array([[1]]))
         with pytest.raises(ValueError, match="tag mismatch"):
             tune_thresholds(preds, other)
+
+    def test_non_finite_score_in_a_tag_without_positives_is_refused(self):
+        preds, lab = sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
+                          np.array([[1, 0], [0, 0]]), ["x", "y"])
+        preds.scores[1, 1] = -np.inf   # written after PredictionSet checked it
+        with pytest.raises(ValueError) as err:
+            tune_thresholds(preds, lab)
+        assert str(err.value) == "non-finite score -inf for track 'b', tag 'y'"
 
 
 class TestEnsemble:

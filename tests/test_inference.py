@@ -12,7 +12,7 @@ from rftag import autodiff as ad
 from rftag import evaluation
 from rftag.evaluation import snapshot_ensemble
 from rftag.inference import (
-    clip_problem,
+    check_clip,
     crop_window,
     normalized_batch,
     predict_scores,
@@ -208,7 +208,7 @@ class TestNormalizedBatch:
         assert np.array_equal(got, want)
 
 
-class TestClipProblem:
+class TestCheckClip:
     @CHECKS
     @given(st.integers(1, 6), st.integers(1, 9), st.data())
     def test_names_the_first_nonfinite_cell(self, bins, frames, data):
@@ -219,14 +219,18 @@ class TestClipProblem:
             values[cell] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
         want = first_nonfinite_cell(values)
         if want is None:
-            assert clip_problem(values, bins) is None
+            assert check_clip(values, bins, "x") is None
         else:
-            assert clip_problem(values, bins) == (f"holds a non-finite value {values[want]} "
-                                                  f"at (bin, frame) {want}")
+            with pytest.raises(ValueError) as err:
+                check_clip(values, bins, "x")
+            assert str(err.value) == (f"x holds a non-finite value {values[want]} "
+                                      f"at (bin, frame) {want}")
 
     @pytest.mark.parametrize("bins", [0, BINS])
     def test_zero_frames(self, bins):
-        assert clip_problem(np.zeros((bins, 0), dtype=np.float32), bins) == "has 0 frames"
+        with pytest.raises(ValueError) as err:
+            check_clip(np.zeros((bins, 0), dtype=np.float32), bins, "clip 'x'")
+        assert str(err.value) == "clip 'x' has 0 frames"
 
 
 class TestZeroFrames:
@@ -328,6 +332,23 @@ class TestRunMetadata:
         clips = [TaggedClip("ok", clip(CROP), np.zeros(3))]
         with pytest.raises(ValueError, match=re.escape(f"{bad}: {message}")):
             snapshot_ensemble(SimpleNamespace(best_path=bad, swa_paths=[good]), clips)
+        assert runs == []
+
+    @pytest.mark.parametrize("key,text,written", [
+        ("crop_frames", "+16", "16"),
+        ("norm_mean", "-40", "-40.0"),
+    ], ids=["crop", "mean"])
+    def test_field_not_as_written_fails_before_any_model_runs(self, model, tmp_path,
+                                                             monkeypatch, key, text, written):
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, model, extra=dict(self.RUN, **{key: text}))
+        runs = []
+        monkeypatch.setattr(evaluation, "predict_scores", lambda *a, **k: runs.append(a))
+        clips = [TaggedClip("ok", clip(CROP), np.zeros(3))]
+        with pytest.raises(ValueError) as err:
+            snapshot_ensemble(SimpleNamespace(best_path=bad, swa_paths=[]), clips)
+        assert str(err.value) == (f"{bad}: run metadata field {key!r}: {text!r} is not the "
+                                  f"written text {written!r} of its value")
         assert runs == []
 
     def test_member_whose_tags_differ_from_the_best_is_named(self, model, tmp_path):

@@ -551,6 +551,53 @@ class TestCheckpoint:
             load_model(p)
 
     @staticmethod
+    def with_echo_lines(tmp_path, edit) -> tuple:
+        """A tiny checkpoint whose echo lines are ``edit(lines)``; returns
+        (path, the lines written)."""
+        p = tmp_path / "f.ckpt"
+        save_checkpoint(p, build_model(tiny_config()))
+        raw = p.read_bytes()
+        text = raw[raw.rindex(b"frequency_aware="):]
+        lines = text.decode().split("\n")
+        assert lines == sorted(lines)
+        lines = edit(lines)
+        new = "\n".join(lines).encode()
+        p.write_bytes(raw[:-len(text) - 4] + struct.pack("<I", len(new)) + new)
+        return p, lines
+
+    @pytest.mark.parametrize("edit", ["no-equals", "trailing-newline", "repeated-key",
+                                      "swapped"])
+    def test_echo_lines_not_as_written_name_path_and_line(self, tmp_path, edit):
+        def edited(lines):
+            rho = lines.index("rho=2")
+            return {"no-equals": lines + ["zz"],
+                    "trailing-newline": lines + [""],
+                    "repeated-key": lines[:rho + 1] + lines[rho:],
+                    "swapped": [lines[1], lines[0]] + lines[2:]}[edit]
+
+        p, lines = self.with_echo_lines(tmp_path, edited)
+        # the line without "=", or whose key does not sort after the one before
+        i = {"no-equals": len(lines) - 1, "trailing-newline": len(lines) - 1,
+             "repeated-key": lines.index("rho=2") + 1, "swapped": 1}[edit]
+        with pytest.raises(ValueError) as err:
+            load_model(p)
+        assert str(err.value) == (f"{p}: config echo line {i + 1} {lines[i]!r} is not as "
+                                  f"written: one key=value line per field, in sorted key order")
+
+    @pytest.mark.parametrize("key,text,written", [
+        ("input_bins", "+032", "32"),
+        ("input_bins", " 32", "32"),
+        ("template.channel_plan", "4, 6", "4,6"),
+    ], ids=["plus-and-zero", "space", "plan-space"])
+    def test_echo_value_not_as_written_names_path_and_field(self, tmp_path, key, text, written):
+        p, _ = self.with_echo_lines(tmp_path, lambda lines: [
+            f"{key}={text}" if line == f"{key}={written}" else line for line in lines])
+        with pytest.raises(ValueError) as err:
+            load_model(p)
+        assert str(err.value) == (f"{p}: config echo field {key!r}: {text!r} is not the "
+                                  f"written text {written!r} of its value")
+
+    @staticmethod
     def damaged(tmp_path, entry: bytes, value=None, rename=None):
         """A tiny checkpoint with ``entry`` renamed, or its first value overwritten."""
         p = tmp_path / "d.ckpt"

@@ -476,6 +476,19 @@ class TestTrainClipChecks:
             train(build_model(cfg), clips, make_band_clips(2), list("abc"), tc, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    @pytest.mark.parametrize("label", [np.nan, 2.0, 0.5, -1.0])
+    def test_label_other_than_0_or_1_names_split_track_and_tag(self, tmp_path, split, label):
+        cfg, tc = tiny_train_setup()
+        clips = {"training": make_band_clips(4), "validation": make_band_clips(2)}
+        clips[split][1].labels = np.array([0.0, 1.0, label], dtype=np.float32)
+        with pytest.raises(ValueError) as err:
+            train(build_model(cfg), clips["training"], clips["validation"], list("abc"), tc,
+                  tmp_path / "run")
+        assert str(err.value) == (f"{split} track 't001' has label {np.float32(label)} "
+                                  f"for tag 'c', not 0 or 1")
+        assert not (tmp_path / "run").exists()
+
     def test_nan_training_clip_names_the_track(self, tmp_path):
         cfg, tc = tiny_train_setup()
         clips = make_band_clips(4)
