@@ -61,7 +61,9 @@ def load_wav(path) -> AudioClip:
     resampled to 44.1 kHz by linear interpolation.  A chunk that declares
     more bytes than the file holds is an error, not a truncated read, and
     so is a rate outside [8 kHz, 768 kHz], which no real recording has and
-    whose resampling could take gigabytes or leave a single sample.
+    whose resampling could take gigabytes or leave a single sample.  A float
+    sample that is NaN or inf is refused too, naming its index in the data
+    chunk (channels interleaved): one would make every ``logmel`` cell NaN.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -108,6 +110,10 @@ def load_wav(path) -> AudioClip:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     else:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if len(bad):
+            raise ValueError(f"{path}: data chunk sample {bad[0]} is {samples[bad[0]]}, "
+                             "not a finite number")
 
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)

@@ -2,9 +2,9 @@
 
 Ranking rule: per tag, tracks are ranked by descending score, ties broken by
 ascending track id.  ``_ranking`` is the only place a tag's tracks are
-ranked, and non-finite scores are rejected there.  ``_tags`` is the only
-place a table is aligned and ranked, one tag at a time; it first names a
-non-finite score by track and tag, as ``PredictionSet`` does, then sorts
+ranked.  ``_tags`` is the only place a table is aligned and ranked, one tag
+at a time; it first names a non-finite score by track and tag with
+``_check_finite``, the one finiteness rule for score tables, then sorts
 the ids once by ``_id_order``, an integer order shared by every tag, so no
 tag compares id strings.  A tag's scores are taken in that order and sorted
 by numpy's default sort, which need not keep ties in place; each run of equal
@@ -153,17 +153,6 @@ class EvalReport:
     macro_pr_auc: float
     skipped: list       # tags with no positives
 
-    def as_csv(self) -> str:
-        """``tag,ap,positives`` rows; a tag holding a comma or a newline is refused."""
-        lines = ["tag,ap,positives"]
-        for tag, ap, sup in zip(self.tags, self.ap, self.support):
-            if "," in tag or "\n" in tag:
-                raise ValueError(f"tag {tag!r} holds a comma or a newline, "
-                                 f"which the CSV report cannot hold")
-            lines.append(f"{tag},{'' if ap is None else f'{ap:.6f}'},{sup}")
-        lines.append(f"macro_pr_auc={self.macro_pr_auc:.6f}")
-        return "\n".join(lines) + "\n"
-
 
 def _check_finite(preds: PredictionSet) -> None:
     """Refuse a NaN or inf score, naming the first by track and tag."""
@@ -189,8 +178,6 @@ def _ranking(scores, labels, id_order) -> tuple:
     positive labels among the first k ranks.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
     keys = -scores[id_order]
     rank = np.argsort(keys)
     ranked_keys = keys[rank]
@@ -232,18 +219,10 @@ def _tags(preds: PredictionSet, labels: LabelSet):
 
 
 def _ap(positives) -> float:
-    """Average precision of the ranking whose ``positives`` ``_ranking`` counted."""
-    if positives[-1] < 1:
-        raise ValueError("average precision needs at least one positive label")
+    """Average precision of a ranking with a positive, from ``_ranking``'s ``positives``."""
     hit_ranks = np.flatnonzero(np.diff(positives)) + 1
     # np.cumsum adds in rank order; np.sum's pairwise order would move the last bits
     return float(np.cumsum(positives[hit_ranks] / hit_ranks)[-1] / positives[-1])
-
-
-def average_precision(scores, labels, ids=None) -> float:
-    """Mean of precision at each positive, over the score-sorted list."""
-    ids = [str(i) for i in range(len(labels))] if ids is None else ids
-    return _ap(_ranking(scores, labels, _id_order(ids))[1])
 
 
 def macro_pr_auc(preds: PredictionSet, labels: LabelSet) -> EvalReport:

@@ -58,10 +58,13 @@ def window_starts(frames: int, window: int, hop: int) -> list[int]:
 def check_clip(values: np.ndarray, bins: int, name: str) -> None:
     """Refuse a clip that a model of ``bins`` bins cannot score or train on.
 
-    Checked in order: the model's bin count, at least one frame, and every
-    value finite; the first NaN or inf is named with its (bin, frame) cell.
-    The ValueError starts with ``name``, the caller's name for the clip.
+    Checked in order: a 2-D ``(bins, frames)`` array, the model's bin count,
+    at least one frame, and every value finite; the first NaN or inf is
+    named with its (bin, frame) cell.  The ValueError starts with ``name``,
+    the caller's name for the clip.
     """
+    if values.ndim != 2:
+        raise ValueError(f"{name} has shape {values.shape}, not (bins, frames)")
     if values.shape[0] != bins:
         raise ValueError(f"{name} has {values.shape[0]} frequency bins, the model has {bins}")
     if values.shape[1] == 0:

@@ -483,11 +483,18 @@ def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
 
     The echo is one ``key=value`` line per field, so a key holding ``=`` or
     a newline, or a value holding a newline, is refused before writing, and
-    so is an ``extra`` key that names a config field.
+    so is an ``extra`` key that names a config field.  A list or tuple is
+    written as its items joined by commas, so one that is empty, or holds
+    an item whose text holds a comma, is refused too: it would not read
+    back as itself.
     """
     clash = set(map(str, extra or ())) & set(config_echo(model.config))
     if clash:
         raise ValueError(f"{path}: extra field {min(clash)!r} would overwrite the config echo")
+    for key, value in (extra or {}).items():
+        if isinstance(value, (tuple, list)) and (not value or any("," in str(v) for v in value)):
+            raise ValueError(f"{path}: config echo field {str(key)!r} = {value!r}: a list or "
+                             f"tuple needs at least one item and no item holding ','")
     echo = config_echo(model.config, extra)
     for key, value in echo.items():
         if "=" in key or "\n" in key or "\n" in value:

@@ -1,12 +1,13 @@
 """Analytic receptive-field calculus for layered CNN architectures.
 
-Tracks, per axis (frequency f, time t), the receptive field r and the jump j
-(product of strides) through a chain of layers with optional residual skip
-edges: r_n = r_{n-1} + (k_n - 1) * j_{n-1}, j_n = j_{n-1} * s_n, seeded at
-r = j = 1.  Residual merges take the elementwise maximum over incoming
-paths, and ``min_input`` walks the chain backwards to the smallest input
-per axis.  The calculus is plain Python; its empirical check, gradient
-connectivity through an engine-built arch, lives with the test oracles.
+``compute_rf`` tracks, per axis (frequency f, time t), the receptive field
+r and the jump j (product of strides) through a chain of layers with
+optional residual skip edges: r_n = r_{n-1} + (k_n - 1) * j_{n-1}, j_n =
+j_{n-1} * s_n, seeded at r = j = 1.  Residual merges take the elementwise
+maximum over incoming paths, and ``min_input`` walks the chain backwards to
+the smallest input per axis.  The calculus is plain Python; its empirical
+check, gradient connectivity through an engine-built arch, lives with the
+test oracles.
 
 An ``ArchSpec`` is the one description of an architecture: the layer
 chain, the skips and the channel plan.  ``TemplateConfig`` is the one
@@ -189,22 +190,6 @@ def apply_rho(arch: ArchSpec, rho: int, rho_time: Optional[int] = None) -> ArchS
     return replace(arch, layers=new_layers, skips=list(arch.skips))
 
 
-def max_rho_for_budget(arch: ArchSpec, rf_budget_freq: int,
-                       rho_time: Optional[int] = None) -> int:
-    """Largest rho whose frequency RF stays within the budget (monotone scan)."""
-    floor = compute_rf(apply_rho(arch, 0, rho_time)).rf_freq
-    if rf_budget_freq < floor:
-        raise ValueError(
-            f"budget {rf_budget_freq} is below the rho=0 receptive field {floor}")
-    best = 0
-    for rho in range(1, len(arch.adjustable_layers()) + 1):
-        if compute_rf(apply_rho(arch, rho, rho_time)).rf_freq <= rf_budget_freq:
-            best = rho
-        else:
-            break
-    return best
-
-
 @dataclass
 class TemplateConfig:
     """The CP-ResNet template, every adjustable slot at rho max.
@@ -258,49 +243,3 @@ class TemplateConfig:
                 skips.append((prev, c2))
                 prev = c2
         return ArchSpec(layers=layers, skips=skips, channel_plan=plan)
-
-
-# ---------------------------------------------------------------------------
-# text serialization
-# ---------------------------------------------------------------------------
-
-
-def arch_to_text(arch: ArchSpec) -> str:
-    """One layer per line: ``name kind kf,kt sf,st pf,pt adjustable``."""
-    lines = []
-    if arch.channel_plan:
-        lines.append("channels " + ",".join(str(c) for c in arch.channel_plan))
-    for l in arch.layers:
-        lines.append(f"{l.name} {l.kind} {l.kernel[0]},{l.kernel[1]} "
-                     f"{l.stride[0]},{l.stride[1]} {l.padding[0]},{l.padding[1]} "
-                     f"{1 if l.adjustable else 0}")
-    for src, dst in arch.skips:
-        lines.append(f"skip {src}->{dst}")
-    return "\n".join(lines) + "\n"
-
-
-def arch_from_text(text: str) -> ArchSpec:
-    layers = []
-    skips = []
-    channel_plan = ()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "channels":
-                channel_plan = tuple(int(c) for c in parts[1].split(","))
-            elif parts[0] == "skip":
-                src, dst = parts[1].split("->")
-                skips.append((src, dst))
-            else:
-                name, kind, k, s, p, adj = parts
-                if adj not in ("0", "1"):
-                    raise ValueError(f"adjustable flag must be 0 or 1, got {adj!r}")
-                pair = lambda v: tuple(int(a) for a in v.split(","))
-                layers.append(LayerSpec(name, kind, pair(k), pair(s), pair(p),
-                                        adjustable=adj == "1"))
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from None
-    return ArchSpec(layers=layers, skips=skips, channel_plan=channel_plan)

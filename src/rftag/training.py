@@ -13,7 +13,7 @@ refresh over the training set) as an SWA checkpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,17 +71,6 @@ class TrainConfig:
         if not 0 < self.warmup_start_factor <= 1:
             raise ValueError(f"warmup_start_factor must lie in (0, 1], "
                              f"got {self.warmup_start_factor}")
-
-    def scaled(self, total: int) -> "TrainConfig":
-        """Shrink the schedule proportionally to a reduced epoch count."""
-        w = max(1, round(total * self.warmup_epochs / self.total_epochs))
-        c = max(1, round(total * self.constant_epochs / self.total_epochs))
-        d = max(1, round(total * self.decay_epochs / self.total_epochs))
-        t = total - w - c - d
-        if t < 0:
-            raise ValueError(f"cannot scale schedule down to {total} epochs")
-        return replace(self, total_epochs=total, warmup_epochs=w,
-                       constant_epochs=c, decay_epochs=d, tail_epochs=t)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:

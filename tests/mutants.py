@@ -2,7 +2,7 @@
 
     python tests/mutants.py --seed 7 --per-module 25
     python tests/mutants.py --seed 7 --module evaluation --per-module 40
-    python tests/mutants.py --seed 7 --module evaluation --lines 160-190 --per-module 99
+    python tests/mutants.py --lines evaluation:160-190 --lines dsp:100-120 --per-module 99
 
 Each mutant changes one node of one module's syntax tree:
 
@@ -23,9 +23,11 @@ runs against it with ``-x``.  A mutant is killed when pytest fails or runs
 past ``TIMEOUT``.  The unmutated copy runs first and must pass.  Every
 module under ``src/rftag`` is sampled, or only those named by ``--module``
 (repeatable); a module's sample does not depend on which others are named.
-``--lines START-END`` keeps only the sites whose node starts on a line of
-that span (inclusive) of each named module, and draws the sample from them
-by the same seed rule.
+``--lines MODULE:START-END`` (repeatable) names MODULE too, and keeps only
+the sites of MODULE whose node starts on a line of one of its spans
+(inclusive); the sample is drawn from them by the same seed rule.  A
+module named only by ``--module`` keeps every site.  However many spans and
+modules a run covers, the unmutated copy runs once.
 
 The report gives killed/total per module, then the file, line and change of
 every killed mutant with why it died: the first failing test id as pytest
@@ -100,13 +102,14 @@ def mutate(node: ast.AST, slot) -> str:
 
 
 def line_span(text: str) -> tuple:
-    """``"START-END"`` as the pair (START, END), with 1 <= START <= END."""
-    start, _, end = text.partition("-")
+    """``"MODULE:START-END"`` as (MODULE, START, END), with 1 <= START <= END."""
+    module, _, lines = text.partition(":")
+    start, _, end = lines.partition("-")
     try:
-        span = int(start), int(end)
+        span = module, int(start), int(end)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected START-END, got {text!r}") from None
-    if not 1 <= span[0] <= span[1]:
+        raise argparse.ArgumentTypeError(f"expected MODULE:START-END, got {text!r}") from None
+    if not 1 <= span[1] <= span[2]:
         raise argparse.ArgumentTypeError(f"expected 1 <= START <= END, got {text!r}")
     return span
 
@@ -141,13 +144,18 @@ def main(argv=None) -> int:
     names = sorted(p.stem for p in (ROOT / PACKAGE).glob("*.py") if p.stem != "__init__")
     parser.add_argument("--module", action="append", choices=names, metavar="NAME",
                         help="sample only this module (repeatable); default every module")
-    parser.add_argument("--lines", type=line_span, metavar="START-END",
-                        help="sample only sites on these lines of the named modules")
+    parser.add_argument("--lines", type=line_span, action="append", default=[],
+                        metavar="MODULE:START-END",
+                        help="sample only sites on these lines of MODULE (repeatable)")
     args = parser.parse_args(argv)
-    if args.lines and not args.module:
-        parser.error("--lines needs --module")
-    if args.module:
-        names = [name for name in names if name in args.module]
+    spans = {}
+    for module, start, end in args.lines:
+        if module not in names:
+            parser.error(f"--lines: unknown module {module!r}")
+        spans.setdefault(module, []).append((start, end))
+    chosen = set(args.module or ()) | spans.keys()
+    if chosen:
+        names = [name for name in names if name in chosen]
 
     work = Path(tempfile.mkdtemp(prefix="rftag-mutants-"))
     try:
@@ -168,8 +176,9 @@ def main(argv=None) -> int:
             path = work / PACKAGE / f"{name}.py"
             source = path.read_text()
             found = sites(ast.parse(source))
+            keep = spans.get(name)
             span = [i for i, (node, _) in enumerate(found)
-                    if not args.lines or args.lines[0] <= node.lineno <= args.lines[1]]
+                    if keep is None or any(a <= node.lineno <= b for a, b in keep)]
             picks = sorted(random.Random(f"{args.seed}:{name}").sample(
                 span, min(args.per_module, len(span))))
             killed = 0

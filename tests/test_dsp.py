@@ -79,6 +79,14 @@ class TestLoadWav:
         with pytest.raises(ValueError, match="RIFF"):
             load_wav(p)
 
+    @pytest.mark.parametrize("bad,then", [(np.nan, np.inf), (np.inf, -np.inf), (-np.inf, np.nan)])
+    def test_non_finite_float_sample_names_path_and_index(self, tmp_path, bad, then):
+        p = tmp_path / "f.wav"
+        write_float32(p, [0.0, 0.5, 0.25, bad, then], channels=1)
+        with pytest.raises(ValueError) as err:
+            load_wav(p)
+        assert str(err.value) == f"{p}: data chunk sample 3 is {bad}, not a finite number"
+
     def test_roundtrip_through_writer(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.9, 0.9, 500)

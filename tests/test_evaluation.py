@@ -19,7 +19,6 @@ from rftag.evaluation import (
     PredictionSet,
     ThresholdSet,
     apply_thresholds,
-    average_precision,
     ensemble_average,
     load_predictions,
     macro_pr_auc,
@@ -149,36 +148,6 @@ def sets(ids, scores, labels, tags=None):
             LabelSet(ids=list(ids), tags=list(tags), labels=labels))
 
 
-class TestAveragePrecision:
-    @CHECKS
-    @given(tables(max_tags=1), st.randoms(use_true_random=False))
-    def test_matches_oracle_under_permuted_ids(self, table, rnd):
-        ids, scores, labels = table
-        if not labels[:, 0].any():
-            labels[rnd.randrange(len(ids)), 0] = 1
-        want = brute_force_average_precision(scores[:, 0], labels[:, 0], ids)
-        assert average_precision(scores[:, 0], labels[:, 0], ids) == want
-        perm = list(range(len(ids)))
-        rnd.shuffle(perm)
-        assert average_precision(scores[perm, 0], labels[perm, 0], [ids[i] for i in perm]) == want
-
-    def test_default_ids_break_ties_as_strings(self):
-        # with all scores tied, "10" ranks before "2"
-        scores = np.full(11, 0.5)
-        labels = np.zeros(11, dtype=int)
-        labels[10] = 1
-        assert average_precision(scores, labels) == brute_force_average_precision(scores, labels)
-        assert average_precision(scores, labels) == 1 / 3
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            average_precision([np.nan, 0.2, 0.9], [1, 0, 1])
-
-    def test_no_positive_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            average_precision([0.1, 0.2], [0, 0])
-
-
 class TestRanking:
     @CHECKS
     @given(tables(min_tracks=60, max_tracks=120))
@@ -221,9 +190,14 @@ class TestMacroPrAuc:
         preds, lab = sets(ids, scores, labels)
         perm = list(range(len(ids)))
         rnd.shuffle(perm)
-        shuffled = LabelSet(ids=[ids[i] for i in perm], tags=lab.tags, labels=labels[perm])
+        shuffled_ids = [ids[i] for i in perm]
+        shuffled = LabelSet(ids=shuffled_ids, tags=lab.tags, labels=labels[perm])
+        # the prediction rows permuted too, not only the labels
+        shuffled_preds = PredictionSet(ids=shuffled_ids, tags=preds.tags, scores=scores[perm])
         a, b = macro_pr_auc(preds, lab), macro_pr_auc(preds, shuffled)
-        assert a.ap == b.ap and a.macro_pr_auc == b.macro_pr_auc
+        c = macro_pr_auc(shuffled_preds, lab)
+        assert a.ap == b.ap == c.ap and a.macro_pr_auc == b.macro_pr_auc == c.macro_pr_auc
+        assert a.support == b.support == c.support == labels.sum(axis=0).tolist()
         for j, ap in enumerate(a.ap):
             if labels[:, j].any():
                 assert ap == brute_force_average_precision(scores[:, j], labels[:, j], ids)
@@ -236,6 +210,15 @@ class TestMacroPrAuc:
         assert report.ap == [1.0, None] and report.support == [1, 0]
         assert report.macro_pr_auc == 1.0
 
+    def test_tied_scores_rank_ids_as_strings(self):
+        # with all scores tied, "10" ranks before "2": the positive "10" is third
+        ids = [str(i) for i in range(11)]
+        labels = np.zeros((11, 1), dtype=np.int8)
+        labels[10] = 1
+        report = macro_pr_auc(*sets(ids, np.full((11, 1), 0.5), labels))
+        assert report.ap == [brute_force_average_precision(np.full(11, 0.5), labels[:, 0], ids)]
+        assert report.ap == [1 / 3]
+
     def test_non_finite_score_in_a_tag_without_positives_is_refused(self):
         preds, lab = sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
                           np.array([[1, 0], [0, 0]]), ["x", "y"])
@@ -243,24 +226,6 @@ class TestMacroPrAuc:
         with pytest.raises(ValueError) as err:
             macro_pr_auc(preds, lab)
         assert str(err.value) == "non-finite score nan for track 'b', tag 'y'"
-
-    def test_report_csv(self):
-        # x: the positive ranks first (AP 1); y: no positive; z: the positive ranks second (AP 1/2)
-        scores = np.array([[0.9, 0.1, 0.3], [0.2, 0.8, 0.6], [0.4, 0.5, 0.7]])
-        labels = np.array([[1, 0, 0], [0, 0, 1], [0, 0, 0]])
-        report = macro_pr_auc(*sets(["a", "b", "c"], scores, labels, ["x", "y", "z"]))
-        assert report.as_csv() == ("tag,ap,positives\n"
-                                   "x,1.000000,1\n"
-                                   "y,,0\n"
-                                   "z,0.500000,1\n"
-                                   "macro_pr_auc=0.750000\n")
-
-    @pytest.mark.parametrize("bad", ["x,y", "x\ny"])
-    def test_report_csv_refuses_a_tag_it_cannot_hold(self, bad):
-        report = macro_pr_auc(*sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
-                                    np.array([[1, 0], [0, 1]]), [bad, "z"]))
-        with pytest.raises(ValueError, match=re.escape(f"tag {bad!r} holds a comma or a newline")):
-            report.as_csv()
 
     def test_rejects_id_mismatch(self):
         preds, _ = sets(["a", "b"], np.array([[0.1], [0.2]]), np.array([[1], [0]]))

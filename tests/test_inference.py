@@ -232,6 +232,12 @@ class TestCheckClip:
             check_clip(np.zeros((bins, 0), dtype=np.float32), bins, "clip 'x'")
         assert str(err.value) == "clip 'x' has 0 frames"
 
+    @pytest.mark.parametrize("shape", [(BINS,), (5,), (BINS, 4, 2)], ids=["1-d", "1-d-bins", "3-d"])
+    def test_refuses_a_clip_that_is_not_2d_before_any_other_check(self, shape):
+        with pytest.raises(ValueError) as err:
+            check_clip(np.zeros(shape, dtype=np.float32), BINS, "clip 'x'")
+        assert str(err.value) == f"clip 'x' has shape {shape}, not (bins, frames)"
+
 
 class TestZeroFrames:
     def test_tile_and_crop_name_the_frame_count(self):

@@ -646,6 +646,16 @@ class TestCheckpoint:
             save_checkpoint(p, build_model(tiny_config()), extra=extra)
         assert not p.exists()
 
+    @pytest.mark.parametrize("tags", [["a,b", "c"], ("a", "b,c"), []],
+                             ids=["comma-in-list-item", "comma-in-tuple-item", "empty-list"])
+    def test_list_that_would_not_read_back_as_itself_is_refused(self, tmp_path, tags):
+        p = tmp_path / "l.ckpt"
+        with pytest.raises(ValueError) as err:
+            save_checkpoint(p, build_model(tiny_config()), extra={"tags": tags})
+        assert str(err.value) == (f"{p}: config echo field 'tags' = {tags!r}: a list or tuple "
+                                  f"needs at least one item and no item holding ','")
+        assert not p.exists()
+
     @pytest.mark.parametrize("extra,key", [
         ({"seed": "9", "input_bins": "40", "tags": "a"}, "input_bins"),
         ({"template.n_stages": 1}, "template.n_stages"),

@@ -12,10 +12,7 @@ from rftag.rf import (
     LayerSpec,
     TemplateConfig,
     apply_rho,
-    arch_from_text,
-    arch_to_text,
     compute_rf,
-    max_rho_for_budget,
 )
 
 from oracles import chain_receptive_field, empirical_rf
@@ -82,6 +79,37 @@ class TestComputeRf:
         report = compute_rf(arch)
         assert report.rf_freq == 7
 
+    def test_axis_independence(self):
+        # changing only time kernels leaves frequency RF unchanged
+        a1 = chain(LayerSpec("c1", "conv", (3, 3), (1, 1), (1, 1)),
+                   LayerSpec("c2", "conv", (3, 3), (1, 1), (1, 1)))
+        a2 = ArchSpec(layers=[LayerSpec("c1", "conv", (3, 7), (1, 1), (1, 3)),
+                              LayerSpec("c2", "conv", (3, 1), (1, 1), (1, 0))])
+        assert compute_rf(a1).rf_freq == compute_rf(a2).rf_freq
+        assert compute_rf(a1).rf_time != compute_rf(a2).rf_time
+
+
+class TestLayerSpec:
+    def test_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match=r"layer b1: unknown kind 'block_entry'"):
+            LayerSpec("b1", "block_entry")
+
+    def test_adjustable_pool_is_refused(self):
+        with pytest.raises(ValueError, match="layer p1: only a conv can be adjustable, not a pool"):
+            LayerSpec("p1", "pool", (2, 2), (2, 2), adjustable=True)
+
+    @pytest.mark.parametrize("geometry,what", [
+        (dict(kernel=(3,)), "kernel"), (dict(kernel=(3, 3, 3)), "kernel"),
+        (dict(kernel=(0, 3)), "kernel"), (dict(stride=(1,)), "stride"),
+        (dict(stride=(1, 0)), "stride"), (dict(padding=(-1, 0)), "padding"),
+        (dict(padding=(1,)), "padding"),
+    ], ids=["kernel-short", "kernel-long", "kernel-0", "stride-short", "stride-0", "padding-neg",
+            "padding-short"])
+    def test_bad_geometry_names_the_layer(self, geometry, what):
+        with pytest.raises(ValueError, match=rf"layer c1: {what} must be a \(freq, time\) pair"):
+            LayerSpec("c1", "conv", **{"kernel": (3, 3), "stride": (1, 1), "padding": (1, 1),
+                                       **geometry})
+
 
 class TestEmpiricalRf:
     def test_single_conv(self):
@@ -129,7 +157,7 @@ class TestRhoSizing:
     def test_rho_max_is_identity(self):
         tpl = self.template()
         arch = apply_rho(tpl, len(tpl.adjustable_layers()))
-        assert arch_to_text(arch) == arch_to_text(tpl)
+        assert arch == tpl
 
     def test_rho_zero_all_freq_kernels_one(self):
         tpl = self.template()
@@ -186,33 +214,6 @@ class TestRhoSizing:
             apply_rho(tpl, len(tpl.adjustable_layers()) + 1)
 
 
-class TestBudgetSearch:
-    def test_floor_case(self):
-        tpl = TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8)).make()
-        floor = compute_rf(apply_rho(tpl, 0)).rf_freq
-        assert max_rho_for_budget(tpl, floor) == 0
-
-    def test_ceiling_case(self):
-        tpl = TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8)).make()
-        assert max_rho_for_budget(tpl, 10 ** 9) == len(tpl.adjustable_layers())
-
-    def test_below_floor_rejected(self):
-        tpl = TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(4, 8)).make()
-        floor = compute_rf(apply_rho(tpl, 0)).rf_freq
-        with pytest.raises(ValueError, match=str(floor)):
-            max_rho_for_budget(tpl, floor - 1)
-
-    def test_maximality_exhaustive(self):
-        tpl = TemplateConfig(n_stages=3, blocks_per_stage=2, channel_plan=(4, 8, 8)).make()
-        rfs = [compute_rf(apply_rho(tpl, rho)).rf_freq
-               for rho in range(len(tpl.adjustable_layers()) + 1)]
-        for budget in range(rfs[0], rfs[-1] + 5):
-            rho = max_rho_for_budget(tpl, budget)
-            assert rfs[rho] <= budget
-            if rho < len(tpl.adjustable_layers()):
-                assert rfs[rho + 1] > budget
-
-
 class TestDefaultTemplate:
     def test_shape_of_default(self):
         tpl = TemplateConfig().make()
@@ -252,55 +253,6 @@ class TestReportTable:
         assert lines[-1] == (f"final receptive field: freq={report.rf_freq} "
                              f"time={report.rf_time}")
         assert lines[-1] == "final receptive field: freq=13 time=349"
-
-
-class TestArchText:
-    def test_roundtrip(self):
-        tpl = TemplateConfig(n_stages=2, blocks_per_stage=2, channel_plan=(8, 16)).make()
-        arch = apply_rho(tpl, 2)
-        text = arch_to_text(arch)
-        back = arch_from_text(text)
-        assert arch_to_text(back) == text
-        assert compute_rf(back).rf_freq == compute_rf(arch).rf_freq
-
-    def test_parse_error_names_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            arch_from_text("channels 32\nnot a valid layer line at all extra\n")
-
-    def test_marker_kind_names_line(self):
-        text = "channels 32\nc1 conv 3,3 1,1 1,1 0\nb1 block_entry 1,1 1,1 0,0 0\n"
-        with pytest.raises(ValueError, match=r"line 3: .*unknown kind 'block_entry'"):
-            arch_from_text(text)
-
-    def test_adjustable_pool_names_line(self):
-        text = "c1 conv 3,3 1,1 1,1 1\np1 pool 2,2 2,2 0,0 1\n"
-        with pytest.raises(ValueError, match=r"line 2: .*only a conv can be adjustable"):
-            arch_from_text(text)
-
-    @pytest.mark.parametrize("flag", ["2", "Fasle", "true", "-1"])
-    def test_adjustable_flag_must_be_0_or_1(self, flag):
-        with pytest.raises(ValueError, match=f"line 2: .*adjustable flag must be 0 or 1, "
-                                             f"got '{flag}'"):
-            arch_from_text(f"channels 8\nc1 conv 3,3 1,1 1,1 {flag}\n")
-
-    @pytest.mark.parametrize("fields,what", [
-        ("3 1,1 1,1", "kernel"), ("3,3,3 1,1 1,1", "kernel"), ("0,3 1,1 1,1", "kernel"),
-        ("3,3 1 1,1", "stride"), ("3,3 1,0 1,1", "stride"),
-        ("3,3 1,1 -1,0", "padding"), ("3,3 1,1 1", "padding"),
-    ])
-    def test_bad_geometry_names_line_and_layer(self, fields, what):
-        with pytest.raises(ValueError, match=rf"line 1: .*layer c1: {what} must be a "
-                                             rf"\(freq, time\) pair"):
-            arch_from_text(f"c1 conv {fields} 0\n")
-
-    def test_axis_independence(self):
-        # changing only time kernels leaves frequency RF unchanged
-        a1 = chain(LayerSpec("c1", "conv", (3, 3), (1, 1), (1, 1)),
-                   LayerSpec("c2", "conv", (3, 3), (1, 1), (1, 1)))
-        a2 = ArchSpec(layers=[LayerSpec("c1", "conv", (3, 7), (1, 1), (1, 3)),
-                              LayerSpec("c2", "conv", (3, 1), (1, 1), (1, 0))])
-        assert compute_rf(a1).rf_freq == compute_rf(a2).rf_freq
-        assert compute_rf(a1).rf_time != compute_rf(a2).rf_time
 
 
 def test_calculus_imports_neither_numpy_nor_the_engine():

@@ -74,26 +74,6 @@ class TestSchedule:
         with pytest.raises(ValueError, match="total_epochs"):
             TrainConfig(total_epochs=100)
 
-    def test_scaled_schedule(self):
-        cfg = TrainConfig().scaled(30)
-        assert cfg.total_epochs == 30
-        total = cfg.warmup_epochs + cfg.constant_epochs + cfg.decay_epochs + cfg.tail_epochs
-        assert total == 30
-        assert lr_at(cfg.warmup_epochs, cfg) == cfg.lr_peak
-
-        def segments(c):
-            return c.warmup_epochs, c.constant_epochs, c.decay_epochs, c.tail_epochs
-
-        assert segments(cfg) == (2, 9, 8, 11)
-        # every segment but the tail keeps at least one epoch
-        assert segments(TrainConfig().scaled(4)) == (1, 1, 1, 1)
-        assert segments(TrainConfig().scaled(3)) == (1, 1, 1, 0)
-        short = TrainConfig(total_epochs=100, warmup_epochs=1, constant_epochs=1,
-                            decay_epochs=1, tail_epochs=97)
-        assert segments(short.scaled(10)) == (1, 1, 1, 7)
-        with pytest.raises(ValueError, match="cannot scale schedule down to 2 epochs"):
-            TrainConfig().scaled(2)
-
 
 class TestMixup:
     def batch(self, n=4, seed=0):
