@@ -87,6 +87,20 @@ class TestLoadWav:
             load_wav(p)
         assert str(err.value) == f"{p}: data chunk sample 3 is {bad}, not a finite number"
 
+    def test_non_finite_sample_is_named_by_its_interleaved_index(self, tmp_path):
+        p = tmp_path / "st.wav"
+        write_float32(p, [0.0, 0.5, 0.25, np.inf], channels=2)  # the second frame's R
+        with pytest.raises(ValueError) as err:
+            load_wav(p)
+        assert str(err.value) == f"{p}: data chunk sample 3 is inf, not a finite number"
+
+    def test_finite_float_extremes_load_exactly(self, tmp_path):
+        p = tmp_path / "e.wav"
+        f32 = np.finfo(np.float32)
+        x = np.array([f32.max, -f32.max, f32.smallest_subnormal, -2.5, 0.0], dtype=np.float32)
+        write_float32(p, x)
+        np.testing.assert_array_equal(load_wav(p).samples, x.astype(np.float64))
+
     def test_roundtrip_through_writer(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.uniform(-0.9, 0.9, 500)

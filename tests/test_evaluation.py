@@ -227,6 +227,22 @@ class TestMacroPrAuc:
             macro_pr_auc(preds, lab)
         assert str(err.value) == "non-finite score nan for track 'b', tag 'y'"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_in_a_tag_with_positives_is_refused(self, bad):
+        preds, lab = sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
+                          np.array([[1, 0], [0, 1]]), ["x", "y"])
+        preds.scores[0, 0] = bad   # written after PredictionSet checked it
+        with pytest.raises(ValueError) as err:
+            macro_pr_auc(preds, lab)
+        assert str(err.value) == f"non-finite score {bad} for track 'a', tag 'x'"
+
+    def test_no_tag_with_a_positive_is_refused(self):
+        preds, lab = sets(["a", "b"], np.array([[0.9, 0.1], [0.2, 0.8]]),
+                          np.zeros((2, 2), dtype=np.int8), ["x", "y"])
+        with pytest.raises(ValueError) as err:
+            macro_pr_auc(preds, lab)
+        assert str(err.value) == "no tag has a positive label; macro PR-AUC undefined"
+
     def test_rejects_id_mismatch(self):
         preds, _ = sets(["a", "b"], np.array([[0.1], [0.2]]), np.array([[1], [0]]))
         other = LabelSet(ids=["a", "c"], tags=preds.tags, labels=np.array([[1], [0]]))

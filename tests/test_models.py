@@ -656,6 +656,15 @@ class TestCheckpoint:
                                   f"needs at least one item and no item holding ','")
         assert not p.exists()
 
+    @pytest.mark.parametrize("tags,text", [
+        (["a", "b"], "a,b"), (("a", "b"), "a,b"), (["a"], "a"), ("a,b,c", "a,b,c"),
+    ], ids=["list", "tuple", "one-item", "str-with-commas"])
+    def test_value_that_reads_back_as_itself_is_written_as_its_text(self, tmp_path, tags, text):
+        p = tmp_path / "ok.ckpt"
+        save_checkpoint(p, build_model(tiny_config()), extra={"tags": tags})
+        _, _, echo = read_checkpoint(p)
+        assert echo["tags"] == text
+
     @pytest.mark.parametrize("extra,key", [
         ({"seed": "9", "input_bins": "40", "tags": "a"}, "input_bins"),
         ({"template.n_stages": 1}, "template.n_stages"),
