@@ -80,7 +80,7 @@ from typing import Optional
 import numpy as np
 
 from .inference import check_clip, predict_scores
-from .models import Model, check_echo_text, echo_field, load_model
+from .models import Model, echo_field, load_model
 
 
 def _unique(kind: str, names: list) -> list:
@@ -114,8 +114,7 @@ class LabelSet:
 
     def __post_init__(self):
         _check_table(self.ids, self.tags, self.labels, "labels")
-        if not np.isin(self.labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
+        _refuse_cell(self, self.labels, ~np.isin(self.labels, (0, 1)), "labels must be 0 or 1, got")
 
 
 @dataclass
@@ -141,8 +140,8 @@ class PredictionSet:
     def __post_init__(self):
         _check_table(self.ids, self.tags, self.scores, "scores")
         _check_finite(self)
-        if np.any(self.scores < 0) or np.any(self.scores > 1):
-            raise ValueError("scores must lie in [0, 1]")
+        _refuse_cell(self, self.scores, (self.scores < 0) | (self.scores > 1),
+                     "scores must lie in [0, 1], got")
 
 
 @dataclass
@@ -154,12 +153,17 @@ class EvalReport:
     skipped: list       # tags with no positives
 
 
+def _refuse_cell(table, values, bad, what: str) -> None:
+    """Refuse ``what`` if a cell of ``values`` is ``bad``, naming the first by track and tag."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(f"{what} {values[i][j]} for track {table.ids[i]!r}, "
+                         f"tag {table.tags[j]!r}")
+
+
 def _check_finite(preds: PredictionSet) -> None:
     """Refuse a NaN or inf score, naming the first by track and tag."""
-    if not np.isfinite(preds.scores).all():
-        i, j = np.argwhere(~np.isfinite(preds.scores))[0]
-        raise ValueError(f"non-finite score {preds.scores[i, j]} for track "
-                         f"{preds.ids[i]!r}, tag {preds.tags[j]!r}")
+    _refuse_cell(preds, preds.scores, ~np.isfinite(preds.scores), "non-finite score")
 
 
 def _id_order(ids) -> np.ndarray:
@@ -268,7 +272,6 @@ def _run_metadata(path, echo: dict, model: Model) -> tuple:
         value = echo_field(echo, key, parse, section)
         if not usable(value):
             raise ValueError(f"{section} field {key!r} {need}, got {echo[key]!r}")
-        check_echo_text(echo, {key: value}, section)
         return value
 
     frames = model.min_input[1]

@@ -58,11 +58,14 @@ def window_starts(frames: int, window: int, hop: int) -> list[int]:
 def check_clip(values: np.ndarray, bins: int, name: str) -> None:
     """Refuse a clip that a model of ``bins`` bins cannot score or train on.
 
-    Checked in order: a 2-D ``(bins, frames)`` array, the model's bin count,
-    at least one frame, and every value finite; the first NaN or inf is
-    named with its (bin, frame) cell.  The ValueError starts with ``name``,
-    the caller's name for the clip.
+    Checked in order: a numpy array of real numbers, 2-D ``(bins, frames)``,
+    the model's bin count, at least one frame, and every value finite; the
+    first NaN or inf is named with its (bin, frame) cell.  The ValueError
+    starts with ``name``, the caller's name for the clip.
     """
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "iuf":
+        held = f"dtype {values.dtype}" if isinstance(values, np.ndarray) else type(values).__name__
+        raise ValueError(f"{name} is not a numpy array of real numbers: {held}")
     if values.ndim != 2:
         raise ValueError(f"{name} has shape {values.shape}, not (bins, frames)")
     if values.shape[0] != bins:

@@ -52,10 +52,10 @@ A checkpoint's config echo is one ``key=value`` line per field, in sorted
 key order.  Every value, a config field's or an ``extra`` one's, is written
 as ``_echo_text`` renders it: ``none`` for None, the items joined by commas
 for a tuple or list, and ``str`` of anything else.  ``echo_field`` is the
-one reader of a field: it names a missing field and a parse error.  An echo
-loads only as that text: ``read_checkpoint`` refuses lines that are not the
-ones written for the dict they read as, and ``check_echo_text`` a field
-whose text is not the written text of its parsed value.
+one reader of a field: it names a missing field, a parse error and a text
+that is not the written text of its parsed value.  So an echo loads only as
+that text: ``read_checkpoint`` refuses lines that are not the ones written
+for the dict they read as, and ``echo_field`` each field's text.
 """
 
 from __future__ import annotations
@@ -331,13 +331,18 @@ class Model:
 
 
 def _check_entries(section: str, arrays: dict, shapes: dict) -> None:
-    """``arrays`` must hold exactly the entries named in ``shapes``, each of its shape."""
+    """``arrays`` must hold exactly the entries named in ``shapes``, each of
+    its shape, finite, and for a ``.var`` entry not negative."""
     for name, shape in shapes.items():
         if name not in arrays:
             raise ValueError(f"{section} entry {name!r} is missing")
         if arrays[name].shape != shape:
             raise ValueError(f"{section} entry {name!r}: shape {arrays[name].shape} "
                              f"!= model shape {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{section} entry {name!r} holds a non-finite value")
+        if name.endswith(".var") and (arrays[name] < 0).any():
+            raise ValueError(f"{section} entry {name!r} holds a negative variance")
     for name in arrays:
         if name not in shapes:
             raise ValueError(f"{section} entry {name!r} is not in the model")
@@ -413,17 +418,11 @@ def _echo_text(value) -> str:
     return str(value)
 
 
-def _echo_bool(text: str) -> bool:
-    if text not in ("True", "False"):
-        raise ValueError(f"expected True or False, got {text!r}")
-    return text == "True"
-
-
 # annotation of a config field -> parser of its echo text
 _ECHO_PARSERS = {
     "int": int,
     "Optional[int]": lambda text: None if text == "none" else int(text),
-    "bool": _echo_bool,
+    "bool": lambda text: text == "True",
     "tuple": lambda text: tuple(int(v) for v in text.split(",")),
 }
 
@@ -448,24 +447,19 @@ def config_echo(config: ModelConfig, extra: Optional[dict] = None) -> dict:
 
 
 def echo_field(echo: dict, key: str, parse, section: str = "config echo"):
-    """``parse`` of the text of field ``key``; a missing field or a parse
-    error is refused with a ValueError naming ``section`` and the field."""
+    """``parse`` of the text of field ``key``; a missing field, a parse error
+    or a text other than ``_echo_text`` of the parsed value is refused with a
+    ValueError naming ``section`` and the field."""
     if key not in echo:
         raise ValueError(f"{section} has no field {key!r}")
     try:
-        return parse(echo[key])
+        value = parse(echo[key])
     except ValueError as exc:
         raise ValueError(f"{section} field {key!r}: {exc}") from None
-
-
-def check_echo_text(echo: dict, values: dict, section: str = "config echo") -> None:
-    """Refuse an echo in which the text of a field of ``values`` is not the
-    text the writer gives that field's value, naming ``section`` and the
-    field.  A value that is already text is its own written text."""
-    for key, value in values.items():
-        if echo[key] != _echo_text(value):
-            raise ValueError(f"{section} field {key!r}: {echo[key]!r} is not the written "
-                             f"text {_echo_text(value)!r} of its value")
+    if echo[key] != _echo_text(value):
+        raise ValueError(f"{section} field {key!r}: {echo[key]!r} is not the written "
+                         f"text {_echo_text(value)!r} of its value")
+    return value
 
 
 def config_from_echo(echo: dict) -> ModelConfig:
@@ -473,9 +467,7 @@ def config_from_echo(echo: dict) -> ModelConfig:
     for key, f in _echo_fields():
         owner = template if key.startswith("template.") else top
         owner[f.name] = echo_field(echo, key, _ECHO_PARSERS[f.type])
-    config = ModelConfig(template=TemplateConfig(**template), **top)
-    check_echo_text(echo, config_echo(config))
-    return config
+    return ModelConfig(template=TemplateConfig(**template), **top)
 
 
 def save_checkpoint(path, model: Model, extra: Optional[dict] = None) -> None:
@@ -544,21 +536,14 @@ def read_checkpoint(path) -> tuple[dict, dict, dict]:
 def load_model(path) -> tuple[Model, dict]:
     """Rebuild the model a checkpoint describes; returns (model, echo).
 
-    A checkpoint whose entries differ from the model's in name or shape, or
-    that holds a non-finite value or a negative variance, is refused with a
-    ValueError naming the path and the entry.
+    An echo field that ``echo_field`` refuses, or an entry that
+    ``_check_entries`` refuses, raises a ValueError naming the path too.
     """
     params, bn, echo = read_checkpoint(path)
     try:
         model = Model(config_from_echo(echo))
         model.load_state_arrays(params)
         model.load_bn_arrays(bn)
-        for section, arrays in (("parameter", params), ("batchnorm", bn)):
-            for name, arr in arrays.items():
-                if not np.isfinite(arr).all():
-                    raise ValueError(f"{section} entry {name!r} holds a non-finite value")
-                if name.endswith(".var") and (arr < 0).any():
-                    raise ValueError(f"{section} entry {name!r} holds a negative variance")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, echo

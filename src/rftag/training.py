@@ -108,7 +108,7 @@ def mixup_batch(x: Tensor, y: Tensor, alpha: float, rng: np.random.Generator):
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"mixup needs a batch of at least 2, got {n}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError(f"mixup alpha must be positive, got {alpha}")
     lam = float(rng.beta(alpha, alpha))
     perm = rng.permutation(n)
@@ -164,7 +164,8 @@ class TaggedClip:
 
 
 def normalization_stats(clips: list) -> tuple[float, float]:
-    """Global scalar mean/std of the training split's spectrogram values."""
+    """Global scalar mean/std of the training split's spectrogram values;
+    ``clips`` that hold no value are refused."""
     total = 0.0
     total_sq = 0.0
     count = 0
@@ -173,6 +174,8 @@ def normalization_stats(clips: list) -> tuple[float, float]:
         total += v.sum()
         total_sq += (v * v).sum()
         count += v.size
+    if not count:
+        raise ValueError(f"clips hold no values to normalize by ({len(clips)} clips)")
     mean = total / count
     var = max(total_sq / count - mean * mean, 1e-12)
     return float(mean), float(math.sqrt(var))
@@ -205,6 +208,8 @@ def refresh_bn_statistics(model: Model, clips: list, crop_frames: int,
     """
     if not clips:
         raise ValueError("refreshing batch-norm statistics needs at least one clip")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     for clip in clips:
         check_clip(clip.values, model.config.input_bins, f"track {clip.track_id!r}")
     rng = np.random.default_rng(seed)
@@ -240,12 +245,14 @@ def train(model: Model, train_clips: list, val_clips: list, tags: list,
     named by split, track and tag), ``crop_frames`` must reach the model's
     ``min_input`` frames, every clip must pass ``check_clip`` for its
     ``input_bins``, and the validation split must form a ``LabelSet``.  A
-    tag may not hold a comma, a tab or a newline.  A non-finite loss aborts
-    with the epoch and batch index.
+    tag must be a ``str`` holding no comma, tab or newline.  A non-finite
+    loss aborts with the epoch and batch index.
     """
     if not train_clips or not val_clips:
         raise ValueError("training and validation splits must be non-empty")
     for tag in tags:
+        if not isinstance(tag, str):
+            raise ValueError(f"tag {tag!r} is not a str")
         for sep, role in ((",", "separates tags in a checkpoint"),
                           ("\t", "separates prediction TSV cells"), ("\n", "ends a line")):
             if sep in tag:

@@ -3,6 +3,7 @@
     python tests/mutants.py --seed 7 --per-module 25
     python tests/mutants.py --seed 7 --module evaluation --per-module 40
     python tests/mutants.py --lines evaluation:160-190 --lines dsp:100-120 --per-module 99
+    python tests/mutants.py --diff HEAD~1 --per-module 99
 
 Each mutant changes one node of one module's syntax tree:
 
@@ -26,8 +27,12 @@ module under ``src/rftag`` is sampled, or only those named by ``--module``
 ``--lines MODULE:START-END`` (repeatable) names MODULE too, and keeps only
 the sites of MODULE whose node starts on a line of one of its spans
 (inclusive); the sample is drawn from them by the same seed rule.  A
-module named only by ``--module`` keeps every site.  However many spans and
-modules a run covers, the unmutated copy runs once.
+module named only by ``--module`` keeps every site.  ``--diff REV`` adds
+one span per run of lines that ``git diff -U0 REV -- src/rftag`` adds or
+changes in a module (the working tree against REV); a hunk that only
+deletes lines adds none, and a run whose diff changes no module line
+samples nothing.  However many spans and modules a run covers, the
+unmutated copy runs once.
 
 The report gives killed/total per module, then the file, line and change of
 every killed mutant with why it died: the first failing test id as pytest
@@ -114,6 +119,24 @@ def line_span(text: str) -> tuple:
     return span
 
 
+def diff_spans(text: str) -> list:
+    """(MODULE, START, END) of the new-side lines of every hunk of a
+    ``git diff -U0`` text, for each file under ``src/rftag``: a header
+    ``@@ -a,b +START,COUNT @@`` (COUNT 1 when left out) spans START to
+    START + COUNT - 1, and a COUNT of 0 (a deletion) spans nothing."""
+    spans, module = [], None
+    for line in text.splitlines():
+        if line.startswith("+++ "):
+            path = Path(line[4:].removeprefix("b/"))
+            module = path.stem if path.parent == PACKAGE and path.suffix == ".py" else None
+        elif line.startswith("@@ ") and module:
+            start, _, count = line.split()[2].removeprefix("+").partition(",")
+            start, count = int(start), int(count or 1)
+            if count:
+                spans.append((module, start, start + count - 1))
+    return spans
+
+
 def tier1(work: Path) -> tuple:
     """(why tier-1 with -x failed in ``work``, or None if it passed; seconds).
 
@@ -147,14 +170,27 @@ def main(argv=None) -> int:
     parser.add_argument("--lines", type=line_span, action="append", default=[],
                         metavar="MODULE:START-END",
                         help="sample only sites on these lines of MODULE (repeatable)")
+    parser.add_argument("--diff", metavar="REV",
+                        help="sample only sites on the module lines changed since REV")
     args = parser.parse_args(argv)
     spans = {}
     for module, start, end in args.lines:
         if module not in names:
             parser.error(f"--lines: unknown module {module!r}")
         spans.setdefault(module, []).append((start, end))
+    if args.diff is not None:
+        proc = subprocess.run(["git", "diff", "-U0", "--no-color", "--no-ext-diff",
+                               "--src-prefix=a/", "--dst-prefix=b/", args.diff, "--",
+                               str(PACKAGE)], cwd=ROOT, capture_output=True, text=True)
+        if proc.returncode:
+            parser.error(f"--diff: git diff {args.diff} failed: {proc.stderr.strip()}")
+        changed = [span for span in diff_spans(proc.stdout) if span[0] in names]
+        for module, start, end in changed:
+            spans.setdefault(module, []).append((start, end))
+        print(f"--diff {args.diff}: " + (" ".join(f"{m}:{a}-{b}" for m, a, b in changed)
+                                         or "no module line changed"), flush=True)
     chosen = set(args.module or ()) | spans.keys()
-    if chosen:
+    if chosen or args.diff is not None:
         names = [name for name in names if name in chosen]
 
     work = Path(tempfile.mkdtemp(prefix="rftag-mutants-"))

@@ -281,6 +281,16 @@ class TestLabelSet:
         with pytest.raises(ValueError, match="0 or 1"):
             LabelSet(ids=["a", "b"], tags=["x"], labels=np.array([[1], [2]]))
 
+    @pytest.mark.parametrize("labels, cell", [
+        (np.array([[1, 0], [0, 2]]), "2 for track 'b', tag 'y'"),
+        (np.array([[1, -1], [0.5, 1]]), "-1.0 for track 'a', tag 'y'"),
+        ([[1, 0], [3, 1]], "3 for track 'b', tag 'x'"),
+    ], ids=["two", "first-in-row-order", "nested-list"])
+    def test_label_other_than_0_or_1_is_named_by_track_and_tag(self, labels, cell):
+        with pytest.raises(ValueError) as err:
+            LabelSet(ids=["a", "b"], tags=["x", "y"], labels=labels)
+        assert str(err.value) == f"labels must be 0 or 1, got {cell}"
+
     @pytest.mark.parametrize("ids, tags, name", [
         (["a", 2, 3], ["x"], "track id 2"),
         (["a", "b", "c"], ["x", None], "tag None"),
@@ -299,6 +309,15 @@ class TestPredictionSet:
     def test_infinity_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             PredictionSet(ids=["a"], tags=["x"], scores=np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("scores, cell", [
+        ([[0.1, 0.2], [1.5, 0.3]], "1.5 for track 'b', tag 'x'"),
+        ([[0.0, -0.25], [1.0, 2.0]], "-0.25 for track 'a', tag 'y'"),
+    ], ids=["above-one", "first-in-row-order"])
+    def test_score_outside_0_1_is_named_by_track_and_tag(self, scores, cell):
+        with pytest.raises(ValueError) as err:
+            PredictionSet(ids=["a", "b"], tags=["x", "y"], scores=np.array(scores))
+        assert str(err.value) == f"scores must lie in [0, 1], got {cell}"
 
     @pytest.mark.parametrize("ids, tags, name", [
         ([1, 2], ["x"], "track id 1"),
@@ -614,8 +633,8 @@ READER_FILES = [
     pytest.param(HEADER + "a\t1e-01\t0.200000\n", "cells", None, id="exponent"),
     pytest.param(HEADER + "a\tnan\t0.200000\n", "cells",
                  ": non-finite score nan for track 'a', tag 'x'", id="nan"),
-    pytest.param(HEADER + "a\t1.5\t0.200000\n", "cells", ": scores must lie in [0, 1]",
-                 id="1.5"),
+    pytest.param(HEADER + "a\t1.5\t0.200000\n", "cells",
+                 ": scores must lie in [0, 1], got 1.5 for track 'a', tag 'x'", id="1.5"),
     pytest.param(HEADER + "a\t0.1234567\t0.200000\n", "cells", None, id="seven-digits"),
     pytest.param(HEADER + "a\t0.100000\t0.200000\nb\t0.300000\n", "cells",
                  ":3: expected 3 columns, got 2", id="short-line"),

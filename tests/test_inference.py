@@ -232,6 +232,22 @@ class TestCheckClip:
             check_clip(np.zeros((bins, 0), dtype=np.float32), bins, "clip 'x'")
         assert str(err.value) == "clip 'x' has 0 frames"
 
+    @pytest.mark.parametrize("values, held", [
+        ([[0.0] * 4] * BINS, "list"),
+        ((1.0, 2.0), "tuple"),
+        (np.zeros((BINS, 4), dtype=object), "dtype object"),
+        (np.zeros((BINS, 4), dtype=np.complex64), "dtype complex64"),
+        (np.full((BINS, 4), "0"), "dtype <U1"),
+    ], ids=["nested-list", "tuple", "object", "complex", "str"])
+    def test_refuses_what_is_not_an_array_of_real_numbers_first(self, values, held):
+        with pytest.raises(ValueError) as err:
+            check_clip(values, BINS, "clip 'x'")
+        assert str(err.value) == f"clip 'x' is not a numpy array of real numbers: {held}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.uint8])
+    def test_real_dtypes_are_accepted(self, dtype):
+        assert check_clip(np.zeros((BINS, 4), dtype=dtype), BINS, "clip 'x'") is None
+
     @pytest.mark.parametrize("shape", [(BINS,), (5,), (BINS, 4, 2)], ids=["1-d", "1-d-bins", "3-d"])
     def test_refuses_a_clip_that_is_not_2d_before_any_other_check(self, shape):
         with pytest.raises(ValueError) as err:

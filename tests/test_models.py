@@ -532,15 +532,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("old,new,message", [
         (b"rho=2", b"rho=x", "config echo field 'rho': invalid literal for int()"),
-        (b"frequency_aware=False", b"frequency_aware=Fakse",
-         "config echo field 'frequency_aware': expected True or False, got 'Fakse'"),
         (b"rho=2", b"rho=\xff", "'utf-8' codec can't decode byte 0xff"),
         (b"template.time_kernel=3", b"template.time_kernel=2",
          "time_kernel must be odd and >= 1, got 2"),
-        (b"input_bins=32", b"input_bins=00", "input_bins must be >= 1, got 0"),
-        (b"input_bins=32", b"input_bins=02",
-         "input_bins must be >= 3, the bins the stride plan needs, got 2"),
-    ], ids=["int", "bool", "utf8", "time-kernel", "input-bins", "input-bins-pool1"])
+        (b"input_bins=32", b"input_bins=-1", "input_bins must be >= 1, got -1"),
+    ], ids=["int", "utf8", "time-kernel", "input-bins"])
     def test_bad_echo_value_names_path_and_field(self, tmp_path, old, new, message):
         p = tmp_path / "v.ckpt"
         save_checkpoint(p, build_model(tiny_config()))
@@ -584,14 +580,32 @@ class TestCheckpoint:
         assert str(err.value) == (f"{p}: config echo line {i + 1} {lines[i]!r} is not as "
                                   f"written: one key=value line per field, in sorted key order")
 
+    @staticmethod
+    def with_echo_value(tmp_path, key, text):
+        """A tiny checkpoint whose echo field ``key`` holds ``text``."""
+        p, _ = TestCheckpoint.with_echo_lines(tmp_path, lambda lines: [
+            f"{key}={text}" if line.startswith(f"{key}=") else line for line in lines])
+        return p
+
+    def test_config_refusal_of_a_value_as_written_names_path(self, tmp_path):
+        p = self.with_echo_value(tmp_path, "input_bins", "2")
+        with pytest.raises(ValueError) as err:
+            load_model(p)
+        assert str(err.value) == (f"{p}: input_bins must be >= 3, the bins the stride plan "
+                                  f"needs, got 2")
+
     @pytest.mark.parametrize("key,text,written", [
         ("input_bins", "+032", "32"),
         ("input_bins", " 32", "32"),
         ("template.channel_plan", "4, 6", "4,6"),
-    ], ids=["plus-and-zero", "space", "plan-space"])
+        ("frequency_aware", "Fakse", "False"),
+        ("frequency_aware", "true", "False"),
+        ("input_bins", "00", "0"),
+        ("input_bins", "02", "2"),
+    ], ids=["plus-and-zero", "space", "plan-space", "bool", "bool-lower", "input-bins",
+            "input-bins-pool1"])
     def test_echo_value_not_as_written_names_path_and_field(self, tmp_path, key, text, written):
-        p, _ = self.with_echo_lines(tmp_path, lambda lines: [
-            f"{key}={text}" if line == f"{key}={written}" else line for line in lines])
+        p = self.with_echo_value(tmp_path, key, text)
         with pytest.raises(ValueError) as err:
             load_model(p)
         assert str(err.value) == (f"{p}: config echo field {key!r}: {text!r} is not the "
@@ -699,6 +713,26 @@ class TestCheckpoint:
             m.load_state_arrays(dict(params, extra=np.zeros(1)))
         with pytest.raises(ValueError, match="batchnorm entry 'extra.var' is not in the model"):
             m.load_bn_arrays(dict(bn, **{"extra.var": np.ones(1)}))
+
+    @pytest.mark.parametrize("section,entry,value,message", [
+        ("parameter", "head.bias", np.nan, "holds a non-finite value"),
+        ("parameter", "in1.weight", -np.inf, "holds a non-finite value"),
+        ("batchnorm", "in1.bn.mean", np.nan, "holds a non-finite value"),
+        ("batchnorm", "in1.bn.var", -1.0, "holds a negative variance"),
+    ], ids=["nan-param", "inf-param", "nan-mean", "negative-var"])
+    def test_loaders_refuse_a_non_finite_entry_or_negative_variance(self, section, entry,
+                                                                    value, message):
+        m = build_model(tiny_config())
+        before = {**m.state_arrays(), **m.bn_arrays()}
+        arrays = m.state_arrays() if section == "parameter" else m.bn_arrays()
+        arrays[entry] = arrays[entry].copy()
+        arrays[entry].flat[-1] = value
+        load = m.load_state_arrays if section == "parameter" else m.load_bn_arrays
+        with pytest.raises(ValueError) as err:
+            load(arrays)
+        assert str(err.value) == f"{section} entry {entry!r} {message}"
+        after = {**m.state_arrays(), **m.bn_arrays()}
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 # A checkpoint of a fixed config and seed, pinned across versions: parameter

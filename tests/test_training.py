@@ -133,6 +133,14 @@ class TestMixup:
         with pytest.raises(ValueError, match="at least 2"):
             mixup_batch(x, y, 0.3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+    def test_alpha_that_is_not_positive_is_refused(self, alpha):
+        x = Tensor(np.zeros((2, 1, 4, 4)))
+        y = Tensor(np.zeros((2, 2)))
+        with pytest.raises(ValueError) as err:
+            mixup_batch(x, y, alpha, np.random.default_rng(0))
+        assert str(err.value) == f"mixup alpha must be positive, got {alpha}"
+
 
 class TestSWA:
     def test_absorb_same_twice(self):
@@ -358,6 +366,14 @@ class TestNormalization:
         assert mean == pytest.approx(3.0)
         assert std == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("frames", [[], [0], [0, 0]], ids=["no-clip", "empty", "two-empty"])
+    def test_clips_without_a_value_are_refused(self, frames):
+        clips = [TaggedClip(f"t{i}", np.zeros((2, n)), np.array([1.0]))
+                 for i, n in enumerate(frames)]
+        with pytest.raises(ValueError) as err:
+            normalization_stats(clips)
+        assert str(err.value) == f"clips hold no values to normalize by ({len(frames)} clips)"
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("name", ["batch_size", "crop_frames", "swa_every", "total_epochs"])
@@ -385,6 +401,17 @@ class TestTrainConfig:
 
 
 class TestTrainClipChecks:
+    @pytest.mark.parametrize("tags,name", [([1, 2, 3], "1"), (["a", None, "c"], "None"),
+                                           (["a", "b", b"c"], "b'c'")],
+                             ids=["ints", "none", "bytes"])
+    def test_tag_that_is_not_a_str_is_refused(self, tmp_path, tags, name):
+        cfg, tc = tiny_train_setup()
+        with pytest.raises(ValueError) as err:
+            train(build_model(cfg), make_band_clips(4), make_band_clips(2), tags, tc,
+                  tmp_path / "run")
+        assert str(err.value) == f"tag {name} is not a str"
+        assert not (tmp_path / "run").exists()
+
     def test_comma_in_a_tag_is_refused(self, tmp_path):
         cfg, tc = tiny_train_setup()
         with pytest.raises(ValueError, match=r"tag 'x,y' contains ','"):
@@ -548,3 +575,21 @@ class TestBnRefresh:
         model = build_model(tiny_train_setup()[0])
         with pytest.raises(ValueError, match="at least one clip"):
             refresh_bn_statistics(model, [], self.FRAMES, self.NORM, 2, seed=0)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused_before_any_batch(self, batch_size):
+        model = build_model(tiny_train_setup(seed=3)[0])
+        before = model.bn_arrays()
+        with pytest.raises(ValueError) as err:
+            refresh_bn_statistics(model, make_band_clips(2, frames=self.FRAMES), self.FRAMES,
+                                  self.NORM, batch_size, seed=0)
+        assert str(err.value) == f"batch_size must be >= 1, got {batch_size}"
+        for key, value in model.bn_arrays().items():
+            assert np.array_equal(value, before[key]), key
+
+    def test_batch_size_of_one_averages_single_clip_statistics(self):
+        clips = make_band_clips(3, frames=self.FRAMES, seed=4)
+        singles = [self.refresh([c]).bn_arrays() for c in clips]
+        for key, value in self.refresh(clips, batch_size=1).bn_arrays().items():
+            np.testing.assert_allclose(value, np.mean([s[key] for s in singles], axis=0),
+                                       rtol=1e-5, atol=1e-6)
