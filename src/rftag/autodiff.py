@@ -4,11 +4,16 @@ Every model in this package is built from the small op set below: conv2d,
 batchnorm2d, relu/sigmoid, pooling, linear, add, the shake-shake mix
 (``shake_combine``) and a numerically stable binary-cross-entropy-with-logits
 loss.  Ops execute eagerly on numpy arrays; while a ``Tape`` is active, each
-op appends a record (inputs, output, backward rule) in execution order,
-which is a topological order by construction.  ``backward`` replays the
-tape in reverse, accumulates gradients into leaf tensors and consumes the
-tape: each record is dropped once its backward rule has run, so a training
-step's activations are freed by reference counting before the step ends.
+op appends a record in execution order, which is a topological order by
+construction.  A record holds gradient routes, not arrays: per input, the
+index of the record of this tape that produced it, or the input itself when
+none did (a leaf, or an output of another tape), and the op's backward rule
+(its vjp).  Each vjp closes over exactly the arrays it reads and its inputs'
+``requires_grad`` flags, never over an input tensor, so an array that no vjp
+reads is freed with the forward's locals.  ``backward`` replays the tape in
+reverse, accumulates gradients into leaf tensors and consumes the tape: each
+record is dropped once its vjp has run, so a training step's activations are
+freed by reference counting before the step ends.
 
 Forward ops do only forward work, on one code path for training and
 eval: what backward needs beyond the op's inputs and output is rebuilt by
@@ -20,7 +25,8 @@ memory-efficient im2col, after Cho & Brand, arXiv:1706.06873).  With
 ``freq_coord`` it reads a frequency-coordinate plane as one more input
 channel (CoordConv, arXiv:1807.03247) whose column rows it writes once per
 band, so the plane is never materialized as an input.  No column matrix
-outlives the call, and backward rebuilds the columns from the input itself.
+outlives the call, and backward rebuilds the columns from the input itself
+and the tap-major weight matrix from the weight.
 Max pool combines strided tap views with ``np.maximum`` and relu keeps no
 mask.  Batchnorm is one per-channel scale and shift in both modes; only the
 source of its statistics differs, and backward rebuilds the normalized
@@ -29,14 +35,13 @@ input from x.
 ``batchnorm2d``, ``relu``, ``add`` and ``shake_combine`` take ``out=``, an
 array to write the result into, so a forward need not allocate a copy per
 op.  With nothing recording, any array of x's shape and dtype will do (a
-fresh conv output, say).  A tape keeps every record's output until
-backward, so under one ``out=`` must be the output of the tape's last
-record, which no recorded op has read yet, and that record must be an op
-whose vjp never reads its output (``_OVERWRITABLE``).  Batch norm's vjp
-reads its input, so it refuses ``out=`` whenever it would record.  This
-keeps an activation once on the tape: relu writes over its batch norm's
-output, as In-Place Activated BatchNorm does (Rota Bulò et al.,
-arXiv:1712.02616).
+fresh conv output, say).  Under a tape a vjp may read the array, so
+``out=`` must be the output of the tape's last record, which no recorded op
+has read yet, and that record must be an op whose vjp never reads its
+output (``_OVERWRITABLE``).  Batch norm's vjp reads its input, so it
+refuses ``out=`` whenever it would record.  This keeps an activation once
+on the tape: relu writes over its batch norm's output, as In-Place
+Activated BatchNorm does (Rota Bulò et al., arXiv:1712.02616).
 
 Precision is parametric: arrays keep whatever float dtype they were created
 with.  Training uses float32 by default; gradient-check tests run the same
@@ -45,6 +50,7 @@ ops in float64.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -65,7 +71,7 @@ class Tensor:
     gradients through the tape without storing them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_record")
+    __slots__ = ("data", "grad", "requires_grad", "_record", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -104,11 +110,18 @@ class Tensor:
 
 @dataclass
 class OpRecord:
-    """One recorded operation: output, inputs and its backward rule."""
+    """One recorded operation: its gradient routes and its backward rule.
+
+    ``routes`` has one entry per input: the index of the record of this
+    tape that produced it, or, for an input that no record of this tape
+    produced (a leaf, or an output of another tape), the input itself.
+    ``output`` is a weak reference, so the record keeps no array alive;
+    the vjp keeps the arrays it reads.
+    """
 
     name: str
-    output: Tensor
-    inputs: tuple
+    output: weakref.ref
+    routes: tuple
     vjp: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
     index: int
     tape: "Tape" = None
@@ -132,13 +145,17 @@ class Tape:
         self.records: list[OpRecord] = []
 
     def append(self, name, output, inputs, vjp) -> None:
-        rec = OpRecord(name, output, tuple(inputs), vjp, len(self.records), self)
+        routes = tuple(t._record.index if t._record is not None and t._record.tape is self
+                       else t for t in inputs)
+        rec = OpRecord(name, weakref.ref(output), routes, vjp, len(self.records), self)
         output._record = rec
         self.records.append(rec)
 
     def clear(self) -> None:
         for rec in self.records:
-            rec.output._record = None
+            out = rec.output()
+            if out is not None:
+                out._record = None
         self.records.clear()
 
     def __enter__(self) -> "Tape":
@@ -227,24 +244,22 @@ def backward(loss: Tensor) -> None:
             _accumulate(loss, np.ones_like(loss.data))
             return
         raise ValueError("loss is not connected to a tape (no recorded operations)")
-    tape = loss._record.tape
-    records = tape.records[: loss._record.index + 1]
-    produced = {id(rec.output) for rec in records}
+    tape, top = loss._record.tape, loss._record.index
+    records = tape.records[: top + 1]
     tape.clear()
-    flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    flows: dict[int, np.ndarray] = {top: np.ones_like(loss.data)}  # by record index
     while records:
         rec = records.pop()
-        gout = flows.pop(id(rec.output), None)
+        gout = flows.pop(rec.index, None)
         if gout is None:
             continue
-        for tin, g in zip(rec.inputs, rec.vjp(gout)):
+        for route, g in zip(rec.routes, rec.vjp(gout)):
             if g is None:
                 continue
-            key = id(tin)
-            if key in produced:
-                flows[key] = flows[key] + g if key in flows else g
-            elif tin.requires_grad:
-                _accumulate(tin, g)
+            if isinstance(route, int):
+                flows[route] = flows[route] + g if route in flows else g
+            elif route.requires_grad:
+                _accumulate(route, g)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -310,6 +325,19 @@ that rounds differently; on OpenBLAS 0.3.31 (Skylake-X kernels) banded and
 whole-matrix outputs are bit-identical."""
 
 
+def _zero_unwritten(planes: np.ndarray, band: list) -> None:
+    """Zero the cells of column planes (kh*kw, C, rows, Wo) that no tap of
+    ``band`` (``_taps``) writes: the whole plane of a tap missing from it,
+    which lies wholly in padding, and around each listed tap's output
+    rows and columns the cells that it reads from padding."""
+    for t in set(range(len(planes))).difference(tap[0] for tap in band):
+        planes[t] = 0
+    for t, orows, ocols, _, _ in band:
+        plane = planes[t]
+        plane[:, :orows.start] = plane[:, orows.stop:] = 0
+        plane[:, orows, :ocols.start] = plane[:, orows, ocols.stop:] = 0
+
+
 def _bands(rows: int, row_bytes: int) -> list:
     """Output-row bands [lo, hi) of one conv2d call: as few as keep each band
     within ``_BAND_BYTES``, sizes differing by at most one row, larger first."""
@@ -332,16 +360,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     The input is copied tap by tap into a column matrix of shape
     (kh*kw*C, rows*Wo): row ``t*C + c`` holds channel c as seen by kernel
     tap t = i*kw + j.  The output rows are split into bands of at most
-    ``_BAND_BYTES`` of columns, and one buffer per call holds a band.  Per
-    band the buffer is zeroed and the coordinate plane's rows are written
-    once; then, one sample at a time, each tap copies only the
-    sub-rectangle of the unpadded input that it reads (the cells it reads
-    from padding stay zero, and a tap that lies wholly in padding copies
-    nothing), and one GEMM with the tap-major weight matrix (O, kh*kw*C)
+    ``_BAND_BYTES`` of columns, and one buffer per call, left
+    uninitialized, holds a band.  Per band only the cells that no tap
+    writes are zeroed (``_zero_unwritten``: the cells a tap reads from
+    padding, and the whole plane of a tap that lies wholly in padding) and
+    the coordinate plane's rows are written once; then, one sample at a
+    time, each tap copies only the sub-rectangle of the unpadded input that
+    it reads, and one GEMM with the tap-major weight matrix (O, kh*kw*C)
     writes that sample's band of the NCHW output.
 
     No padded copy of the input is made and no column matrix outlives the
-    call: backward keeps the input itself and rebuilds the columns for the
+    call: backward keeps the input and the weight's array, rebuilds the
+    tap-major weight matrix from it, and rebuilds the columns for the
     weight gradient in one full-extent band, one GEMM per sample, so the
     weight gradient sums in the same order at any band size.  It scatters
     the column gradient, held in a second buffer so the zero cells survive,
@@ -371,11 +401,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         raise ValueError(f"bias shape {bias.shape} does not match {co} output channels")
 
     dtype = np.result_type(x.data, weight.data)
-    xd = x.data
+    xd, wd = x.data, weight.data
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (w + 2 * pw - kw) // sw + 1
     depth = kh * kw * ci  # rows of the column matrix
-    wmat = weight.data.transpose(0, 2, 3, 1).reshape(co, depth)
+    wmat = wd.transpose(0, 2, 3, 1).reshape(co, depth)
     coord = None
     if freq_coord:
         coord = (np.arange(h, dtype=xd.dtype) / (h - 1) if h > 1
@@ -396,13 +426,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         return cols
 
     bands = _bands(ho, depth * wo * np.dtype(dtype).itemsize)
-    buf = np.zeros(depth * (bands[0][1] - bands[0][0]) * wo, dtype=dtype)
+    buf = np.empty(depth * (bands[0][1] - bands[0][0]) * wo, dtype=dtype)
     out = np.empty((n, co, ho * wo), dtype=dtype)
     for lo, hi in bands:
         cols = buf[:depth * (hi - lo) * wo].reshape(depth, (hi - lo) * wo)
-        if lo:
-            cols.fill(0)
         band = taps(lo, hi)
+        _zero_unwritten(cols.reshape(kh * kw, ci, hi - lo, wo), band)
         if freq_coord:
             coordinates(cols, band)
         for s in range(n):
@@ -412,32 +441,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out = out.reshape(n, co, ho, wo)
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
+    x_grad, w_grad = x.requires_grad, weight.requires_grad
+    b_grad = None if bias is None else bias.requires_grad
 
     def vjp(gout: np.ndarray):
         g = gout.reshape(n, co, ho * wo)
         band = taps(0, ho)
         gw = gb = gx = None
-        if weight.requires_grad:
-            cols = np.zeros((depth, ho * wo), dtype=dtype)
+        if w_grad:
+            cols = np.empty((depth, ho * wo), dtype=dtype)
+            _zero_unwritten(cols.reshape(kh * kw, ci, ho, wo), band)
             if freq_coord:
                 coordinates(cols, band)
-            gwmat = np.zeros(wmat.shape, dtype=dtype)
+            gwmat = np.zeros((co, depth), dtype=dtype)
             for s in range(n):
                 gwmat += g[s] @ columns(s, cols, band).T
             del cols
             gw = np.ascontiguousarray(gwmat.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
-        if x.requires_grad:
+        if x_grad:
+            wmat = wd.transpose(0, 2, 3, 1).reshape(co, depth)
             gcols = np.empty((depth, ho * wo), dtype=dtype)
             gx = np.zeros(xd.shape, dtype=dtype)
             for s in range(n):
                 gplanes = np.matmul(wmat.T, g[s], out=gcols).reshape(kh * kw, ci, ho, wo)
                 for t, orows, ocols, irows, icols in band:
                     gx[s, :, irows, icols] += gplanes[t, :c, orows, ocols]
-        if bias is not None and bias.requires_grad:
+        if b_grad:
             gb = g.sum(axis=(0, 2))
-        if bias is None:
-            return gx, gw
-        return gx, gw, gb
+        return (gx, gw) if b_grad is None else (gx, gw, gb)
 
     return record("conv2d", out, inputs, vjp)
 
@@ -512,36 +543,37 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     _check_out("batchnorm2d", out, x, [x, gamma, beta], reads_x=True)
 
     m = x.size // c  # values per channel
+    xd = x.data
+    x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
     if mode == "eval":
         if state.mean is None:
             raise ValueError("batchnorm eval requested but running statistics were never populated")
         mean, var = state.mean, state.var
     else:
-        mean = np.einsum("nchw->c", x.data) / m
-        centred = x.data - mean[:, None, None]
+        mean = np.einsum("nchw->c", xd) / m
+        centred = xd - mean[:, None, None]
         var = np.einsum("nchw,nchw->c", centred, centred) / m
         del centred
         state.update(mean, var)
     inv_std = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * inv_std
-    out = np.multiply(x.data, scale[:, None, None], out=out)
+    out = np.multiply(xd, scale[:, None, None], out=out)
     out += (beta.data - mean * scale)[:, None, None]
 
     def vjp(gout: np.ndarray):
-        xh = (x.data - mean[:, None, None]) * inv_std[:, None, None]
+        xh = (xd - mean[:, None, None]) * inv_std[:, None, None]
         gg = np.einsum("nchw,nchw->c", gout, xh)
         gb = np.einsum("nchw->c", gout)
         gx = None
-        if x.requires_grad and mode == "eval":
+        if x_grad and mode == "eval":
             gx = gout * scale[:, None, None]
-        elif x.requires_grad:
+        elif x_grad:
             # gamma * inv_std * (gout - mean(gout) - xhat * mean(gout * xhat))
             gx = xh * (-gg / m)[:, None, None]
             gx += gout
             gx -= (gb / m)[:, None, None]
             gx *= scale[:, None, None]
-        return (gx, gg if gamma.requires_grad else None,
-                gb if beta.requires_grad else None)
+        return (gx, gg if gamma_grad else None, gb if beta_grad else None)
 
     return record("batchnorm2d", out, [x, gamma, beta], vjp)
 
@@ -553,9 +585,10 @@ def relu(x: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
     when x is the last record's output and that op is a batch norm, say."""
     _check_out("relu", out, x, [x])
     out = np.maximum(x.data, 0, out=out)
+    needs = x.requires_grad
 
     def vjp(gout):
-        return (gout * (out > 0),) if x.requires_grad else (None,)
+        return (gout * (out > 0),) if needs else (None,)
 
     return record("relu", out, [x], vjp)
 
@@ -572,9 +605,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     out = _sigmoid(x.data)
+    needs = x.requires_grad
 
     def vjp(gout):
-        return (gout * out * (1.0 - out),) if x.requires_grad else (None,)
+        return (gout * out * (1.0 - out),) if needs else (None,)
 
     return record("sigmoid", out, [x], vjp)
 
@@ -593,13 +627,15 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
     if x.ndim != 4:
         raise ValueError(f"pool2d expects a 4-D input, got shape {x.shape}")
     h, w = x.shape[2:]
+    xd, needs = x.data, x.requires_grad
     if kind == "global_avg":
-        out = x.data.mean(axis=(2, 3), keepdims=True)
+        out = xd.mean(axis=(2, 3), keepdims=True)
+        shape, dtype = x.shape, x.dtype
 
         def vjp_g(gout):
-            if not x.requires_grad:
+            if not needs:
                 return (None,)
-            return (np.broadcast_to(gout / (h * w), x.shape).astype(x.dtype, copy=True),)
+            return (np.broadcast_to(gout / (h * w), shape).astype(dtype, copy=True),)
 
         return record("global_avg_pool", out, [x], vjp_g)
 
@@ -618,7 +654,7 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
 
     ho, wo = (h - kh) // sh + 1, (w - kw) // sw + 1
     spans = [tap[3:] for tap in _taps((kh, kw), (sh, sw), (0, 0), (h, w), (ho, wo))]
-    views = [x.data[:, :, rows, cols] for rows, cols in spans]
+    views = [xd[:, :, rows, cols] for rows, cols in spans]
     out = views[0].copy()
     for v in views[1:]:
         np.maximum(out, v, out=out)
@@ -626,9 +662,9 @@ def pool2d(x: Tensor, kind: str, kernel=None, stride=None) -> Tensor:
     def vjp_m(gout):
         """Each tap, in row-major order, takes ``gout`` where it is its
         window's first max, scattered back through its view."""
-        if not x.requires_grad:
+        if not needs:
             return (None,)
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(xd)
         unrouted = np.ones(out.shape, dtype=bool)
         for (rows, cols), v in zip(spans, views):
             first = v == out
@@ -649,18 +685,21 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             f"linear extent mismatch: input {x.shape} vs weight {weight.shape}")
     if bias is not None and bias.shape != (weight.shape[1],):
         raise ValueError(f"bias shape {bias.shape} does not match {weight.shape[1]} outputs")
-    out = x.data @ weight.data
+    xd, wd = x.data, weight.data
+    out = xd @ wd
     if bias is not None:
         out = out + bias.data
 
     inputs = [x, weight] if bias is None else [x, weight, bias]
+    x_grad, w_grad = x.requires_grad, weight.requires_grad
+    b_grad = None if bias is None else bias.requires_grad
 
     def vjp(gout):
-        gx = gout @ weight.data.T if x.requires_grad else None
-        gw = x.data.T @ gout if weight.requires_grad else None
-        if bias is None:
+        gx = gout @ wd.T if x_grad else None
+        gw = xd.T @ gout if w_grad else None
+        if b_grad is None:
             return gx, gw
-        gb = gout.sum(axis=0) if bias.requires_grad else None
+        gb = gout.sum(axis=0) if b_grad else None
         return gx, gw, gb
 
     return record("linear", out, inputs, vjp)
@@ -673,10 +712,10 @@ def add(a: Tensor, b: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
     _check_out("add", out, b, [a, b])
     out = np.add(a.data, b.data, out=out)
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(gout):
-        return (gout if a.requires_grad else None,
-                gout if b.requires_grad else None)
+        return gout if a_grad else None, gout if b_grad else None
 
     return record("add", out, [a, b], vjp)
 
@@ -697,10 +736,11 @@ def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float,
     _check_out("shake_combine", out, b2, [b1, b2])
     out = np.multiply(b2.data, 1.0 - alpha, out=out)
     out += alpha * b1.data
+    b1_grad, b2_grad = b1.requires_grad, b2.requires_grad
 
     def vjp(gout):
-        g1 = beta * gout if b1.requires_grad else None
-        g2 = (1.0 - beta) * gout if b2.requires_grad else None
+        g1 = beta * gout if b1_grad else None
+        g2 = (1.0 - beta) * gout if b2_grad else None
         return g1, g2
 
     return record("shake_combine", out, [b1, b2], vjp)
@@ -709,31 +749,34 @@ def shake_combine(b1: Tensor, b2: Tensor, alpha: float, beta: float,
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def vjp(gout):
-        return (gout * b.data if a.requires_grad else None,
-                gout * a.data if b.requires_grad else None)
+        return gout * b_data if a_grad else None, gout * a_data if b_grad else None
 
     return record("mul", out, [a, b], vjp)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.dtype)
+    shape, dtype, needs = x.shape, x.dtype, x.requires_grad
 
     def vjp(gout):
-        if not x.requires_grad:
+        if not needs:
             return (None,)
-        return (np.broadcast_to(gout, x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(gout, shape).astype(dtype, copy=True),)
 
     return record("sum_all", out, [x], vjp)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     out = x.data.reshape(shape)
+    in_shape, needs = x.shape, x.requires_grad
 
     def vjp(gout):
-        return (gout.reshape(x.shape),) if x.requires_grad else (None,)
+        return (gout.reshape(in_shape),) if needs else (None,)
 
     return record("reshape", out, [x], vjp)
 
@@ -753,9 +796,10 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     # max(z,0) - z*y + log(1 + exp(-|z|))
     losses = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
     out = np.asarray(losses.mean(), dtype=z.dtype)
+    needs = logits.requires_grad
 
     def vjp(gout):
-        if not logits.requires_grad:
+        if not needs:
             return None, None
         g = (_sigmoid(z) - y) / z.size
         return g * gout, None

@@ -40,9 +40,13 @@ shake block mixes into its second branch's output and the residual add
 writes over the mix or the lone branch (``out=``, which ``batchnorm2d``,
 ``relu``, ``add`` and ``shake_combine`` take).  None of those overwritten
 outputs is read by its op's vjp, so the engine allows this under a tape
-too.  A training step's tape then holds the conv outputs, the batch-norm
-outputs (relu, the mix and the add written over them) and the pool
-outputs; CHANGES.md lists its bytes per record name.  With nothing
+too.  A training step's tape keeps only what its vjps read: the conv
+outputs (batch norm's inputs), the batch-norm outputs that relu wrote over,
+the block outputs (the add written over a branch's batch norm) that a later
+conv reads, and the pool outputs.  Each shake block's first branch, each
+projection's batch-norm output and the last block's output, which only the
+global pool reads, are freed with the forward's locals; CHANGES.md lists
+the tape's bytes per record name.  With nothing
 recording, batch norm also writes over the fresh conv output, so a forward
 without a tape (eval, or the SWA refresh's) holds about two activations of
 its batch and one column band at a time; ``inference.predict_scores`` runs
@@ -117,9 +121,10 @@ def fa_channel(x: Tensor) -> Tensor:
                  else np.zeros(1, dtype=x.dtype))
     coord = np.broadcast_to(coord_col[None, None, :, None], (n, 1, f, t))
     out = np.concatenate([x.data, coord.astype(x.dtype)], axis=1)
+    needs = x.requires_grad
 
     def vjp(gout):
-        return (gout[:, :c],) if x.requires_grad else (None,)
+        return (gout[:, :c],) if needs else (None,)
 
     return ad.record("fa_channel", out, [x], vjp)
 

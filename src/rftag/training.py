@@ -34,8 +34,8 @@ class TrainConfig:
     Refused, naming the field: ``total_epochs``, ``batch_size``,
     ``crop_frames`` or ``swa_every`` below one, a negative segment, segments
     that do not sum to ``total_epochs``, learning rates outside
-    ``lr_peak > lr_final > 0``, ``mixup_alpha <= 0`` and a
-    ``warmup_start_factor`` outside (0, 1].
+    ``lr_peak > lr_final > 0``, a ``mixup_alpha`` that is not > 0 or is
+    infinite, and a ``warmup_start_factor`` outside (0, 1].
     """
 
     total_epochs: int = 200
@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"need lr_peak > lr_final > 0, got {self.lr_peak}, {self.lr_final}")
         if not self.mixup_alpha > 0:
             raise ValueError(f"mixup_alpha must be > 0, got {self.mixup_alpha}")
+        if math.isinf(self.mixup_alpha):
+            raise ValueError(f"mixup_alpha must be finite, got {self.mixup_alpha}")
         if not 0 < self.warmup_start_factor <= 1:
             raise ValueError(f"warmup_start_factor must lie in (0, 1], "
                              f"got {self.warmup_start_factor}")
@@ -103,13 +105,15 @@ def mixup_batch(x: Tensor, y: Tensor, alpha: float, rng: np.random.Generator):
 
     One lambda per batch, drawn from Beta(alpha, alpha) before the
     permutation, mixes inputs and labels identically.  Returns
-    (x', y', lambda).
+    (x', y', lambda).  An alpha that is not > 0 or is infinite is refused.
     """
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"mixup needs a batch of at least 2, got {n}")
     if not alpha > 0:
         raise ValueError(f"mixup alpha must be positive, got {alpha}")
+    if math.isinf(alpha):
+        raise ValueError(f"mixup alpha must be finite, got {alpha}")
     lam = float(rng.beta(alpha, alpha))
     perm = rng.permutation(n)
     xd, yd = x.data, y.data
@@ -164,18 +168,28 @@ class TaggedClip:
 
 
 def normalization_stats(clips: list) -> tuple[float, float]:
-    """Global scalar mean/std of the training split's spectrogram values;
-    ``clips`` that hold no value are refused."""
+    """Global scalar mean/std of the training split's spectrogram values.
+
+    Refused: ``clips`` that hold no value, a clip holding a NaN or inf
+    (named by ``check_clip`` with its track and cell) and values whose
+    float64 sums overflow.  One pass reads the clips; only a non-finite
+    sum reads them again, to name the clip.
+    """
     total = 0.0
     total_sq = 0.0
     count = 0
-    for clip in clips:
-        v = clip.values.astype(np.float64)
-        total += v.sum()
-        total_sq += (v * v).sum()
-        count += v.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        for clip in clips:
+            v = clip.values.astype(np.float64)
+            total += float(v.sum())
+            total_sq += float((v * v).sum())
+            count += v.size
     if not count:
         raise ValueError(f"clips hold no values to normalize by ({len(clips)} clips)")
+    if not (math.isfinite(total) and math.isfinite(total_sq)):
+        for clip in clips:
+            check_clip(clip.values, clip.values.shape[0], f"track {clip.track_id!r}")
+        raise ValueError(f"the float64 sums of the clips' values overflow ({len(clips)} clips)")
     mean = total / count
     var = max(total_sq / count - mean * mean, 1e-12)
     return float(mean), float(math.sqrt(var))

@@ -12,10 +12,13 @@ check.
 references of a third kind: they compose the package's own ops (or numpy's
 stable sort) the plain, allocating way, so that a leaner composition of the
 same ops can be pinned to them bit for bit.
+``kept_arrays`` lists what a tape's records keep alive, by walking their
+vjps' closures, for the retained-bytes bounds of the tape tests.
 """
 
 import copy
 import math
+import types
 from dataclasses import replace
 from functools import partial
 
@@ -412,3 +415,31 @@ def oneshot_logmel(clip):
     mel_power = dsp.mel_filterbank(sr=clip.sample_rate) @ weighted
     db = 10.0 * np.log10(mel_power + dsp.POWER_FLOOR)
     return np.clip(db - db.max(), dsp.DB_CLIP, None).astype(np.float32)
+
+
+def kept_arrays(records) -> dict:
+    """The distinct arrays that tape ``records`` keep, by id: every array
+    reachable from a record's vjp through closure cells, the functions they
+    hold, lists and tuples, and the data of each input a record routes to
+    itself.  A view counts as the array it views."""
+    kept, seen = {}, set()
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            kept[id(obj)] = obj
+        elif isinstance(obj, ad.Tensor):
+            visit(obj.data)
+        elif isinstance(obj, types.FunctionType) and id(obj) not in seen:
+            seen.add(id(obj))
+            for cell in obj.__closure__ or ():
+                visit(cell.cell_contents)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    for rec in records:
+        visit(rec.routes)
+        visit(rec.vjp)
+    return kept

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import re
 import struct
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from rftag.models import (
 )
 from rftag.rf import compute_rf, min_input
 
-from oracles import measure_model_rf, reference_forward
+from oracles import kept_arrays, measure_model_rf, reference_forward
 
 
 def tiny_config(**kw):
@@ -298,6 +300,12 @@ class TestEvalReference:
             assert g is not None and np.array_equal(g, grads[1][name]), name
 
 
+# SHA-256 of the parameter gradients of ``test_tape_frees_what_no_vjp_reads``'s
+# step, in sorted name order, as taken when each record held its output and
+# inputs; the same at 1 and 2 OpenBLAS threads (numpy 2.4.6, OpenBLAS 0.3.31)
+GRAD_DIGEST = "60286fec98ecc4b966d73786aaed6d30af52aa9714c99a05d105f9d800b83670"
+
+
 class TestTrainReference:
     """A taped train step (relu, shake-shake and the residual add writing
     over their producers' outputs) against ``reference_forward``."""
@@ -332,48 +340,126 @@ class TestTrainReference:
         for name, stat in got[2].items():
             assert np.array_equal(stat, want[2][name]), name
 
-    def test_tape_keeps_each_activation_once(self):
-        # relu, the shake mix and the residual add write over their producer's
-        # output, so the tape retains about the distinct buffers and no more
-        model = build_model(ModelConfig(
+    @staticmethod
+    def shake_model():
+        return build_model(ModelConfig(
             template=TemplateConfig(n_stages=2, blocks_per_stage=1, channel_plan=(8, 16),
                                     pool_stages=1),
             frequency_aware=True, shake_shake=True, n_tags=3, input_bins=64))
-        x = Tensor(np.random.default_rng(7).standard_normal((8, 1, 64, 64)).astype(np.float32))
+
+    @staticmethod
+    def traced_forward(model, x):
+        """The tape and logits of one train-mode forward, and the traced bytes
+        it retains."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             with Tape() as tape:
-                model.forward(x, mode="train")
+                logits = model.forward(x, mode="train")
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        return tape, logits, retained
+
+    @staticmethod
+    def kept(tape, model, x) -> dict:
+        """The arrays the tape's vjps keep, less the input's and the parameters'."""
+        kept = kept_arrays(tape.records)
+        for t in (x, *model.params.values()):
+            kept.pop(id(t.data), None)
+        return kept
+
+    def test_tape_keeps_each_activation_once(self, monkeypatch):
+        # relu, the shake mix and the residual add write over their producer's
+        # output, so the tape retains about the distinct arrays its vjps read
+        # and no more
+        model = self.shake_model()
+        x = Tensor(np.random.default_rng(7).standard_normal((8, 1, 64, 64)).astype(np.float32))
+        made, record = [], ad.record   # per record: name, output array id, weak reference
+
+        def spy(name, out_data, inputs, vjp):
+            root = out_data if out_data.base is None else out_data.base
+            made.append((name, id(root), weakref.ref(root)))
+            return record(name, out_data, inputs, vjp)
+
+        monkeypatch.setattr(ad, "record", spy)
+        tape, _, retained = self.traced_forward(model, x)
         names = [rec.name for rec in tape.records]
+        assert names == [name for name, _, _ in made]
         assert {"relu", "shake_combine", "add"} <= set(names)
         # conv2d reads the coordinate plane in its bands: no widened input copy
         assert "fa_channel" not in names
         for rec in tape.records:
             if rec.name in ("relu", "shake_combine", "add"):
-                producer = rec.inputs[-1]._record
+                producer = tape.records[rec.routes[-1]]
                 assert producer.name in ("batchnorm2d", "shake_combine"), rec.name
-                assert np.shares_memory(rec.output.data, producer.output.data), rec.name
-        # every array the tape holds, as an output or an input, less the
-        # input and parameters: the conv, batch-norm and pool outputs and the head
-        def root(t):
-            return t.data if t.data.base is None else t.data.base
+                assert made[rec.index][1] == made[producer.index][1], rec.name
+        # the activations kept are conv, batch-norm and pool outputs; the
+        # other arrays are batch-norm statistics and coordinate columns
+        kept = self.kept(tape, model, x)
+        owners = {}   # each live array's first producer
+        for name, _, ref in made:
+            if ref() is not None:
+                owners.setdefault(id(ref()), name)
+        assert {owners[k] for k in kept if k in owners} == {"conv2d", "batchnorm2d", "max_pool",
+                                                            "global_avg_pool"}
+        assert all(a.ndim == 1 or a.shape[1:] == (1,) for k, a in kept.items() if k not in owners)
+        distinct = sum(a.nbytes for a in kept.values())
+        assert retained <= 1.05 * distinct, f"retained {retained} bytes for {distinct} kept"
 
-        buffers, owners = {}, {}
-        for rec in tape.records:
-            owners.setdefault(id(root(rec.output)), rec.name)
-            for t in (rec.output, *rec.inputs):
-                buffers[id(root(t))] = root(t).nbytes
-        for t in (x, *model.params.values()):
-            buffers.pop(id(t.data), None)
-        assert set(buffers) <= set(owners)
-        assert {owners[b] for b in buffers} == {"conv2d", "batchnorm2d", "max_pool",
-                                                 "global_avg_pool", "linear"}
-        distinct = sum(buffers.values())
-        assert retained <= 1.05 * distinct, f"retained {retained} bytes for {distinct} of buffers"
+    def test_tape_frees_what_no_vjp_reads(self, monkeypatch):
+        # with the cyclic collector off, a taped forward frees each shake
+        # block's first branch, each projection's batch-norm output and the
+        # last block's output, keeps no tap-major weight matrix, and backward
+        # gives the gradients it gave when the tape held every output
+        model = self.shake_model()
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.standard_normal((8, 1, 64, 64)).astype(np.float32))
+        targets = Tensor((rng.uniform(size=(8, 3)) < 0.5).astype(np.float32))
+        freed, pool2d = [], ad.pool2d
+
+        def mix(b1, b2, alpha, beta, out=None):
+            freed.append(weakref.ref(b1.data))
+            return shake_combine(b1, b2, alpha, beta, out=out)
+
+        def pool(h, kind, **kw):
+            if kind == "global_avg":
+                freed.append(weakref.ref(h.data))
+            return pool2d(h, kind, **kw)
+
+        def projection(step):
+            def proj(h, mode):
+                out = step(h, mode)
+                freed.append(weakref.ref(out.data))
+                return out
+            return proj
+
+        monkeypatch.setattr(models, "shake_combine", mix)
+        monkeypatch.setattr(ad, "pool2d", pool)
+        for block in model.trunk:
+            if getattr(block, "proj", None) is not None:
+                monkeypatch.setattr(block, "proj", projection(block.proj))
+        gc.disable()
+        try:
+            tape, logits, retained = self.traced_forward(model, x)
+            assert len(freed) == 4 and all(ref() is None for ref in freed)
+            kept = self.kept(tape, model, x)
+            distinct = sum(a.nbytes for a in kept.values())
+            assert retained <= 1.05 * distinct, f"retained {retained} bytes for {distinct} kept"
+            for w in (p.data for p in model.params.values() if p.ndim == 4):
+                tap_major = w.transpose(0, 2, 3, 1).ravel()
+                assert not any(a.size == w.size and np.array_equal(a.ravel(), tap_major)
+                               for a in kept.values())
+            with tape:
+                loss = bce_with_logits(logits, targets)
+            del tape
+            backward(loss)
+        finally:
+            gc.enable()
+        digest = hashlib.sha256()
+        for name in sorted(model.params):
+            digest.update(model.params[name].grad.tobytes())
+        assert digest.hexdigest() == GRAD_DIGEST
 
 
 class TestFaSanity:

@@ -141,6 +141,14 @@ class TestMixup:
             mixup_batch(x, y, alpha, np.random.default_rng(0))
         assert str(err.value) == f"mixup alpha must be positive, got {alpha}"
 
+    def test_infinite_alpha_is_refused(self):
+        # Beta(inf, inf) has no draw: numpy gives nan for lambda
+        x = Tensor(np.zeros((2, 1, 4, 4)))
+        y = Tensor(np.zeros((2, 2)))
+        with pytest.raises(ValueError) as err:
+            mixup_batch(x, y, float("inf"), np.random.default_rng(0))
+        assert str(err.value) == "mixup alpha must be finite, got inf"
+
 
 class TestSWA:
     def test_absorb_same_twice(self):
@@ -374,6 +382,26 @@ class TestNormalization:
             normalization_stats(clips)
         assert str(err.value) == f"clips hold no values to normalize by ({len(frames)} clips)"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_clip_and_cell(self, bad):
+        values = np.full((2, 3), 1.0)
+        values[1, 2] = bad
+        clips = [TaggedClip("a", np.ones((2, 3)), np.array([1.0])),
+                 TaggedClip("b", values, np.array([1.0]))]
+        with pytest.raises(ValueError) as err:
+            normalization_stats(clips)
+        assert str(err.value) == f"track 'b' holds a non-finite value {bad} at (bin, frame) (1, 2)"
+
+    @pytest.mark.parametrize("values", [[[1e200, 1.0]], [[1e308], [1e308]]],
+                             ids=["squares", "sum"])
+    def test_sums_that_overflow_are_refused(self, values):
+        # finite float64 values whose sum of squares, or sum, overflows
+        clips = [TaggedClip("a", np.array(values), np.array([1.0]))]
+        with pytest.raises(ValueError) as err:
+            normalization_stats(clips)
+        assert str(err.value) == "the float64 sums of the clips' values overflow (1 clips)"
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("name", ["batch_size", "crop_frames", "swa_every", "total_epochs"])
@@ -389,11 +417,12 @@ class TestTrainConfig:
         (dict(tail_epochs=-1), "tail_epochs must be >= 0, got -1"),
         (dict(mixup_alpha=0.0), "mixup_alpha must be > 0, got 0.0"),
         (dict(mixup_alpha=float("nan")), "mixup_alpha must be > 0, got nan"),
+        (dict(mixup_alpha=float("inf")), "mixup_alpha must be finite, got inf"),
         (dict(warmup_start_factor=0.0), r"warmup_start_factor must lie in \(0, 1\], got 0.0"),
         (dict(warmup_start_factor=1.5), r"warmup_start_factor must lie in \(0, 1\], got 1.5"),
         (dict(lr_final=1e-4), "need lr_peak > lr_final > 0, got 0.0001, 0.0001"),
         (dict(lr_final=0.0), "need lr_peak > lr_final > 0, got 0.0001, 0.0"),
-    ], ids=["warmup", "constant", "decay", "tail", "alpha", "alpha-nan", "factor-0",
+    ], ids=["warmup", "constant", "decay", "tail", "alpha", "alpha-nan", "alpha-inf", "factor-0",
             "factor-1.5", "final-equals-peak", "final-zero"])
     def test_value_train_would_trip_on_names_the_field(self, kw, message):
         with pytest.raises(ValueError, match=message):
